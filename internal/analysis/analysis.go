@@ -25,7 +25,8 @@
 //     reachable from simulated-thread context (functions taking a
 //     *sim.Proc, Spawn bodies) outside a spin condition.
 //   - hotalloc: no allocation is reachable from the event-step loop,
-//     a lock's Acquire/Release, or traffic dispatch.
+//     a lock's Acquire/Release, traffic dispatch, or an observer
+//     callback (lock/mem observers, fault and crash injectors).
 //   - traceprotocol: every path through a lock's Lock emits exactly
 //     one TraceAcquire-class event, and Unlock one release-class.
 //
@@ -345,7 +346,7 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name:      "hotalloc",
-			Doc:       "allocations reachable from the step loop, lock acquire/release, or traffic dispatch (interprocedural)",
+			Doc:       "allocations reachable from the step loop, lock acquire/release, traffic dispatch, or observer callbacks (interprocedural)",
 			RunModule: runHotAlloc,
 		},
 		{
@@ -537,7 +538,12 @@ func isSimNamed(t types.Type, name string) bool {
 	if obj.Name() != name || obj.Pkg() == nil {
 		return false
 	}
-	path := obj.Pkg().Path()
+	return isSimPath(obj.Pkg().Path())
+}
+
+// isSimPath reports whether an import path names internal/sim (the
+// module's, or a fixture stand-in mounted under a path ending in it).
+func isSimPath(path string) bool {
 	return path == "repro/internal/sim" || strings.HasSuffix(path, "/internal/sim")
 }
 

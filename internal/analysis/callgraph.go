@@ -29,7 +29,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // EdgeKind classifies one call-graph edge.
@@ -443,9 +442,7 @@ func (p *Program) Reach(roots []*FuncNode, follow func(Edge) bool) map[*FuncNode
 }
 
 // inSimPackage reports whether the node's package is internal/sim.
-func inSimPackage(n *FuncNode) bool {
-	return n.Pkg.Path == "repro/internal/sim" || strings.HasSuffix(n.Pkg.Path, "/internal/sim")
-}
+func inSimPackage(n *FuncNode) bool { return isSimPath(n.Pkg.Path) }
 
 // declName renders a declaration's diagnostic name: F, (T).M, (*T).M.
 func declName(fd *ast.FuncDecl) string {

@@ -11,6 +11,13 @@ package analysis
 //     methods named Lock and Unlock on the same receiver, taking one
 //     *sim.Proc and returning nothing),
 //   - the traffic engine's worker and arrive paths,
+//   - every observer callback: methods that implement sim.LockObserver,
+//     sim.MemObserver, sim.FaultInjector or sim.CrashInjector
+//     (structural match through go/types). The loop reaches them only
+//     through interface values, which the call graph leaves unresolved,
+//     so each implementation anchors its own region: the invariant
+//     checker, race auditor, fault injector, lock stats and flight
+//     recorder run once per event,
 //   - any function whose doc comment carries //flexlint:hotpath.
 //
 // Within reach, the pass flags the Go constructs that allocate: the
@@ -27,8 +34,10 @@ package analysis
 //   - arguments of panic(...): an assertion failure terminates the
 //     run, so its formatting cost is unreachable on any healthy path;
 //   - functions marked //flexlint:coldpath: one-time setup (thread
-//     spawn, lazy per-thread queue-node registration) that a hot path
-//     calls at most once per thread, not per operation.
+//     spawn, lazy per-thread queue-node registration, an observer's
+//     table growth on the first sight of an id), once-per-window work,
+//     and rare verdict formatting — code a hot path calls at most once
+//     per thread, id, window or reported violation, not per operation.
 //
 // Bounded amortized growth that remains (e.g. the traffic engine
 // growing its worker table up to maxWorkers, or the trace ring
@@ -93,7 +102,62 @@ func isHotRoot(n *FuncNode) bool {
 	case strings.HasSuffix(n.Pkg.Path, "/internal/traffic") || n.Pkg.Path == "internal/traffic":
 		return n.Decl.Name.Name == "worker" || n.Decl.Name.Name == "arrive"
 	}
-	return isLockImplMethod(n)
+	return isLockImplMethod(n) || isObserverMethod(n)
+}
+
+// observerIfaces are the internal/sim callback interfaces the event
+// loop invokes through interface values.
+var observerIfaces = []string{"LockObserver", "MemObserver", "FaultInjector", "CrashInjector"}
+
+// isObserverMethod reports whether n is a method of one of the
+// observerIfaces on a receiver type that implements that interface.
+func isObserverMethod(n *FuncNode) bool {
+	if n.Obj == nil {
+		return false
+	}
+	recv := n.Obj.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	sim := simPackage(n.Pkg.Types)
+	if sim == nil {
+		return false
+	}
+	t := recv.Type()
+	if _, isPtr := t.(*types.Pointer); !isPtr {
+		t = types.NewPointer(t) // the pointer's method set includes value methods
+	}
+	for _, name := range observerIfaces {
+		tn, ok := sim.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		iface, ok := tn.Type().Underlying().(*types.Interface)
+		if !ok || !types.Implements(t, iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == n.Obj.Name() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// simPackage returns internal/sim as seen from pkg: pkg itself, or its
+// direct import (an observer implementation names sim's types in its
+// method signatures, so it always imports the package directly).
+func simPackage(pkg *types.Package) *types.Package {
+	if isSimPath(pkg.Path()) {
+		return pkg
+	}
+	for _, imp := range pkg.Imports() {
+		if isSimPath(imp.Path()) {
+			return imp
+		}
+	}
+	return nil
 }
 
 // isLockImplMethod reports whether n is Lock or Unlock on a receiver

@@ -1,7 +1,8 @@
 // Package fixture exercises the hotalloc pass: allocating constructs
-// reachable from hot roots — here a //flexlint:hotpath opt-in and a
+// reachable from hot roots — here a //flexlint:hotpath opt-in, a
 // structural lock implementation (Lock/Unlock methods on one receiver
-// taking *sim.Proc).
+// taking *sim.Proc), and observer callbacks (methods implementing the
+// sim observer and injector interfaces).
 package fixture
 
 import (
@@ -65,4 +66,48 @@ func hotClosure(p *sim.Proc, w *sim.Word) {
 	v := p.Load(w)
 	f := func() uint64 { return v } // want "closure captures variables"
 	p.Store(w, f())
+}
+
+// Observer callbacks are hot roots by structural match: the event loop
+// calls them through sim interfaces on every event.
+type lockObs struct {
+	seen map[int32]int32
+	log  []sim.TraceKind
+}
+
+func (o *lockObs) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int32) {
+	o.seen[tid] = arg           // want "map write on a hot path"
+	o.log = append(o.log, kind) // want "append on a hot path"
+}
+
+// A value receiver implements the interface through both method sets.
+type valueObs struct{}
+
+func (valueObs) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int32) {
+	_ = fmt.Sprintln("observed") // want "call to fmt.Sprintln on a hot path"
+}
+
+type memObs struct{ last []int32 }
+
+func (o *memObs) MemEvent(ev *sim.MemEvent) {
+	o.last = []int32{ev.TID} // want "heap allocation on a hot path: slice literal"
+}
+
+// crashInj implements sim.FaultInjector and sim.CrashInjector.
+type crashInj struct{ victims []*sim.Thread }
+
+func (i *crashInj) SliceGrant(t *sim.Thread, slice sim.Time) sim.Time { return slice }
+func (i *crashInj) PreemptAtBoundary(t *sim.Thread) bool              { return false }
+func (i *crashInj) WakeDelay(t *sim.Thread, lat sim.Time) sim.Time    { return lat }
+func (i *crashInj) SpuriousWakeDelay(t *sim.Thread) sim.Time          { return 0 }
+
+func (i *crashInj) CrashAtBoundary(t *sim.Thread) bool {
+	i.victims = append(i.victims, t) // want "append on a hot path"
+	return false
+}
+
+func (i *crashInj) CrashParkedDelay(t *sim.Thread) sim.Time { return 0 }
+
+func (i *crashInj) CrashParkedOutcome(t *sim.Thread, landed bool) {
+	_ = new(bool) // want "heap allocation on a hot path: new"
 }

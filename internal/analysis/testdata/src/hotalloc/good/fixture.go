@@ -55,3 +55,32 @@ func (t *table) Lock(p *sim.Proc) {
 }
 
 func (t *table) Unlock(p *sim.Proc) { p.StoreRel(t.w, 0) }
+
+// denseObs is an allocation-free lock observer: per-thread state in a
+// slice indexed by tid, grown by a coldpath helper on first sight.
+type denseObs struct{ perThread []int64 }
+
+func (o *denseObs) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int32) {
+	if tid < 0 {
+		return
+	}
+	if int(tid) >= len(o.perThread) {
+		o.grow(int(tid) + 1)
+	}
+	o.perThread[tid]++
+}
+
+//flexlint:coldpath
+func (o *denseObs) grow(n int) {
+	for len(o.perThread) < n {
+		o.perThread = append(o.perThread, 0)
+	}
+}
+
+// notObs has a LockEvent method that implements no sim interface: it
+// is not a root, and its allocation is not on a hot path.
+type notObs struct{}
+
+func (notObs) LockEvent(kind sim.TraceKind) []sim.TraceKind {
+	return []sim.TraceKind{kind}
+}

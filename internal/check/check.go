@@ -17,7 +17,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -140,13 +139,25 @@ type waiterState struct {
 	flagged bool // starvation already reported
 }
 
+// lockThread is one thread's state on one lock.
+type lockThread struct {
+	holding bool
+	holdAt  sim.Time // acquire time, while holding
+	waiting bool
+	waiterState
+	// touched: the thread emitted an event on this lock while alive, so
+	// its crash is attributed to the lock.
+	touched bool
+}
+
 // lockState is the checker's per-lock view, rebuilt purely from events.
 type lockState struct {
-	id           int32
-	holders      map[int32]sim.Time // tid -> acquire time
-	waiting      map[int32]*waiterState
-	acquires     int64
-	releases     int64
+	threads  []lockThread // indexed by slot(tid)
+	nholders int
+	nwaiting int
+	acquires int64
+	releases int64
+	// lastActivity: the lock's latest event of any kind.
 	lastActivity sim.Time
 	// lastProgress: last time ownership changed (acquire, release,
 	// handover, owner-death repair, recovery, abandon). Spinning waiters
@@ -161,26 +172,60 @@ type lockState struct {
 	crashPart bool
 }
 
+// at returns slot s's state on the lock, growing the table on first
+// sight. The pointer is valid until the next call that can grow it.
+func (ls *lockState) at(s int) *lockThread {
+	if s >= len(ls.threads) {
+		ls.threads = grow(ls.threads, s+1, lockThread{})
+	}
+	return &ls.threads[s]
+}
+
+// wait enters lt into the lock's waiter set, unless already waiting.
+func (ls *lockState) wait(lt *lockThread, at sim.Time) {
+	if !lt.waiting {
+		lt.waiting = true
+		lt.waiterState = waiterState{since: at}
+		ls.nwaiting++
+	}
+}
+
+// unwait removes slot s from the lock's waiter set, if present.
+func (ls *lockState) unwait(s int) {
+	if s < len(ls.threads) && ls.threads[s].waiting {
+		ls.threads[s].waiting = false
+		ls.nwaiting--
+	}
+}
+
+// threadState is the checker's per-thread view.
+type threadState struct {
+	// blockIntent is the lock named in the thread's most recent
+	// TraceLockBlock — the lock it is about to park on; -1 for none.
+	blockIntent int32
+	// parked: the thread is parked on a futex (scheduler TraceBlock
+	// seen, no TraceWake yet) since parkedAt, on lock parkedOn (-2 when
+	// the park was not lock-related).
+	parked   bool
+	parkedOn int32
+	parkedAt sim.Time
+	// dead: the thread crashed (TraceCrash).
+	dead bool
+}
+
 // Checker consumes lock events and verifies invariants online. It is a
 // sim.LockObserver; attach with Attach (which uses AddLockObserver so
 // it coexists with the obs stats observer).
+//
+// State lives in dense slices — locks by their RegisterLockName id,
+// threads by slot(tid) — grown the first time an id appears, so the
+// per-event path neither hashes nor allocates, and end-of-run scans
+// visit locks and threads in ascending id order.
 type Checker struct {
-	m     *sim.Machine
-	o     Options
-	locks map[int32]*lockState
-	// blockIntent records, per thread, the lock named in its most
-	// recent TraceLockBlock — the lock it is about to park on.
-	blockIntent map[int32]int32
-	// parked maps threads currently parked on a futex (scheduler
-	// TraceBlock seen, no TraceWake yet) to the lock they blocked on
-	// (-2 when the park was not lock-related).
-	parked     map[int32]int32
-	parkedAt   map[int32]sim.Time
-	// dead marks threads that crashed (TraceCrash); touched maps each
-	// thread to the locks it has emitted events on, so a crash can be
-	// attributed to the locks the corpse was involved with.
-	dead       map[int32]bool
-	touched    map[int32]map[int32]bool
+	m          *sim.Machine
+	o          Options
+	locks      []lockState
+	threads    []threadState
 	violations []Violation
 	// Total counts all violations, including ones beyond MaxViolations.
 	Total    int64
@@ -190,16 +235,7 @@ type Checker struct {
 // Attach installs a checker on m. Call before Run.
 func Attach(m *sim.Machine, o Options) *Checker {
 	o.fill()
-	c := &Checker{
-		m:           m,
-		o:           o,
-		locks:       make(map[int32]*lockState),
-		blockIntent: make(map[int32]int32),
-		parked:      make(map[int32]int32),
-		parkedAt:    make(map[int32]sim.Time),
-		dead:        make(map[int32]bool),
-		touched:     make(map[int32]map[int32]bool),
-	}
+	c := &Checker{m: m, o: o}
 	m.AddLockObserver(c)
 	return c
 }
@@ -208,19 +244,39 @@ func Attach(m *sim.Machine, o Options) *Checker {
 // set; online ones are available at any time).
 func (c *Checker) Violations() []Violation { return c.violations }
 
+// lock returns lock id's state, growing the table on first sight. The
+// pointer is valid until the next call that can grow the table.
 func (c *Checker) lock(id int32) *lockState {
-	ls, ok := c.locks[id]
-	if !ok {
-		ls = &lockState{
-			id:      id,
-			holders: make(map[int32]sim.Time),
-			waiting: make(map[int32]*waiterState),
-		}
-		c.locks[id] = ls
+	if int(id) >= len(c.locks) {
+		c.locks = grow(c.locks, int(id)+1, lockState{})
 	}
-	return ls
+	return &c.locks[id]
 }
 
+// thread returns tid's state, growing the table on first sight.
+func (c *Checker) thread(tid int32) *threadState {
+	s := slot(tid)
+	if s >= len(c.threads) {
+		c.threads = grow(c.threads, s+1, threadState{blockIntent: -1})
+	}
+	return &c.threads[s]
+}
+
+// dead reports whether slot s crashed.
+func (c *Checker) dead(s int) bool { return s < len(c.threads) && c.threads[s].dead }
+
+// parkedOn returns the lock slot s is parked on, and whether it is
+// parked at all.
+func (c *Checker) parkedOn(s int) (int32, bool) {
+	if s >= len(c.threads) || !c.threads[s].parked {
+		return 0, false
+	}
+	return c.threads[s].parkedOn, true
+}
+
+// violate records one violation.
+//
+//flexlint:coldpath
 func (c *Checker) violate(v Violation) {
 	c.Total++
 	if c.o.Registry != nil {
@@ -246,16 +302,14 @@ func (c *Checker) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int3
 	case sim.TraceBlock:
 		// Scheduler-level park: bind it to the lock last named in a
 		// TraceLockBlock by this thread (if any).
-		intent, ok := c.blockIntent[tid]
-		if !ok {
-			intent = -2
+		th := c.thread(tid)
+		th.parked, th.parkedOn, th.parkedAt = true, th.blockIntent, at
+		if th.parkedOn < 0 {
+			th.parkedOn = -2
 		}
-		c.parked[tid] = intent
-		c.parkedAt[tid] = at
 		return
 	case sim.TraceWake:
-		delete(c.parked, tid)
-		delete(c.parkedAt, tid)
+		c.thread(tid).parked = false
 		return
 	case sim.TraceSleep, sim.TraceExit, sim.TraceSwitch:
 		return
@@ -265,9 +319,9 @@ func (c *Checker) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int3
 	}
 	// A thread emitting a lock event is on-CPU: it cannot be parked.
 	// (Kernel-emitted crash events name a dead thread instead; those are
-	// never in parked — crashed() cleared them.)
-	delete(c.parked, tid)
-	delete(c.parkedAt, tid)
+	// never parked — crashed() cleared them.)
+	th := c.thread(tid)
+	th.parked = false
 	ls := c.lock(lock)
 	ls.lastActivity = at
 	switch kind {
@@ -275,78 +329,59 @@ func (c *Checker) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int3
 		sim.TraceOwnerDead, sim.TraceRecover, sim.TraceAbandon:
 		ls.lastProgress = at
 	}
-	if !c.dead[tid] {
-		tl := c.touched[tid]
-		if tl == nil {
-			tl = make(map[int32]bool)
-			c.touched[tid] = tl
-		}
-		tl[lock] = true
+	lt := ls.at(slot(tid))
+	if !th.dead {
+		lt.touched = true
 	}
 	switch kind {
 	case sim.TraceAcquire:
-		if len(ls.holders) > 0 {
-			// Report against the lowest-tid holder so the violation detail
-			// is stable when (pathologically) more than one thread holds
-			// the lock. Found by flexlint's determinism pass.
-			other := int32(-1)
-			for h := range ls.holders { //flexlint:allow determinism min reduction is order-independent
-				if other < 0 || h < other {
-					other = h
-				}
-			}
-			c.violate(Violation{
-				Invariant: MutualExclusion, At: at, Lock: lock,
-				LockName: c.m.LockName(lock), Thread: tid,
-				Detail: fmt.Sprintf("acquired while thread %d holds it (since t=%d)", other, ls.holders[other]),
-			})
+		if ls.nholders > 0 {
+			c.doubleAcquire(at, lock, tid, ls)
 		}
-		ls.holders[tid] = at
+		if !lt.holding {
+			lt.holding = true
+			ls.nholders++
+		}
+		lt.holdAt = at
 		ls.acquires++
-		delete(ls.waiting, tid)
-		delete(c.blockIntent, tid)
-		// Sorted so that two waiters crossing the starvation threshold on
-		// the same acquire report in a fixed order. Found by flexlint's
-		// determinism pass.
-		wtids := make([]int32, 0, len(ls.waiting))
-		for wtid := range ls.waiting { //flexlint:allow determinism keys collected then sorted
-			wtids = append(wtids, wtid)
+		ls.unwait(slot(tid))
+		th.blockIntent = -1
+		if ls.nwaiting == 0 {
+			return
 		}
-		sort.Slice(wtids, func(i, j int) bool { return wtids[i] < wtids[j] })
-		for _, wtid := range wtids {
-			w := ls.waiting[wtid]
+		// Ascending tid order, so that two waiters crossing the
+		// starvation threshold on the same acquire report in a fixed
+		// order.
+		for s := range ls.threads {
+			w := &ls.threads[s]
+			if !w.waiting {
+				continue
+			}
 			w.passes++
 			if w.passes > c.o.StarvationK && !w.flagged {
 				w.flagged = true
-				c.violate(Violation{
-					Invariant: Starvation, At: at, Lock: lock,
-					LockName: c.m.LockName(lock), Thread: wtid,
-					Detail: fmt.Sprintf("waiting since t=%d, passed %d times (K=%d)", w.since, w.passes, c.o.StarvationK),
-				})
+				c.starved(at, lock, slotTID(s), w.waiterState)
 			}
 		}
 	case sim.TraceRelease:
-		if _, ok := ls.holders[tid]; !ok {
+		if !lt.holding {
 			c.violate(Violation{
 				Invariant: Conservation, At: at, Lock: lock,
 				LockName: c.m.LockName(lock), Thread: tid,
 				Detail: "release without a matching acquire",
 			})
+		} else {
+			lt.holding = false
+			ls.nholders--
 		}
-		delete(ls.holders, tid)
 		ls.releases++
 	case sim.TraceSpinStart:
-		if _, ok := ls.holders[tid]; ok {
-			return
-		}
-		if _, ok := ls.waiting[tid]; !ok {
-			ls.waiting[tid] = &waiterState{since: at}
+		if !lt.holding {
+			ls.wait(lt, at)
 		}
 	case sim.TraceLockBlock:
-		c.blockIntent[tid] = lock
-		if _, ok := ls.waiting[tid]; !ok {
-			ls.waiting[tid] = &waiterState{since: at}
-		}
+		th.blockIntent = lock
+		ls.wait(lt, at)
 	case sim.TraceOwnerDead:
 		// Kernel robust walk: the dead holder's ownership ends here.
 		// Counting it as a release keeps conservation balanced through
@@ -354,8 +389,9 @@ func (c *Checker) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int3
 		// before its Acquire event, there is nothing to balance.
 		ls.crashPart = true
 		ls.ownerDied = true
-		if _, ok := ls.holders[tid]; ok {
-			delete(ls.holders, tid)
+		if lt.holding {
+			lt.holding = false
+			ls.nholders--
 			ls.releases++
 		}
 	case sim.TraceRecover:
@@ -367,27 +403,61 @@ func (c *Checker) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int3
 		// longer waiting (a live removed waiter re-enters from scratch
 		// and re-announces itself).
 		if arg >= 0 {
-			delete(ls.waiting, arg)
+			ls.unwait(slot(arg))
 		}
 	}
 }
 
+// doubleAcquire reports tid acquiring lock while another thread holds
+// it, against the lowest-tid holder so the violation detail is stable
+// when (pathologically) more than one thread holds the lock.
+//
+//flexlint:coldpath
+func (c *Checker) doubleAcquire(at sim.Time, lock, tid int32, ls *lockState) {
+	for s := range ls.threads {
+		if h := ls.threads[s]; h.holding {
+			c.violate(Violation{
+				Invariant: MutualExclusion, At: at, Lock: lock,
+				LockName: c.m.LockName(lock), Thread: tid,
+				Detail: fmt.Sprintf("acquired while thread %d holds it (since t=%d)", slotTID(s), h.holdAt),
+			})
+			return
+		}
+	}
+}
+
+// starved reports waiter tid passed more than StarvationK times.
+//
+//flexlint:coldpath
+func (c *Checker) starved(at sim.Time, lock, tid int32, w waiterState) {
+	c.violate(Violation{
+		Invariant: Starvation, At: at, Lock: lock,
+		LockName: c.m.LockName(lock), Thread: tid,
+		Detail: fmt.Sprintf("waiting since t=%d, passed %d times (K=%d)", w.since, w.passes, c.o.StarvationK),
+	})
+}
+
 // crashed processes a TraceCrash: remember the corpse, clear its
 // transient waiter state everywhere, and attribute the crash to every
-// lock it participated in. Dead holders deliberately stay in holders —
-// a lock held by a corpse is the orphan candidate Finish looks for.
+// lock it participated in. Dead holders deliberately stay holders — a
+// lock held by a corpse is the orphan candidate Finish looks for.
+//
+//flexlint:coldpath
 func (c *Checker) crashed(tid int32) {
-	c.dead[tid] = true
+	th := c.thread(tid)
+	th.dead = true
+	th.parked = false
+	th.blockIntent = -1
 	if c.o.Registry != nil {
 		c.o.Registry.Counter("check.crashes").Inc()
 	}
-	delete(c.parked, tid)
-	delete(c.parkedAt, tid)
-	delete(c.blockIntent, tid)
-	for lk := range c.touched[tid] { //flexlint:allow determinism set propagation is order-independent
-		ls := c.locks[lk]
-		ls.crashPart = true
-		delete(ls.waiting, tid)
+	s := slot(tid)
+	for id := range c.locks {
+		ls := &c.locks[id]
+		if s < len(ls.threads) && ls.threads[s].touched {
+			ls.crashPart = true
+			ls.unwait(s)
+		}
 	}
 }
 
@@ -397,17 +467,22 @@ func (c *Checker) crashed(tid int32) {
 // holder masked real stalls).
 func (c *Checker) liveHolders(ls *lockState) int {
 	n := 0
-	for h := range ls.holders { //flexlint:allow determinism count is order-independent
-		if !c.dead[h] {
+	for s := range ls.threads {
+		if ls.threads[s].holding && !c.dead(s) {
 			n++
 		}
 	}
 	return n
 }
 
+// inState reports whether tid names a spawned thread in state st.
+func inState(threads []*sim.Thread, tid int32, st sim.State) bool {
+	return tid >= 0 && int(tid) < len(threads) && threads[tid].State() == st
+}
+
 // Finish runs the end-of-run checks. quiesced is the value Run returned
 // (the time the machine went quiescent). Call exactly once, after Run.
-// Results are deterministic: end-of-run scans iterate in sorted order.
+// Results are deterministic: end-of-run scans iterate in id order.
 func (c *Checker) Finish(quiesced sim.Time) []Violation {
 	if c.finished {
 		return c.violations
@@ -415,25 +490,22 @@ func (c *Checker) Finish(quiesced sim.Time) []Violation {
 	c.finished = true
 	drained := c.m.Deadlocked()
 	threads := c.m.Threads()
-	lockIDs := make([]int32, 0, len(c.locks))
-	for id := range c.locks { //flexlint:allow determinism keys collected then sorted
-		lockIDs = append(lockIDs, id)
-	}
-	sort.Slice(lockIDs, func(i, j int) bool { return lockIDs[i] < lockIDs[j] })
 
 	// Crash triage first: classify locks wedged by a dead participant so
 	// each reports one structured orphaned-lock verdict instead of a
 	// spray of deadlock / lost-wakeup / stalled noise. Crash-free runs
-	// have an empty dead set and skip all of this.
-	orphaned := make(map[int32]bool)
-	if len(c.dead) > 0 {
-		for _, id := range lockIDs {
-			ls := c.locks[id]
-			if dh := len(ls.holders) - c.liveHolders(ls); dh > 0 {
+	// have no dead thread and skip all of this.
+	orphaned := make([]bool, len(c.locks))
+	norphaned := 0
+	if c.anyDead() {
+		for id := range c.locks {
+			ls := &c.locks[id]
+			if dh := ls.nholders - c.liveHolders(ls); dh > 0 {
 				orphaned[id] = true
+				norphaned++
 				c.violate(Violation{
-					Invariant: OrphanedLock, At: quiesced, Lock: id,
-					LockName: c.m.LockName(id), Thread: -1,
+					Invariant: OrphanedLock, At: quiesced, Lock: int32(id),
+					LockName: c.m.LockName(int32(id)), Thread: -1,
 					Detail: fmt.Sprintf("%d dead holder(s) never released the lock", dh),
 				})
 				continue
@@ -441,18 +513,19 @@ func (c *Checker) Finish(quiesced sim.Time) []Violation {
 			if c.liveHolders(ls) > 0 || !ls.crashPart {
 				continue
 			}
-			if c.strandedOn(id, ls, quiesced, drained, threads) {
+			if c.strandedOn(int32(id), ls, quiesced, drained, threads) {
 				orphaned[id] = true
+				norphaned++
 				c.violate(Violation{
-					Invariant: OrphanedLock, At: quiesced, Lock: id,
-					LockName: c.m.LockName(id), Thread: -1,
+					Invariant: OrphanedLock, At: quiesced, Lock: int32(id),
+					LockName: c.m.LockName(int32(id)), Thread: -1,
 					Detail: "crashed participant left live waiters stranded with no holder",
 				})
 			}
 		}
 	}
 
-	if drained && !c.crashExplainsDrain(orphaned) {
+	if drained && !(norphaned > 0 && c.crashExplainsDrain(orphaned)) {
 		c.violate(Violation{
 			Invariant: Deadlock, At: quiesced, Lock: -1, Thread: -1,
 			Detail: c.m.DeadlockReport(),
@@ -463,20 +536,17 @@ func (c *Checker) Finish(quiesced sim.Time) []Violation {
 	// is lost; if the run hit its horizon instead, require the park and
 	// the lock's inactivity to both exceed the stall bound so in-flight
 	// wake chains are not miscounted.
-	parkedTids := make([]int32, 0, len(c.parked))
-	for tid := range c.parked { //flexlint:allow determinism keys collected then sorted
-		parkedTids = append(parkedTids, tid)
-	}
-	sort.Slice(parkedTids, func(i, j int) bool { return parkedTids[i] < parkedTids[j] })
-	for _, tid := range parkedTids {
-		lockID := c.parked[tid]
-		if int(tid) >= len(threads) || threads[tid].State() != sim.StateBlocked {
+	for s := range c.threads {
+		th := &c.threads[s]
+		tid := slotTID(s)
+		if !th.parked || !inState(threads, tid, sim.StateBlocked) {
 			continue
 		}
+		lockID := th.parkedOn
 		if lockID < 0 {
 			continue // parked on something that is not a lock (barrier etc.)
 		}
-		if orphaned[lockID] {
+		if int(lockID) < len(orphaned) && orphaned[lockID] {
 			continue // already reported as the orphaned-lock verdict
 		}
 		ls := c.lock(lockID)
@@ -484,42 +554,41 @@ func (c *Checker) Finish(quiesced sim.Time) []Violation {
 			continue // a live holder may still wake it; deadlock check covers the rest
 		}
 		if !drained {
-			if quiesced-c.parkedAt[tid] <= c.o.StallBound || quiesced-ls.lastActivity <= c.o.StallBound {
+			if quiesced-th.parkedAt <= c.o.StallBound || quiesced-ls.lastActivity <= c.o.StallBound {
 				continue
 			}
 		}
 		c.violate(Violation{
 			Invariant: LostWakeup, At: quiesced, Lock: lockID,
 			LockName: c.m.LockName(lockID), Thread: tid,
-			Detail: fmt.Sprintf("parked at t=%d, lock free since t=%d, nobody left to wake it", c.parkedAt[tid], ls.lastActivity),
+			Detail: fmt.Sprintf("parked at t=%d, lock free since t=%d, nobody left to wake it", th.parkedAt, ls.lastActivity),
 		})
 	}
 	// Stalled waiters: non-parked waiters (spinners) stuck on a free,
 	// inactive lock. Only meaningful when the run hit its horizon — a
 	// quiesced machine has no spinners by construction.
-	for _, id := range lockIDs {
-		ls := c.locks[id]
-		if orphaned[id] || c.liveHolders(ls) > 0 {
+	for id := range c.locks {
+		ls := &c.locks[id]
+		if (id < len(orphaned) && orphaned[id]) || c.liveHolders(ls) > 0 {
 			continue
 		}
-		wtids := make([]int32, 0, len(ls.waiting))
-		for wtid := range ls.waiting { //flexlint:allow determinism keys collected then sorted
-			wtids = append(wtids, wtid)
-		}
-		sort.Slice(wtids, func(i, j int) bool { return wtids[i] < wtids[j] })
-		for _, wtid := range wtids {
-			w := ls.waiting[wtid]
-			if _, isParked := c.parked[wtid]; isParked {
+		for s := range ls.threads {
+			w := &ls.threads[s]
+			if !w.waiting {
 				continue
 			}
-			if int(wtid) >= len(threads) || threads[wtid].State() == sim.StateDone ||
+			if _, isParked := c.parkedOn(s); isParked {
+				continue
+			}
+			wtid := slotTID(s)
+			if wtid < 0 || int(wtid) >= len(threads) || threads[wtid].State() == sim.StateDone ||
 				threads[wtid].State() == sim.StateDead {
 				continue
 			}
 			if quiesced-w.since > c.o.StallBound && quiesced-ls.lastActivity > c.o.StallBound {
 				c.violate(Violation{
-					Invariant: StalledWaiter, At: quiesced, Lock: ls.id,
-					LockName: c.m.LockName(ls.id), Thread: wtid,
+					Invariant: StalledWaiter, At: quiesced, Lock: int32(id),
+					LockName: c.m.LockName(int32(id)), Thread: wtid,
 					Detail: fmt.Sprintf("waiting since t=%d on a lock free and inactive since t=%d", w.since, ls.lastActivity),
 				})
 			}
@@ -528,17 +597,27 @@ func (c *Checker) Finish(quiesced sim.Time) []Violation {
 	// Conservation: acquisitions == releases + holders left, per lock.
 	// Dead holders still count as holders here — a kernel-recovered lock
 	// balanced its books through the TraceOwnerDead release instead.
-	for _, id := range lockIDs {
-		ls := c.locks[id]
-		if ls.acquires != ls.releases+int64(len(ls.holders)) {
+	for id := range c.locks {
+		ls := &c.locks[id]
+		if ls.acquires != ls.releases+int64(ls.nholders) {
 			c.violate(Violation{
-				Invariant: Conservation, At: quiesced, Lock: ls.id,
-				LockName: c.m.LockName(ls.id), Thread: -1,
-				Detail: fmt.Sprintf("%d acquires vs %d releases + %d live holders", ls.acquires, ls.releases, len(ls.holders)),
+				Invariant: Conservation, At: quiesced, Lock: int32(id),
+				LockName: c.m.LockName(int32(id)), Thread: -1,
+				Detail: fmt.Sprintf("%d acquires vs %d releases + %d live holders", ls.acquires, ls.releases, ls.nholders),
 			})
 		}
 	}
 	return c.violations
+}
+
+// anyDead reports whether any thread crashed.
+func (c *Checker) anyDead() bool {
+	for s := range c.threads {
+		if c.threads[s].dead {
+			return true
+		}
+	}
+	return false
 }
 
 // strandedOn reports whether some live thread is durably stuck on lock
@@ -546,16 +625,19 @@ func (c *Checker) Finish(quiesced sim.Time) []Violation {
 // could still be in flight (any leftover wait is terminal once the
 // machine drained; horizon-ended runs apply the stall bound).
 func (c *Checker) strandedOn(id int32, ls *lockState, quiesced sim.Time, drained bool, threads []*sim.Thread) bool {
-	for tid, lk := range c.parked { //flexlint:allow determinism existence test is order-independent
-		if lk != id || int(tid) >= len(threads) || threads[tid].State() != sim.StateBlocked {
+	for s := range c.threads {
+		th := &c.threads[s]
+		if !th.parked || th.parkedOn != id || !inState(threads, slotTID(s), sim.StateBlocked) {
 			continue
 		}
-		if drained || quiesced-c.parkedAt[tid] > c.o.StallBound {
+		if drained || quiesced-th.parkedAt > c.o.StallBound {
 			return true
 		}
 	}
-	for wtid, w := range ls.waiting { //flexlint:allow determinism existence test is order-independent
-		if int(wtid) >= len(threads) {
+	for s := range ls.threads {
+		w := &ls.threads[s]
+		wtid := slotTID(s)
+		if !w.waiting || wtid < 0 || int(wtid) >= len(threads) {
 			continue
 		}
 		if st := threads[wtid].State(); st == sim.StateDone || st == sim.StateDead {
@@ -571,16 +653,13 @@ func (c *Checker) strandedOn(id int32, ls *lockState, quiesced sim.Time, drained
 // crashExplainsDrain reports whether every thread still blocked at the
 // drain is parked on a lock already reported orphaned — in which case
 // the drain is the orphan's consequence, not a separate deadlock.
-func (c *Checker) crashExplainsDrain(orphaned map[int32]bool) bool {
-	if len(orphaned) == 0 {
-		return false
-	}
+func (c *Checker) crashExplainsDrain(orphaned []bool) bool {
 	for _, th := range c.m.Threads() {
 		if th.State() != sim.StateBlocked {
 			continue
 		}
-		lk, ok := c.parked[int32(th.ID())]
-		if !ok || lk < 0 || !orphaned[lk] {
+		lk, ok := c.parkedOn(slot(int32(th.ID())))
+		if !ok || lk < 0 || int(lk) >= len(orphaned) || !orphaned[lk] {
 			return false
 		}
 	}

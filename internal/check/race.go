@@ -44,7 +44,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -145,9 +144,24 @@ type MemAccess struct {
 // kernel pseudo-context -2 occupies slot 0). Missing entries are zero.
 type vclock []uint64
 
+// slot maps a thread id to its dense index in the auditor's and the
+// checker's per-thread tables: thread ids are assigned in spawn order
+// from 0, and the offset makes room for the kernel pseudo-ids -1 and -2.
 func slot(tid int32) int { return int(tid) + 2 }
 
 func slotTID(s int) int32 { return int32(s) - 2 }
+
+// grow returns s extended to n entries, new ones set to fill. The
+// observers' tables grow only on the first sight of an id, so this runs
+// at most once per id and table, never per event.
+//
+//flexlint:coldpath
+func grow[T any](s []T, n int, fill T) []T {
+	for len(s) < n {
+		s = append(s, fill)
+	}
+	return s
+}
 
 func (v vclock) get(i int) uint64 {
 	if i < len(v) {
@@ -156,27 +170,28 @@ func (v vclock) get(i int) uint64 {
 	return 0
 }
 
-func (v *vclock) grow(n int) {
-	for len(*v) < n {
-		*v = append(*v, 0)
-	}
-}
-
 func (v *vclock) set(i int, x uint64) {
-	v.grow(i + 1)
+	if i >= len(*v) {
+		*v = grow(*v, i+1, 0)
+	}
 	(*v)[i] = x
 }
 
 func (v *vclock) tick(i int) {
-	v.grow(i + 1)
+	if i >= len(*v) {
+		*v = grow(*v, i+1, 0)
+	}
 	(*v)[i]++
 }
 
 func (v *vclock) join(o vclock) {
-	v.grow(len(o))
+	if len(*v) < len(o) {
+		*v = grow(*v, len(o), 0)
+	}
+	dst := (*v)[:len(o)]
 	for i, x := range o {
-		if x > (*v)[i] {
-			(*v)[i] = x
+		if x > dst[i] {
+			dst[i] = x
 		}
 	}
 }
@@ -193,15 +208,42 @@ type raceWord struct {
 	modAt []sim.Time
 }
 
-// raceSpin is one live spin op (between MemSpinStart and MemSpinExit).
-type raceSpin struct {
-	watch []int32
-	since sim.Time
+// raceThread is the auditor's per-thread view, indexed by slot.
+type raceThread struct {
+	clock vclock
+	// spinning marks a live spin op (between MemSpinStart and
+	// MemSpinExit) that started at since and watches watch.
+	spinning bool
+	since    sim.Time
+	watch    []int32
+	// waitingOn is the lock the thread last spun or blocked on, lastLock
+	// the lock of its latest lock event; -1 for none.
+	waitingOn int32
+	lastLock  int32
+}
+
+// setWatch copies ids into the thread's own watch storage: the record
+// it comes from is reused for the next access.
+func (t *raceThread) setWatch(ids []int32) {
+	if cap(t.watch) < len(ids) {
+		t.growWatch(len(ids))
+	}
+	t.watch = t.watch[:len(ids)]
+	copy(t.watch, ids)
+}
+
+// growWatch allocates watch storage for n ids (at least the machine's
+// three, so a thread allocates it once).
+//
+//flexlint:coldpath
+func (t *raceThread) growWatch(n int) {
+	t.watch = make([]int32, 0, max(n, len(sim.MemEvent{}.Watch)))
 }
 
 // raceLock is the auditor's per-lock view from the lock-event stream.
 type raceLock struct {
-	holders      map[int32]struct{}
+	held         []bool // indexed by slot
+	nheld        int
 	lastActivity sim.Time
 }
 
@@ -210,22 +252,29 @@ type raceLock struct {
 // AttachRace, or feed a recorded stream to Apply/LockEvent and call
 // Finish. All state is rebuilt purely from events; results are
 // deterministic (races are appended in stream order, end-of-run scans
-// iterate sorted).
+// iterate in id order).
+//
+// State lives in dense slices indexed by id — threads by slot(tid),
+// words by Word.ID, locks by the RegisterLockName id — grown the first
+// time an id appears, so the per-event paths neither hash nor allocate.
+// Ids must therefore be the machine's dense ones: tid >= -2 and word
+// and lock ids >= 0 (replay tools validate recorded ids first).
 type RaceAuditor struct {
 	m *sim.Machine // nil in replay mode
 	o RaceOptions
 
-	clocks map[int32]*vclock
-	words  map[int32]*raceWord
+	threads []raceThread
+	words   []raceWord
+	locks   []raceLock
 	// global is the join of every writer clock, acquired by unscoped
 	// spin exits (their conditions may read any word).
-	global vclock
+	global   vclock
+	lockName func(int32) string
 
-	spins     map[int32]*raceSpin
-	locks     map[int32]*raceLock
-	waitingOn map[int32]int32 // tid -> lock it last spun/blocked on
-	lastLock  map[int32]int32 // tid -> lock of its latest lock event
-	lockName  func(int32) string
+	// acc and watch are the reusable record MemEvent translates the
+	// machine's event into.
+	acc   MemAccess
+	watch [len(sim.MemEvent{}.Watch)]int32
 
 	races []Race
 	// Total counts all races, including ones beyond MaxRaces.
@@ -236,16 +285,7 @@ type RaceAuditor struct {
 // NewRaceAuditor builds a detached auditor for offline replay.
 func NewRaceAuditor(o RaceOptions) *RaceAuditor {
 	o.fill()
-	return &RaceAuditor{
-		o:         o,
-		clocks:    make(map[int32]*vclock),
-		words:     make(map[int32]*raceWord),
-		spins:     make(map[int32]*raceSpin),
-		locks:     make(map[int32]*raceLock),
-		waitingOn: make(map[int32]int32),
-		lastLock:  make(map[int32]int32),
-		lockName:  func(int32) string { return "" },
-	}
+	return &RaceAuditor{o: o, lockName: func(int32) string { return "" }}
 }
 
 // AttachRace installs an auditor on m: it becomes the machine's
@@ -268,69 +308,79 @@ func (a *RaceAuditor) SetLockNames(names map[int32]string) {
 // Races returns the stored races (the full set after Finish).
 func (a *RaceAuditor) Races() []Race { return a.races }
 
-// MemEvent implements sim.MemObserver.
-func (a *RaceAuditor) MemEvent(ev sim.MemEvent) {
-	acc := MemAccess{
-		At: ev.At, Kind: ev.Kind, TID: ev.TID, Word: -1,
-		Old: ev.Old, New: ev.New, Wrote: ev.Wrote, Arg: ev.Arg, Rel: ev.Rel,
-	}
+// MemEvent implements sim.MemObserver: the machine's event is
+// translated into the auditor's reusable record and applied through
+// the same path as Apply, without copying the event or allocating.
+func (a *RaceAuditor) MemEvent(ev *sim.MemEvent) {
+	acc := &a.acc
+	acc.At, acc.Kind, acc.TID, acc.Word, acc.Name = ev.At, ev.Kind, ev.TID, -1, ""
+	acc.Old, acc.New, acc.Wrote, acc.Arg, acc.Rel = ev.Old, ev.New, ev.Wrote, ev.Arg, ev.Rel
 	if ev.W != nil {
-		acc.Word = ev.W.ID()
-		acc.Name = ev.W.Name()
+		acc.Word, acc.Name = ev.W.ID(), ev.W.Name()
 	}
+	n := 0
 	for _, w := range ev.Watch {
 		if w != nil {
-			acc.Watch = append(acc.Watch, w.ID())
+			a.watch[n] = w.ID()
+			n++
 		}
 	}
-	a.Apply(acc)
+	acc.Watch = a.watch[:n]
+	a.apply(acc)
 }
 
-func (a *RaceAuditor) clockOf(tid int32) *vclock {
-	c, ok := a.clocks[tid]
-	if !ok {
-		c = &vclock{}
-		a.clocks[tid] = c
+// thread returns tid's state, growing the table on first sight. The
+// pointer is valid until the next call that can grow the table.
+func (a *RaceAuditor) thread(tid int32) *raceThread {
+	s := slot(tid)
+	if s >= len(a.threads) {
+		a.threads = grow(a.threads, s+1, raceThread{waitingOn: -1, lastLock: -1})
 	}
-	return c
+	return &a.threads[s]
 }
 
-func (a *RaceAuditor) wordByID(id int32, name string) *raceWord {
-	w, ok := a.words[id]
-	if !ok {
-		w = &raceWord{}
-		a.words[id] = w
+// word returns word id's state, growing the table on first sight and
+// naming the word from the first access that carries a name.
+func (a *RaceAuditor) word(id int32, name string) *raceWord {
+	if int(id) >= len(a.words) {
+		a.words = grow(a.words, int(id)+1, raceWord{})
 	}
+	w := &a.words[id]
 	if w.name == "" {
 		w.name = name
 	}
 	return w
 }
 
-func (a *RaceAuditor) lockState(id int32) *raceLock {
-	l, ok := a.locks[id]
-	if !ok {
-		l = &raceLock{holders: make(map[int32]struct{})}
-		a.locks[id] = l
+// lock returns lock id's state, growing the table on first sight.
+func (a *RaceAuditor) lock(id int32) *raceLock {
+	if int(id) >= len(a.locks) {
+		a.locks = grow(a.locks, int(id)+1, raceLock{})
 	}
-	return l
+	return &a.locks[id]
 }
 
+// holds reports whether slot s holds l.
+func (l *raceLock) holds(s int) bool { return s < len(l.held) && l.held[s] }
+
 // Apply feeds one Word-access record through the detector.
-func (a *RaceAuditor) Apply(acc MemAccess) {
+func (a *RaceAuditor) Apply(acc MemAccess) { a.apply(&acc) }
+
+func (a *RaceAuditor) apply(acc *MemAccess) {
 	switch acc.Kind {
 	case sim.MemLoad:
-		a.clockOf(acc.TID).join(a.wordByID(acc.Word, acc.Name).rel)
+		w := a.word(acc.Word, acc.Name)
+		a.thread(acc.TID).clock.join(w.rel)
 	case sim.MemRMW, sim.MemKernel:
-		c := a.clockOf(acc.TID)
-		w := a.wordByID(acc.Word, acc.Name)
+		c := &a.thread(acc.TID).clock
+		w := a.word(acc.Word, acc.Name)
 		c.join(w.rel)
 		if acc.Wrote {
 			a.release(acc, c, w)
 		}
 	case sim.MemStore:
-		c := a.clockOf(acc.TID)
-		w := a.wordByID(acc.Word, acc.Name)
+		c := &a.thread(acc.TID).clock
+		w := a.word(acc.Word, acc.Name)
 		if acc.Rel {
 			// A release-annotated store is synchronization, not a plain
 			// write: like an RMW it joins the word's clock and is never a
@@ -342,37 +392,40 @@ func (a *RaceAuditor) Apply(acc MemAccess) {
 		}
 		a.release(acc, c, w)
 	case sim.MemSpinStart:
-		if s, ok := a.spins[acc.TID]; ok {
-			// A resumed leg of the same (preempted) spin: keep since.
-			s.watch = acc.Watch
-		} else {
-			a.spins[acc.TID] = &raceSpin{watch: acc.Watch, since: acc.At}
+		// A resumed leg of the same (preempted) spin keeps its start.
+		t := a.thread(acc.TID)
+		if !t.spinning {
+			t.spinning, t.since = true, acc.At
 		}
+		t.setWatch(acc.Watch)
 	case sim.MemSpinExit:
-		c := a.clockOf(acc.TID)
+		t := a.thread(acc.TID)
 		if len(acc.Watch) == 0 {
-			c.join(a.global)
+			t.clock.join(a.global)
 		}
 		for _, id := range acc.Watch {
-			c.join(a.wordByID(id, "").rel)
+			t.clock.join(a.word(id, "").rel)
 		}
-		delete(a.spins, acc.TID)
+		t.spinning = false
 	case sim.MemFutexWake:
-		a.clockOf(acc.Arg).join(*a.clockOf(acc.TID))
+		// Copy the waker's clock header before looking up the wakee: the
+		// lookup may grow the thread table.
+		waker := a.thread(acc.TID).clock
+		a.thread(acc.Arg).clock.join(waker)
 	}
 }
 
 // release publishes the writer's clock into the word (and the global
 // clock), recording the epoch of a value-modifying write.
-func (a *RaceAuditor) release(acc MemAccess, c *vclock, w *raceWord) {
+func (a *RaceAuditor) release(acc *MemAccess, c *vclock, w *raceWord) {
 	s := slot(acc.TID)
 	c.tick(s)
 	w.rel.join(*c)
 	a.global.join(*c)
 	if acc.Old != acc.New {
 		w.mod.set(s, c.get(s))
-		for len(w.modAt) < s+1 {
-			w.modAt = append(w.modAt, 0)
+		if s >= len(w.modAt) {
+			w.modAt = grow(w.modAt, s+1, 0)
 		}
 		w.modAt[s] = acc.At
 	}
@@ -380,7 +433,7 @@ func (a *RaceAuditor) release(acc MemAccess, c *vclock, w *raceWord) {
 
 // checkStore flags a plain value-changing store whose word carries a
 // value-modifying write by another thread not ordered before the store.
-func (a *RaceAuditor) checkStore(acc MemAccess, c *vclock, w *raceWord) {
+func (a *RaceAuditor) checkStore(acc *MemAccess, c *vclock, w *raceWord) {
 	self := slot(acc.TID)
 	victim := -1
 	var victimAt sim.Time
@@ -396,10 +449,18 @@ func (a *RaceAuditor) checkStore(acc MemAccess, c *vclock, w *raceWord) {
 	if victim < 0 {
 		return
 	}
-	lock, ok := a.lastLock[acc.TID]
-	if !ok {
-		lock = -1
-	}
+	a.overwrite(acc, w, victim, victimAt)
+	// Treat the racing writes as observed so one sync gap is reported
+	// once, not once per subsequent store.
+	c.join(w.mod)
+}
+
+// overwrite records a racy-overwrite verdict against the victim slot's
+// write at victimAt.
+//
+//flexlint:coldpath
+func (a *RaceAuditor) overwrite(acc *MemAccess, w *raceWord, victim int, victimAt sim.Time) {
+	lock := a.thread(acc.TID).lastLock
 	a.flag(Race{
 		Kind: RaceOverwrite, At: acc.At, Word: acc.Word, WordName: w.name,
 		Thread: acc.TID, ThreadAt: acc.At,
@@ -408,12 +469,11 @@ func (a *RaceAuditor) checkStore(acc MemAccess, c *vclock, w *raceWord) {
 		Detail: fmt.Sprintf("plain store %d -> %d overwrites thread %d's unobserved write",
 			acc.Old, acc.New, slotTID(victim)),
 	})
-	// Treat the racing writes as observed so one sync gap is reported
-	// once, not once per subsequent store.
-	c.join(w.mod)
 }
 
 // flag records one race.
+//
+//flexlint:coldpath
 func (a *RaceAuditor) flag(r Race) {
 	a.Total++
 	if a.o.Registry != nil {
@@ -439,18 +499,29 @@ func (a *RaceAuditor) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg 
 		sim.TraceNPCSUp, sim.TraceNPCSDown:
 		return
 	}
-	l := a.lockState(lock)
+	l := a.lock(lock)
 	l.lastActivity = at
-	a.lastLock[tid] = lock
+	t := a.thread(tid)
+	t.lastLock = lock
+	s := slot(tid)
 	switch kind {
 	case sim.TraceAcquire:
-		l.holders[tid] = struct{}{}
-		delete(a.waitingOn, tid)
+		if s >= len(l.held) {
+			l.held = grow(l.held, s+1, false)
+		}
+		if !l.held[s] {
+			l.held[s] = true
+			l.nheld++
+		}
+		t.waitingOn = -1
 	case sim.TraceRelease:
-		delete(l.holders, tid)
+		if l.holds(s) {
+			l.held[s] = false
+			l.nheld--
+		}
 	case sim.TraceSpinStart, sim.TraceLockBlock:
-		if _, held := l.holders[tid]; !held {
-			a.waitingOn[tid] = lock
+		if !l.holds(s) {
+			t.waitingOn = lock
 		}
 	}
 }
@@ -462,42 +533,36 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 		return a.races
 	}
 	a.finished = true
-	tids := make([]int32, 0, len(a.spins))
-	for tid := range a.spins { //flexlint:allow determinism keys collected then sorted
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		s := a.spins[tid]
-		if len(s.watch) == 0 {
-			continue // unscoped: no watch set to prove exhaustion over
+	for s := range a.threads {
+		t := &a.threads[s]
+		if !t.spinning || len(t.watch) == 0 {
+			continue // not spinning, or unscoped: no watch set to prove exhaustion over
 		}
-		lock, ok := a.waitingOn[tid]
-		if !ok {
+		lock := t.waitingOn
+		if lock < 0 {
 			continue // not spinning on a lock (workload-level spin)
 		}
-		l := a.locks[lock]
-		if l == nil || len(l.holders) > 0 {
+		if int(lock) >= len(a.locks) || a.locks[lock].nheld > 0 {
 			continue // a live holder may still signal it
 		}
-		if quiesced-s.since <= a.o.StallBound || quiesced-l.lastActivity <= a.o.StallBound {
+		l := &a.locks[lock]
+		if quiesced-t.since <= a.o.StallBound || quiesced-l.lastActivity <= a.o.StallBound {
 			continue // possibly just a handover in flight at the horizon
 		}
 		// The race condition proper: no watched word carries a modifying
 		// write the spinner has not already observed — every signal that
 		// will ever arrive has arrived, and the spinner still waits.
-		c := a.clockOf(tid)
 		pending := false
 		primary := int32(-1)
 		var lastWriter int32 = -1
 		var lastAt sim.Time
-		for _, id := range s.watch {
-			w := a.wordByID(id, "")
+		for _, id := range t.watch {
+			w := a.word(id, "")
 			for sl, epoch := range w.mod {
 				if epoch == 0 {
 					continue
 				}
-				if epoch > c.get(sl) {
+				if epoch > t.clock.get(sl) {
 					pending = true
 				}
 				if w.modAt[sl] >= lastAt {
@@ -511,16 +576,15 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 			continue
 		}
 		if primary < 0 {
-			primary = s.watch[0]
+			primary = t.watch[0]
 		}
-		w := a.wordByID(primary, "")
 		a.flag(Race{
-			Kind: RaceMissedSignal, At: quiesced, Word: primary, WordName: w.name,
-			Thread: tid, ThreadAt: s.since,
+			Kind: RaceMissedSignal, At: quiesced, Word: primary, WordName: a.word(primary, "").name,
+			Thread: slotTID(s), ThreadAt: t.since,
 			Other: lastWriter, OtherAt: lastAt,
 			Lock: lock, LockName: a.lockName(lock),
 			Detail: fmt.Sprintf("spinner stranded since t=%d on a lock inactive since t=%d; all watched-word writes observed — the wake signal was never written",
-				s.since, l.lastActivity),
+				t.since, l.lastActivity),
 		})
 	}
 	return a.races

@@ -17,11 +17,12 @@ type Injector struct {
 	rng  *dist.Rand
 
 	// Crash-role tracking, fed by the lock-event stream when the plan
-	// kills threads: which threads currently hold a lock and which are
-	// waiting for one. This works for every lock in the registry with
-	// zero lock-code changes — the same events the checker consumes.
-	holding map[int32]int
-	waiting map[int32]bool
+	// kills threads: how many locks each thread holds and whether it is
+	// waiting for one, indexed by thread id (grown on first sight). This
+	// works for every lock in the registry with zero lock-code changes —
+	// the same events the checker consumes.
+	holding []int32
+	waiting []bool
 
 	// parkedPending counts parked-delay kills scheduled but not yet
 	// resolved; they hold budget so an in-flight kill cannot be
@@ -49,8 +50,6 @@ func Apply(m *sim.Machine, mon *monitor.Monitor, plan Plan, seed uint64) *Inject
 		m.SetFaultInjector(inj)
 	}
 	if plan.Crashes() {
-		inj.holding = make(map[int32]int)
-		inj.waiting = make(map[int32]bool)
 		m.AddLockObserver(inj)
 	}
 	if mon != nil && plan.DegradesMonitor() {
@@ -139,14 +138,14 @@ func (i *Injector) CrashAtBoundary(t *sim.Thread) bool {
 		return false
 	}
 	var p float64
-	id := int32(t.ID())
-	if i.holding[id] > 0 || t.CSCounter > 0 {
+	id := t.ID()
+	if (id < len(i.holding) && i.holding[id] > 0) || t.CSCounter > 0 {
 		p = i.plan.CrashHoldProb
 	}
 	if t.Region != sim.RegionNone && i.plan.CrashWindowProb > p {
 		p = i.plan.CrashWindowProb
 	}
-	if i.waiting[id] && i.plan.CrashQueueProb > p {
+	if id < len(i.waiting) && i.waiting[id] && i.plan.CrashQueueProb > p {
 		p = i.plan.CrashQueueProb
 	}
 	if p <= 0 || i.rng.Float64() >= p {
@@ -186,19 +185,42 @@ func (i *Injector) CrashParkedOutcome(t *sim.Thread, landed bool) {
 
 // LockEvent implements sim.LockObserver, maintaining the holder/waiter
 // role sets the crash predicates target. Attached only for crash plans.
+// Events naming no thread (tid < 0) carry no role: the predicates only
+// ever ask about spawned threads.
 func (i *Injector) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int32) {
+	if tid < 0 {
+		return
+	}
 	switch kind {
 	case sim.TraceAcquire:
+		i.grow(tid)
 		i.holding[tid]++
-		delete(i.waiting, tid)
+		i.waiting[tid] = false
 	case sim.TraceRelease:
-		if i.holding[tid] > 0 {
+		if int(tid) < len(i.holding) && i.holding[tid] > 0 {
 			i.holding[tid]--
 		}
 	case sim.TraceSpinStart, sim.TraceLockBlock:
+		i.grow(tid)
 		i.waiting[tid] = true
 	case sim.TraceCrash:
-		delete(i.holding, tid)
-		delete(i.waiting, tid)
+		if int(tid) < len(i.holding) {
+			i.holding[tid], i.waiting[tid] = 0, false
+		}
+	}
+}
+
+// grow extends the role tables to cover tid.
+func (i *Injector) grow(tid int32) {
+	if int(tid) >= len(i.holding) {
+		i.growTables(int(tid) + 1)
+	}
+}
+
+//flexlint:coldpath
+func (i *Injector) growTables(n int) {
+	for len(i.holding) < n {
+		i.holding = append(i.holding, 0)
+		i.waiting = append(i.waiting, false)
 	}
 }

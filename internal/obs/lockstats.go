@@ -42,8 +42,32 @@ type LockStats struct {
 
 	lastRelease sim.Time
 	hasRelease  bool
-	acquiredAt  map[int32]sim.Time
-	waitMode    map[int32]int8
+	// threads holds per-thread acquisition state, indexed by tid+2 so
+	// the kernel pseudo-ids -1 and -2 fit (grown on first sight).
+	threads []threadStat
+}
+
+// threadStat is one thread's acquisition state on one lock.
+type threadStat struct {
+	acquiredAt sim.Time // valid while held
+	held       bool
+	waitMode   int8
+}
+
+// thread returns tid's state, growing the table on first sight.
+func (ls *LockStats) thread(tid int32) *threadStat {
+	i := int(tid) + 2
+	if i >= len(ls.threads) {
+		ls.growThreads(i + 1)
+	}
+	return &ls.threads[i]
+}
+
+//flexlint:coldpath
+func (ls *LockStats) growThreads(n int) {
+	for len(ls.threads) < n {
+		ls.threads = append(ls.threads, threadStat{})
+	}
 }
 
 // LockObserver implements sim.LockObserver: it consumes the lock-event
@@ -73,23 +97,26 @@ func Observe(m *sim.Machine) *LockObserver {
 	return o
 }
 
-// lock returns (growing on demand) the stats slot for lock id.
+// lock returns (creating on first sight) the stats slot for lock id.
 func (o *LockObserver) lock(id int32) *LockStats {
+	if int(id) < len(o.locks) && o.locks[id] != nil {
+		return o.locks[id]
+	}
+	return o.newLock(id)
+}
+
+//flexlint:coldpath
+func (o *LockObserver) newLock(id int32) *LockStats {
 	for int(id) >= len(o.locks) {
 		o.locks = append(o.locks, nil)
 	}
-	ls := o.locks[id]
-	if ls == nil {
-		ls = &LockStats{
-			ID:          id,
-			Name:        o.m.LockName(id),
-			Hold:        NewHistogram(),
-			HandoverLat: NewHistogram(),
-			acquiredAt:  make(map[int32]sim.Time),
-			waitMode:    make(map[int32]int8),
-		}
-		o.locks[id] = ls
+	ls := &LockStats{
+		ID:          id,
+		Name:        o.m.LockName(id),
+		Hold:        NewHistogram(),
+		HandoverLat: NewHistogram(),
 	}
+	o.locks[id] = ls
 	return ls
 }
 
@@ -123,32 +150,34 @@ func (o *LockObserver) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg
 	switch kind {
 	case sim.TraceAcquire:
 		ls.Acquires++
-		ls.acquiredAt[tid] = at
-		delete(ls.waitMode, tid)
+		ts := ls.thread(tid)
+		ts.acquiredAt, ts.held, ts.waitMode = at, true, waitNone
 		if ls.hasRelease {
 			ls.HandoverLat.Record(int64(at - ls.lastRelease))
 			ls.hasRelease = false
 		}
 	case sim.TraceRelease:
 		ls.Releases++
-		if acq, ok := ls.acquiredAt[tid]; ok {
-			ls.Hold.Record(int64(at - acq))
-			delete(ls.acquiredAt, tid)
+		if ts := ls.thread(tid); ts.held {
+			ls.Hold.Record(int64(at - ts.acquiredAt))
+			ts.held = false
 		}
 		ls.lastRelease = at
 		ls.hasRelease = true
 	case sim.TraceSpinStart:
 		ls.SpinStarts++
-		if ls.waitMode[tid] == waitBlock {
+		ts := ls.thread(tid)
+		if ts.waitMode == waitBlock {
 			ls.BlockToSpin++
 		}
-		ls.waitMode[tid] = waitSpin
+		ts.waitMode = waitSpin
 	case sim.TraceLockBlock:
 		ls.Blocks++
-		if ls.waitMode[tid] == waitSpin {
+		ts := ls.thread(tid)
+		if ts.waitMode == waitSpin {
 			ls.SpinToBlock++
 		}
-		ls.waitMode[tid] = waitBlock
+		ts.waitMode = waitBlock
 	case sim.TraceLockWake:
 		ls.Wakes++
 	case sim.TraceHandover:

@@ -263,7 +263,11 @@ func (s *Sampler) rollTo(at sim.Time) {
 
 // closeWindow snapshots the current window into the series and resets
 // the accumulators. Gauges (occupancy, runqueue depth) are read at the
-// moment of closing, i.e. at the window-edge tick.
+// moment of closing, i.e. at the window-edge tick. It runs once per
+// window, not per event, and appends into buffers sized for the
+// expected window count at Attach.
+//
+//flexlint:coldpath
 func (s *Sampler) closeWindow() {
 	p := Point{
 		Start:             int64(s.next - s.w),
@@ -314,7 +318,14 @@ func (s *Sampler) closeWindow() {
 
 // grow extends the per-thread wait arrays to cover tid.
 func (s *Sampler) grow(tid int32) {
-	for int(tid) >= len(s.waitMode) {
+	if int(tid) >= len(s.waitMode) {
+		s.growTo(int(tid) + 1)
+	}
+}
+
+//flexlint:coldpath
+func (s *Sampler) growTo(n int) {
+	for len(s.waitMode) < n {
 		s.waitMode = append(s.waitMode, modeNone)
 		s.waitStart = append(s.waitStart, -1)
 	}

@@ -178,6 +178,10 @@ type Machine struct {
 	TotalPreemptions int64
 	TotalSteals      int64
 	TotalMigrations  int64
+
+	// memBuf is the Word-access event buffer handed to mem (mem.go). It
+	// sits last so the fields the step loop touches keep their layout.
+	memBuf MemEvent
 }
 
 // New builds a machine from cfg.
@@ -272,6 +276,9 @@ func (m *Machine) LockName(id int32) string {
 
 // NumLocks returns how many lock ids have been registered.
 func (m *Machine) NumLocks() int { return len(m.lockNames) }
+
+// Words returns every allocated word in id order (ids are dense from 0).
+func (m *Machine) Words() []*Word { return m.words }
 
 // lockEvent fans one lock event out to the tracer and the observer. The
 // leading nil checks keep the disabled cost to a couple of predictable

@@ -89,18 +89,46 @@ type MemEvent struct {
 
 // MemObserver consumes the Word-access stream. Callbacks run
 // synchronously inside the event loop and must not call Proc methods or
-// mutate machine state.
+// mutate machine state. The event points into a buffer the machine
+// reuses for every access: it is valid only for the duration of the
+// call, so an observer that keeps an event must copy it.
 type MemObserver interface {
-	MemEvent(MemEvent)
+	MemEvent(*MemEvent)
 }
 
 // SetMemObserver attaches (or with nil, detaches) the Word-access
 // observer. Attach before Run.
 func (m *Machine) SetMemObserver(o MemObserver) { m.mem = o }
 
-// memEvent stamps the clock and delivers ev. Callers guard with
-// `m.mem != nil` so the disabled cost stays a single branch.
-func (m *Machine) memEvent(ev MemEvent) {
-	ev.At = m.clock
+// The emitters below fill the machine's event buffer field by field and
+// hand the observer a pointer to it, so an access copies no event.
+// Every field is rewritten on every emission: a recorder sees exactly
+// the fields of the access at hand. Callers guard with `m.mem != nil`
+// so the disabled cost stays a single branch.
+
+// memAccess delivers a load, store, RMW or kernel write of w.
+func (m *Machine) memAccess(kind MemKind, tid int32, w *Word, oldv, newv uint64, wrote, rel bool) {
+	ev := &m.memBuf
+	ev.At, ev.Kind, ev.TID, ev.W = m.clock, kind, tid, w
+	ev.Old, ev.New, ev.Wrote, ev.Arg, ev.Rel = oldv, newv, wrote, 0, rel
+	ev.Watch = [3]*Word{}
+	m.mem.MemEvent(ev)
+}
+
+// memSpin delivers a spin registration or exit carrying t's watch set.
+func (m *Machine) memSpin(kind MemKind, t *Thread, arg int32) {
+	ev := &m.memBuf
+	ev.At, ev.Kind, ev.TID, ev.W = m.clock, kind, tid(t), nil
+	ev.Old, ev.New, ev.Wrote, ev.Arg, ev.Rel = 0, 0, false, arg, false
+	ev.Watch = t.spinWatch
+	m.mem.MemEvent(ev)
+}
+
+// memWake delivers one futex wake of woken by waker on w.
+func (m *Machine) memWake(waker int32, w *Word, woken int32) {
+	ev := &m.memBuf
+	ev.At, ev.Kind, ev.TID, ev.W = m.clock, MemFutexWake, waker, w
+	ev.Old, ev.New, ev.Wrote, ev.Arg, ev.Rel = 0, 0, false, woken, false
+	ev.Watch = [3]*Word{}
 	m.mem.MemEvent(ev)
 }

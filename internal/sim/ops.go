@@ -125,14 +125,14 @@ func (m *Machine) applyOpEffect(t *Thread) {
 	case opLoad:
 		t.res = opRes{val: *req.w.p}
 		if m.mem != nil {
-			m.memEvent(MemEvent{Kind: MemLoad, TID: tid(t), W: req.w, Old: *req.w.p, New: *req.w.p})
+			m.memAccess(MemLoad, tid(t), req.w, *req.w.p, *req.w.p, false, false)
 		}
 	case opStore:
 		old := *req.w.p
 		*req.w.p = req.a
 		t.res = opRes{}
 		if m.mem != nil {
-			m.memEvent(MemEvent{Kind: MemStore, TID: tid(t), W: req.w, Old: old, New: req.a, Wrote: true, Rel: req.flags&flagRel != 0})
+			m.memAccess(MemStore, tid(t), req.w, old, req.a, true, req.flags&flagRel != 0)
 		}
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
@@ -146,7 +146,7 @@ func (m *Machine) applyOpEffect(t *Thread) {
 			t.Reg = old
 		}
 		if m.mem != nil {
-			m.memEvent(MemEvent{Kind: MemRMW, TID: tid(t), W: req.w, Old: old, New: *req.w.p, Wrote: old == req.a})
+			m.memAccess(MemRMW, tid(t), req.w, old, *req.w.p, old == req.a, false)
 		}
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
@@ -158,7 +158,7 @@ func (m *Machine) applyOpEffect(t *Thread) {
 			t.Reg = old
 		}
 		if m.mem != nil {
-			m.memEvent(MemEvent{Kind: MemRMW, TID: tid(t), W: req.w, Old: old, New: req.a, Wrote: true})
+			m.memAccess(MemRMW, tid(t), req.w, old, req.a, true, false)
 		}
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
@@ -167,7 +167,7 @@ func (m *Machine) applyOpEffect(t *Thread) {
 		*req.w.p = uint64(int64(*req.w.p) + int64(req.a))
 		t.res = opRes{val: *req.w.p}
 		if m.mem != nil {
-			m.memEvent(MemEvent{Kind: MemRMW, TID: tid(t), W: req.w, Old: old, New: *req.w.p, Wrote: true})
+			m.memAccess(MemRMW, tid(t), req.w, old, *req.w.p, true, false)
 		}
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
@@ -290,7 +290,7 @@ func (m *Machine) registerSpinner(t *Thread) {
 		m.spinners = append(m.spinners, t)
 	}
 	if m.mem != nil {
-		m.memEvent(MemEvent{Kind: MemSpinStart, TID: tid(t), Watch: t.spinWatch})
+		m.memSpin(MemSpinStart, t, 0)
 	}
 }
 
@@ -397,7 +397,7 @@ func (m *Machine) completeSpin(t *Thread, timeout bool) {
 		if timeout {
 			arg = 1
 		}
-		m.memEvent(MemEvent{Kind: MemSpinExit, TID: tid(t), Arg: arg, Watch: t.spinWatch})
+		m.memSpin(MemSpinExit, t, arg)
 	}
 	t.res = opRes{timeout: timeout}
 	m.finishOp(t)
@@ -442,7 +442,7 @@ func (m *Machine) futexWaitDone(t *Thread) {
 	if m.mem != nil {
 		// The futex's atomic value check reads the word whether the
 		// thread blocks or bails with EAGAIN.
-		m.memEvent(MemEvent{Kind: MemLoad, TID: tid(t), W: req.w, Old: *req.w.p, New: *req.w.p})
+		m.memAccess(MemLoad, tid(t), req.w, *req.w.p, *req.w.p, false, false)
 	}
 	if *req.w.p != req.a {
 		t.res = opRes{ok: false}
@@ -521,7 +521,7 @@ func (m *Machine) futexWake(w *Word, n int, waker int32) int {
 		wt.res = opRes{ok: true}
 		m.lockEvent(TraceWake, -1, tid(wt), -1)
 		if m.mem != nil {
-			m.memEvent(MemEvent{Kind: MemFutexWake, TID: waker, W: w, Arg: tid(wt)})
+			m.memWake(waker, w, tid(wt))
 		}
 		lat := m.cfg.Costs.WakeLatency
 		if m.fi != nil {

@@ -11,17 +11,18 @@ cd "$(dirname "$0")/.."
 
 tmp=internal/locks/ztripproof_injected.go
 out=$(mktemp)
-trap 'rm -f "$tmp" "$out"' EXIT
+bin=$(mktemp -d)
+trap 'rm -rf "$tmp" "$out" "$bin"' EXIT
 
-go build -o /tmp/flexlint ./cmd/flexlint
+go build -o "$bin/flexlint" ./cmd/flexlint
 
 echo "== clean tree must pass =="
-/tmp/flexlint ./...
+"$bin/flexlint" ./...
 
 trip() {
   local pass=$1
   cat >"$tmp"
-  if /tmp/flexlint ./... >"$out" 2>&1; then
+  if "$bin/flexlint" ./... >"$out" 2>&1; then
     echo "injected $pass violation did not trip flexlint" >&2
     exit 1
   fi
@@ -48,6 +49,20 @@ func (l *ztripHot) Lock(p *sim.Proc) {
 }
 
 func (l *ztripHot) Unlock(p *sim.Proc) { p.Store(l.w, 0) }
+GO
+
+# hotalloc, observer roots: an allocating lock-event observer, which the
+# step loop reaches only through the sim.LockObserver interface.
+trip hotalloc <<'GO'
+package locks
+
+import "repro/internal/sim"
+
+type ztripObs struct{ log []sim.TraceKind }
+
+func (o *ztripObs) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int32) {
+	o.log = append(o.log, kind)
+}
 GO
 
 # costcoverage: a free Word.V peek on a spawned simulated thread,
@@ -105,5 +120,5 @@ func ztripPair(l *MCS, p *sim.Proc, skip bool) {
 GO
 
 echo "== clean tree must pass again =="
-/tmp/flexlint ./...
+"$bin/flexlint" ./...
 echo "trip proof ok"
