@@ -61,6 +61,11 @@ func parseGate(s string) (gate, error) {
 	if err != nil {
 		return g, fmt.Errorf("gate %q: bad threshold: %v", s, err)
 	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		// Every comparison with NaN is false, so a NaN bound would hold
+		// whatever the delta; an infinite one holds trivially.
+		return g, fmt.Errorf("gate %q: threshold must be finite", s)
+	}
 	if g.dropBad {
 		if v > 0 {
 			return g, fmt.Errorf("gate %q: a >= bound tolerates a drop; write a negative percentage", s)

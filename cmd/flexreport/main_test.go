@@ -23,6 +23,11 @@ func TestParseGate(t *testing.T) {
 		{"no-operator", false, false, 0},
 		{">=-20%", false, false, 0},
 		{"m>=junk%", false, false, 0},
+		{"cells_per_sec>=NaN%", false, false, 0},
+		{"p99_lat_us<=NaN%", false, false, 0},
+		{"m>=-Inf%", false, false, 0},
+		{"m<=+Inf%", false, false, 0},
+		{"m<=inf", false, false, 0},
 	}
 	for _, c := range cases {
 		g, err := parseGate(c.in)
@@ -34,6 +39,27 @@ func TestParseGate(t *testing.T) {
 			t.Errorf("parseGate(%q) = %+v, want dropBad=%v pct=%g", c.in, g, c.dropBad, c.pct)
 		}
 	}
+}
+
+// FuzzParseGate: every gate expression either fails with an error or
+// yields a finite, non-negative threshold on a non-empty metric; none
+// panics.
+func FuzzParseGate(f *testing.F) {
+	for _, s := range []string{
+		"ops_per_sec>=-20%", "p99_lat_us<=25%", "x<=25", "m>=NaN%", "m<=Inf%",
+		"m>=-1e308%", "m<=0x1p-3", ">=-5%", "a<=b>=-5%", "m>=%", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		g, err := parseGate(s)
+		if err != nil {
+			return
+		}
+		if g.metric == "" || math.IsNaN(g.pct) || math.IsInf(g.pct, 0) || g.pct < 0 {
+			t.Fatalf("parseGate(%q) = %+v: want an error or a finite non-negative threshold on a named metric", s, g)
+		}
+	})
 }
 
 // TestDiffSelfIsZero: the write → load → diff-zero round trip. A report

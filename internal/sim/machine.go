@@ -135,6 +135,7 @@ type Machine struct {
 	lineStride  int32
 	valChunks   [][]uint64
 	words       []*Word
+	wordSlab    []Word // unused handles of the current slab (see handle)
 
 	// Adoption state, set by Clone: allocations with id < adoptWords are
 	// replaying the snapshotted prefix and adopt the snapshot's slot and
@@ -452,11 +453,11 @@ func (m *Machine) Run(until Time) Time {
 // phase must quiesce on its own — every strong event fires before the
 // phase horizon — because the boundary is a potential snapshot point
 // (see Machine.Snapshot); a phase that still has pending work at its
-// horizon panics instead of silently discarding it. Whatever inert
-// events remain at the boundary (lazily-canceled stragglers, weak
-// instrumentation events) are discarded, exactly as Run discards them
-// at shutdown, so the next phase starts from an empty queue. Returns
-// the quiesce time and leaves the clock at until.
+// horizon panics instead of silently discarding it. Whatever weak
+// instrumentation events remain at the boundary are discarded, exactly
+// as Run discards them at shutdown, so the next phase starts from an
+// empty queue (canceled events never linger: Cancel removes them at
+// once). Returns the quiesce time and leaves the clock at until.
 func (m *Machine) RunPhase(until Time) Time {
 	if m.finished {
 		panic("sim: RunPhase after Run finished")

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // TraceKind classifies trace events.
@@ -176,10 +177,10 @@ type Tracer struct {
 	// ever recorded (buffered plus evicted).
 	//
 	// The fold is batched: record stages each event's four key words in
-	// pending and the byte-at-a-time FNV loop runs over whole runs of
-	// events at once (flush), keeping the multiply-xor dependency chain
-	// out of the per-event path. Batching cannot change the hash — FNV-1a
-	// is a sequential fold and flush preserves word order exactly.
+	// pending and the FNV loop runs over whole runs of events at once
+	// (flush), keeping the multiply-xor dependency chain out of the
+	// per-event path. Batching cannot change the hash — FNV-1a is a
+	// sequential fold and flush preserves word order exactly.
 	digest  uint64
 	pending []uint64
 	Seen    int64
@@ -195,6 +196,18 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
+
+// fnvPrimePow[k] is fnvPrime64^k (mod 2^64). Folding a zero byte into an
+// FNV-1a state is a bare multiply by the prime — the xor with zero is a
+// no-op — so a run of k zero bytes folds as one multiply by
+// fnvPrimePow[k].
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
 
 // AttachTracer installs a tracer keeping the newest max events.
 func (m *Machine) AttachTracer(max int) *Tracer {
@@ -215,19 +228,27 @@ func (tr *Tracer) Digest() uint64 {
 	return tr.digest
 }
 
-// flush folds the staged key words into the digest byte by byte, in
-// staging order.
+// flush folds the staged key words into the digest, in staging order.
 func (tr *Tracer) flush() {
-	h := tr.digest
-	for _, v := range tr.pending {
-		for i := 0; i < 8; i++ {
+	tr.digest = foldWords(tr.digest, tr.pending)
+	tr.pending = tr.pending[:0]
+}
+
+// foldWords folds each word's eight little-endian bytes into the FNV-1a
+// state h. A word's high zero bytes — most of the time word, kind word
+// and lock word of an event — fold as one multiply (see fnvPrimePow),
+// which leaves the hash equal to the byte-at-a-time fold.
+func foldWords(h uint64, words []uint64) uint64 {
+	for _, v := range words {
+		n := (bits.Len64(v) + 7) / 8 // bytes up to the highest nonzero one
+		for i := 0; i < n; i++ {
 			h ^= v & 0xff
 			h *= fnvPrime64
 			v >>= 8
 		}
+		h *= fnvPrimePow[8-n]
 	}
-	tr.digest = h
-	tr.pending = tr.pending[:0]
+	return h
 }
 
 // record appends an event, evicting the oldest at capacity.

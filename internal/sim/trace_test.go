@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 	"testing"
@@ -182,4 +183,43 @@ func TestNilTracerSafe(t *testing.T) {
 	m := small(1)
 	m.Spawn("w", func(p *Proc) { p.Compute(100) })
 	m.Run(10_000) // records via nil tracer internally
+}
+
+// foldBytes is the reference digest fold: FNV-1a over each word's eight
+// little-endian bytes, one xor-multiply per byte.
+func foldBytes(h uint64, words []uint64) uint64 {
+	for _, v := range words {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= fnvPrime64
+			v >>= 8
+		}
+	}
+	return h
+}
+
+// FuzzDigestFold checks the zero-run fold against the byte-at-a-time
+// FNV-1a loop over arbitrary word sequences. shift right-aligns every
+// word by up to 63 bits, so runs of high zero bytes of every length
+// (including all-zero words) are common.
+func FuzzDigestFold(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3}, uint8(0))
+	// One staged event: time, kind, prev<<32|next, lock = -1.
+	f.Add([]byte{0x40, 0x42, 0x0f, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0,
+		3, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint8(0))
+	f.Add([]byte("flexguard digest fold"), uint8(40))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
+		var words []uint64
+		for len(data) > 0 {
+			var b [8]byte
+			n := copy(b[:], data)
+			data = data[n:]
+			words = append(words, binary.LittleEndian.Uint64(b[:])>>(shift%64))
+		}
+		if got, want := foldWords(fnvOffset64, words), foldBytes(fnvOffset64, words); got != want {
+			t.Fatalf("zero-run fold %016x, byte fold %016x over %x", got, want, words)
+		}
+	})
 }

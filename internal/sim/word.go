@@ -19,6 +19,17 @@ const (
 // fixed-size chunks so existing *uint64 slots never move on growth.
 const valChunk = 256
 
+// Word handles are handed out from slabs rather than allocated one by
+// one. A slab holds as many handles as the machine already has words,
+// clamped to [wordSlabMin, wordSlabMax], so slabs double from a small
+// first one: a machine with a few dozen words allocates a few small
+// slabs, and one with a hundred thousand allocates one per wordSlabMax
+// words.
+const (
+	wordSlabMin = 8
+	wordSlabMax = valChunk
+)
+
 // newLine allocates a cache line and returns its dense id.
 func (m *Machine) newLine() int32 {
 	id := int32(len(m.lineOwner))
@@ -117,6 +128,18 @@ func (m *Machine) slot(id int32) *uint64 {
 	return &m.valChunks[int(id)/valChunk][int(id)%valChunk]
 }
 
+// handle places w in the next free slot of the machine's word slab and
+// returns the stable handle.
+func (m *Machine) handle(w Word) *Word {
+	if len(m.wordSlab) == 0 {
+		m.wordSlab = make([]Word, min(max(len(m.words), wordSlabMin), wordSlabMax))
+	}
+	h := &m.wordSlab[0]
+	*h = w
+	m.wordSlab = m.wordSlab[1:]
+	return h
+}
+
 // adopt resolves word id against the snapshot being replayed: the value
 // slot and line id come from the snapshot (the warmed state), and the
 // name is asserted so a construction replay that diverges from the
@@ -125,7 +148,7 @@ func (m *Machine) adopt(id int32, name string) *Word {
 	if name != m.adoptName[id] {
 		panic("sim: snapshot replay diverged: word " + name + " allocated where " + m.adoptName[id] + " was snapshotted")
 	}
-	return &Word{p: m.slot(id), lineID: m.adoptLine[id], name: name, id: id}
+	return m.handle(Word{p: m.slot(id), lineID: m.adoptLine[id], name: name, id: id})
 }
 
 // NewWord allocates a Word on its own cache line. On a cloned machine,
@@ -138,7 +161,7 @@ func (m *Machine) NewWord(name string, init uint64) *Word {
 	if int(id) < m.adoptWords {
 		w = m.adopt(id, name)
 	} else {
-		w = &Word{p: m.newSlot(id, init), lineID: m.newLine(), name: name, id: id}
+		w = m.handle(Word{p: m.newSlot(id, init), lineID: m.newLine(), name: name, id: id})
 	}
 	m.words = append(m.words, w)
 	return w
@@ -159,7 +182,7 @@ func (m *Machine) NewWords(name string, n int) []*Word {
 			if line < 0 {
 				line = m.newLine()
 			}
-			ws[i] = &Word{p: m.newSlot(id, 0), lineID: line, name: name, id: id}
+			ws[i] = m.handle(Word{p: m.newSlot(id, 0), lineID: line, name: name, id: id})
 		}
 		m.words = append(m.words, ws[i])
 	}

@@ -5,7 +5,10 @@
 // Events are ordered by (time, sequence). The sequence number is assigned
 // at scheduling time, so two events scheduled for the same tick always fire
 // in scheduling order, which makes entire simulation runs reproducible for
-// a given seed.
+// a given seed. The queue holds live events only: Cancel removes an event
+// from the heap at once, so the pop order — the total order on (time,
+// sequence) over live events — does not depend on when cancellations
+// happened or on the heap's shape.
 package vtime
 
 // Time is a point in virtual time, measured in ticks. One tick is
@@ -18,29 +21,32 @@ type Time = int64
 type Event struct {
 	At       Time
 	seq      uint64
-	index    int // heap index, -1 if popped/canceled
+	index    int // heap index, -1 once popped, canceled or recycled
 	canceled bool
 	pooled   bool
 	// weak marks a passive instrumentation event (ScheduleWeak): it
 	// fires like any other event but does not count toward StrongLen,
 	// so the simulator can tell "work remains" from "only telemetry
-	// remains". Weak events must not be canceled — Cancel's live-count
-	// bookkeeping ignores them.
+	// remains".
 	weak bool
-	q    *Queue // owner, for Cancel's live-strong accounting
+	q    *Queue // owner, for Cancel's removal
 	Fn   func()
 }
 
-// Cancel marks the event so that it will not fire. Canceling an already
-// fired or canceled event is a no-op. The event is removed lazily when it
-// reaches the head of the queue.
+// Cancel removes a pending event from its queue so that it never fires,
+// and returns it to the queue's free list for reuse by the next
+// Schedule. The caller must drop every reference to e at the call, the
+// same rule as Recycle: a later Cancel through a stale handle could
+// cancel the unrelated event that now reuses it. Canceling nil, an
+// already canceled event, or one that has already fired (or is firing)
+// is a no-op apart from marking it canceled.
 func (e *Event) Cancel() {
 	if e == nil || e.canceled {
 		return
 	}
 	e.canceled = true
-	if e.index != -1 && !e.weak && e.q != nil {
-		e.q.strong--
+	if e.index != -1 {
+		e.q.remove(e)
 	}
 }
 
@@ -70,6 +76,11 @@ func (a entry) before(b entry) bool {
 // queue ready for use. Queue is not safe for concurrent use; the simulator
 // drives it from a single goroutine.
 //
+// Every heap entry is live: Cancel sifts the canceled entry out through
+// the index the event tracks, so the head is always the next event to
+// fire and the heap never grows with dead slice timers waiting to reach
+// it.
+//
 // The heap is 4-ary: the simulator's event mix after spin coalescing and
 // instruction batching is dominated by short-lived near-term events
 // (instruction completions, spin-exit checks) threaded between a few
@@ -81,13 +92,13 @@ func (a entry) before(b entry) bool {
 type Queue struct {
 	heap []entry
 	seq  uint64
-	// strong counts live (not canceled, not fired) non-weak events in
-	// the heap. When it reaches zero only telemetry remains; the
-	// simulator treats that as a drained queue.
+	// strong counts the non-weak events in the heap. When it reaches zero
+	// only telemetry remains; the simulator treats that as a drained
+	// queue.
 	strong int
-	// free is the event free-list: fired or collected-after-cancel events
-	// recycled by Recycle and reused by Schedule, cutting the per-step
-	// allocation on the simulator's hot path to zero once warm.
+	// free is the event free-list: fired events recycled by Recycle and
+	// canceled events returned by Cancel, reused by Schedule, cutting the
+	// per-step allocation on the simulator's hot path to zero once warm.
 	free []*Event
 }
 
@@ -99,13 +110,13 @@ const arity = 4
 // memory for the rest of the run.
 const maxFree = 1024
 
-// Len returns the number of events in the queue, including canceled events
-// that have not yet been removed.
+// Len returns the number of pending events, weak ones included. Canceled
+// events have already left the queue, so the count is exact.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// StrongLen returns the number of live non-weak events: pending work
-// that should keep a simulation running. Canceled events and weak
-// (instrumentation) events do not count.
+// StrongLen returns the number of pending non-weak events: work that
+// should keep a simulation running. Weak (instrumentation) events do
+// not count.
 func (q *Queue) StrongLen() int { return q.strong }
 
 // Schedule adds fn to run at time at and returns a handle that can be used
@@ -119,7 +130,7 @@ func (q *Queue) Schedule(at Time, fn func()) *Event {
 // ScheduleWeak is Schedule for passive instrumentation: the event fires
 // normally (and bounds PeekTime-based fast-forwarding like any other),
 // but does not count toward StrongLen, so it never makes the queue look
-// like it still has work. Weak events must not be canceled.
+// like it still has work.
 func (q *Queue) ScheduleWeak(at Time, fn func()) *Event {
 	return q.schedule(at, fn, true)
 }
@@ -145,8 +156,8 @@ func (q *Queue) schedule(at Time, fn func(), weak bool) *Event {
 // recycled event may be handed out again as a logically different event,
 // so a stale Cancel through an old pointer would cancel the wrong one.
 // The simulator upholds this by nulling its event handles when a
-// callback fires or is canceled. Recycling an event still in the heap,
-// already pooled, or nil is a no-op.
+// callback fires or is canceled (Cancel recycles by itself). Recycling
+// an event still in the heap, already pooled, or nil is a no-op.
 func (q *Queue) Recycle(e *Event) {
 	if e == nil || e.index != -1 || e.pooled || len(q.free) >= maxFree {
 		return
@@ -156,11 +167,10 @@ func (q *Queue) Recycle(e *Event) {
 	q.free = append(q.free, e) //flexlint:allow hotalloc free list capped at maxFree; capacity is reused
 }
 
-// Reset discards every remaining event — canceled stragglers and weak
-// (instrumentation) events alike — returning them to the free list. The
-// simulator calls it at a phase boundary (Machine.RunPhase), where the
-// strong events have drained and whatever remains is inert telemetry
-// that must not leak into the next phase.
+// Reset discards every remaining event, returning them to the free
+// list. The simulator calls it at a phase boundary (Machine.RunPhase),
+// where the strong events have drained and whatever remains is weak
+// (instrumentation) events that must not leak into the next phase.
 func (q *Queue) Reset() {
 	for len(q.heap) > 0 {
 		q.Recycle(q.pop())
@@ -168,20 +178,18 @@ func (q *Queue) Reset() {
 	q.strong = 0
 }
 
-// PeekTime returns the firing time of the earliest live event, discarding
-// canceled events from the head. ok is false if the queue is empty.
+// PeekTime returns the firing time of the earliest event. ok is false if
+// the queue is empty.
 func (q *Queue) PeekTime() (t Time, ok bool) {
-	q.dropCanceled()
 	if len(q.heap) == 0 {
 		return 0, false
 	}
 	return q.heap[0].at, true
 }
 
-// Pop removes and returns the earliest live event, or nil if the queue is
+// Pop removes and returns the earliest event, or nil if the queue is
 // empty.
 func (q *Queue) Pop() *Event {
-	q.dropCanceled()
 	if len(q.heap) == 0 {
 		return nil
 	}
@@ -192,18 +200,53 @@ func (q *Queue) Pop() *Event {
 	return e
 }
 
-func (q *Queue) dropCanceled() {
-	for len(q.heap) > 0 && q.heap[0].ev.canceled {
-		q.Recycle(q.pop())
+// remove takes the pending event e out of the heap and recycles it. The
+// last entry fills e's slot and is sifted toward whichever side restores
+// the heap order: up if it fires before e's parent, down otherwise.
+func (q *Queue) remove(e *Event) {
+	if !e.weak {
+		q.strong--
 	}
+	i := e.index
+	n := len(q.heap) - 1
+	last := q.heap[n]
+	q.heap[n] = entry{}
+	q.heap = q.heap[:n]
+	if i < n {
+		if i > 0 && last.before(q.heap[(i-1)/arity]) {
+			q.siftUp(i, last)
+		} else {
+			q.siftDown(i, last)
+		}
+	}
+	e.index = -1
+	q.Recycle(e)
 }
 
-// push appends e and sifts it up with a hole: the displaced parents move
-// down one level each and e is written once at its final slot.
+// push appends e and sifts it up into place.
 func (q *Queue) push(e *Event) {
-	en := entry{at: e.At, seq: e.seq, ev: e}
-	i := len(q.heap)
-	q.heap = append(q.heap, en) //flexlint:allow hotalloc heap spine; amortized, capacity is reused across phases
+	q.heap = append(q.heap, entry{}) //flexlint:allow hotalloc heap spine; amortized, capacity is reused across phases
+	q.siftUp(len(q.heap)-1, entry{at: e.At, seq: e.seq, ev: e})
+}
+
+// pop removes the root and sifts the last entry down from the root.
+func (q *Queue) pop() *Event {
+	top := q.heap[0].ev
+	n := len(q.heap) - 1
+	last := q.heap[n]
+	q.heap[n] = entry{}
+	q.heap = q.heap[:n]
+	if n > 0 {
+		q.siftDown(0, last)
+	}
+	top.index = -1
+	return top
+}
+
+// siftUp places en into the hole at i, moving it toward the root: the
+// displaced parents move down one level each and en is written once at
+// its final slot.
+func (q *Queue) siftUp(i int, en entry) {
 	for i > 0 {
 		p := (i - 1) / arity
 		parent := q.heap[p]
@@ -215,44 +258,32 @@ func (q *Queue) push(e *Event) {
 		i = p
 	}
 	q.heap[i] = en
-	e.index = i
+	en.ev.index = i
 }
 
-// pop removes the root and sifts the last event down with a hole,
-// selecting the smallest of up to arity children per level.
-func (q *Queue) pop() *Event {
-	top := q.heap[0].ev
-	n := len(q.heap) - 1
-	last := q.heap[n]
-	q.heap[n] = entry{}
-	q.heap = q.heap[:n]
-	if n > 0 {
-		i := 0
-		for {
-			first := arity*i + 1
-			if first >= n {
-				break
-			}
-			smallest := first
-			end := first + arity
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if q.heap[c].before(q.heap[smallest]) {
-					smallest = c
-				}
-			}
-			if !q.heap[smallest].before(last) {
-				break
-			}
-			q.heap[i] = q.heap[smallest]
-			q.heap[i].ev.index = i
-			i = smallest
+// siftDown places en into the hole at i, moving it toward the leaves
+// past the smallest of up to arity children per level.
+func (q *Queue) siftDown(i int, en entry) {
+	n := len(q.heap)
+	for {
+		first := arity*i + 1
+		if first >= n {
+			break
 		}
-		q.heap[i] = last
-		last.ev.index = i
+		smallest := first
+		end := min(first+arity, n)
+		for c := first + 1; c < end; c++ {
+			if q.heap[c].before(q.heap[smallest]) {
+				smallest = c
+			}
+		}
+		if !q.heap[smallest].before(en) {
+			break
+		}
+		q.heap[i] = q.heap[smallest]
+		q.heap[i].ev.index = i
+		i = smallest
 	}
-	top.index = -1
-	return top
+	q.heap[i] = en
+	en.ev.index = i
 }

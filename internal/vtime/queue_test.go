@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -255,8 +257,8 @@ func TestQueueFreeListNeverResurrectsLiveEvent(t *testing.T) {
 	if b == a {
 		t.Fatal("double Recycle produced two handles to the same event")
 	}
-	// A canceled-then-collected event is recycled by the queue itself
-	// (dropCanceled); its old handle must not affect the reused event.
+	// A canceled event is recycled by Cancel itself; its old handle must
+	// not affect the reused event.
 	c := q.Schedule(3, func() {})
 	c.Cancel()
 	if e := q.Pop(); e != a {
@@ -344,6 +346,138 @@ func BenchmarkQueueScheduleAndPop(b *testing.B) {
 		q.Schedule(Time(i%128), func() {})
 		if q.Len() > 64 {
 			q.Pop()
+		}
+	}
+}
+
+// checkHeap verifies the queue's whole state against the reference
+// list of pending events: the exact Len and StrongLen, the 4-ary heap
+// order, every tracked index, the keys stored next to each event, and
+// that no entry is canceled.
+func checkHeap(t *testing.T, q *Queue, pending []*Event, where string) {
+	t.Helper()
+	strong := 0
+	for _, e := range pending {
+		if !e.weak {
+			strong++
+		}
+	}
+	if q.Len() != len(pending) || q.StrongLen() != strong {
+		t.Fatalf("%s: Len %d StrongLen %d, reference %d / %d", where, q.Len(), q.StrongLen(), len(pending), strong)
+	}
+	for i, en := range q.heap {
+		switch {
+		case en.ev.index != i:
+			t.Fatalf("%s: entry %d tracks index %d", where, i, en.ev.index)
+		case en.at != en.ev.At || en.seq != en.ev.seq:
+			t.Fatalf("%s: entry %d key (%d,%d) != event (%d,%d)", where, i, en.at, en.seq, en.ev.At, en.ev.seq)
+		case en.ev.canceled || en.ev.pooled:
+			t.Fatalf("%s: entry %d is canceled or pooled", where, i)
+		case !slices.Contains(pending, en.ev):
+			t.Fatalf("%s: entry %d is not pending in the reference", where, i)
+		case i > 0 && en.before(q.heap[(i-1)/arity]):
+			t.Fatalf("%s: entry %d fires before its parent", where, i)
+		}
+	}
+}
+
+// TestQueueMatchesSortedReference is the differential test of the
+// live-only heap: random schedule / weak-schedule / cancel / pop / peek /
+// reset sequences run against a naive reference (the pending events in
+// scheduling order, whose head is the minimum time, earliest scheduled
+// on ties), and the queue's full state is checked after every step. The
+// mix covers cancel-after-fire, double cancel, and a canceled event that
+// the very next Schedule reuses.
+func TestQueueMatchesSortedReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue
+		var pending []*Event // in scheduling order
+		now := Time(0)
+		head := func() int {
+			best := -1
+			for i, e := range pending {
+				if best < 0 || e.At < pending[best].At {
+					best = i
+				}
+			}
+			return best
+		}
+		schedule := func(weak bool) *Event {
+			at := now + Time(rng.Intn(6)) // ties are frequent
+			var e *Event
+			if weak {
+				e = q.ScheduleWeak(at, func() {})
+			} else {
+				e = q.Schedule(at, func() {})
+			}
+			if slices.Contains(pending, e) || e.Canceled() || e.index < 0 {
+				t.Fatalf("seed %d: Schedule returned a pending or stale event", seed)
+			}
+			pending = append(pending, e)
+			return e
+		}
+		for step := 0; step < 600; step++ {
+			where := func(op string) string { return fmt.Sprintf("seed %d step %d (%s)", seed, step, op) }
+			switch r := rng.Intn(100); {
+			case r < 40 || len(pending) == 0 && r < 80:
+				schedule(rng.Intn(6) == 0)
+				checkHeap(t, &q, pending, where("schedule"))
+			case r < 58 && len(pending) > 0:
+				i := rng.Intn(len(pending))
+				e := pending[i]
+				free := len(q.free)
+				e.Cancel()
+				pending = slices.Delete(pending, i, i+1)
+				if !e.Canceled() || e.index != -1 || len(q.free) != free+1 {
+					t.Fatalf("%s: canceled event not removed and recycled", where("cancel"))
+				}
+				checkHeap(t, &q, pending, where("cancel"))
+				switch rng.Intn(3) {
+				case 0: // double cancel is a no-op
+					e.Cancel()
+					if len(q.free) != free+1 {
+						t.Fatalf("%s: double cancel recycled the event twice", where("double cancel"))
+					}
+				case 1: // the next Schedule reuses the canceled event
+					if r := schedule(false); r != e {
+						t.Fatalf("%s: Schedule did not reuse the canceled event", where("reuse"))
+					}
+				}
+				checkHeap(t, &q, pending, where("after cancel"))
+			case r < 85:
+				e := q.Pop()
+				h := head()
+				if h < 0 {
+					if e != nil {
+						t.Fatalf("%s: popped an event from an empty reference", where("pop"))
+					}
+					break
+				}
+				if e != pending[h] {
+					t.Fatalf("%s: popped (%d), reference head (%d)", where("pop"), e.At, pending[h].At)
+				}
+				pending = slices.Delete(pending, h, h+1)
+				now = e.At
+				checkHeap(t, &q, pending, where("pop"))
+				// Cancel after fire changes nothing; the event is then
+				// recycled the way the simulator's loop does.
+				if rng.Intn(4) == 0 {
+					e.Cancel()
+					checkHeap(t, &q, pending, where("cancel after fire"))
+				}
+				q.Recycle(e)
+			case r < 97:
+				at, ok := q.PeekTime()
+				h := head()
+				if ok != (h >= 0) || ok && at != pending[h].At {
+					t.Fatalf("%s: PeekTime %d,%v disagrees with the reference", where("peek"), at, ok)
+				}
+			default:
+				q.Reset()
+				pending = pending[:0]
+				checkHeap(t, &q, pending, where("reset"))
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ package dedup
 // chunker scans a synthetic data stream.
 type chunker struct {
 	state uint64 // stream generator state
-	win   uint64 // rolling hash
 	pos   int
 	// repetition: every repeatEvery bytes, the generator replays a block,
 	// producing genuine duplicate chunks for the dedup table to hit.
@@ -37,40 +36,45 @@ func newChunker(seed uint64) *chunker {
 	return &chunker{state: seed, repeatEvery: 64 << 10, repeatLen: 16 << 10}
 }
 
-// nextByte produces the stream's next byte: pseudo-random data with
-// periodic replayed regions (compressible, duplicate-bearing content).
-func (c *chunker) nextByte() byte {
-	phase := c.pos % c.repeatEvery
-	if phase < c.repeatLen {
-		// Replayed region: content depends only on the offset within the
-		// region, so every period emits identical bytes (and identical
-		// chunks).
-		x := uint64(phase) * rollPrime
-		x ^= x >> 29
-		return byte(x)
-	}
-	c.state ^= c.state << 13
-	c.state ^= c.state >> 7
-	c.state ^= c.state << 17
-	return byte(c.state)
-}
-
 // NextChunk scans until a content-defined boundary and returns the
 // chunk's FNV-64 fingerprint and length in bytes.
+//
+// The stream is pseudo-random data with periodic replayed regions
+// (compressible, duplicate-bearing content): at offset phase within each
+// repeatEvery period, the first repeatLen bytes depend only on phase, so
+// every period emits identical bytes (and identical chunks), and the
+// rest come from the xorshift generator. The scan keeps the generator
+// state, the period phase and the rolling window in locals, taking the
+// position modulo the period once per chunk and writing the stream
+// state back once.
 func (c *chunker) NextChunk() (fp uint64, length int) {
 	fp = fnvOffset
-	c.win = 0
+	var win uint64 // rolling hash, restarted every chunk
+	state, every, replay := c.state, c.repeatEvery, c.repeatLen
+	phase := c.pos % every
 	for {
-		b := c.nextByte()
-		c.pos++
+		var b byte
+		if phase < replay {
+			x := uint64(phase) * rollPrime
+			x ^= x >> 29
+			b = byte(x)
+		} else {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			b = byte(state)
+		}
+		if phase++; phase == every {
+			phase = 0
+		}
 		length++
 		fp = (fp ^ uint64(b)) * fnvPrime
-		c.win = c.win*rollPrime + uint64(b) + 1
-		if length >= minChunk && (c.win&chunkMask) == chunkMask>>1 {
-			return fp, length
-		}
-		if length >= maxChunk {
-			return fp, length
+		win = win*rollPrime + uint64(b) + 1
+		if length >= minChunk && (win&chunkMask) == chunkMask>>1 || length >= maxChunk {
+			break
 		}
 	}
+	c.state = state
+	c.pos += length
+	return fp, length
 }

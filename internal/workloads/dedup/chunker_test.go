@@ -71,3 +71,61 @@ func TestChunkerSeedsDiffer(t *testing.T) {
 		t.Fatalf("streams with different seeds nearly identical: %d/100", same)
 	}
 }
+
+// refChunker is the byte-at-a-time chunker the register-resident
+// NextChunk replaced, kept as its bit-identical reference.
+type refChunker struct {
+	state                  uint64
+	win                    uint64
+	pos                    int
+	repeatEvery, repeatLen int
+}
+
+func (c *refChunker) nextByte() byte {
+	phase := c.pos % c.repeatEvery
+	if phase < c.repeatLen {
+		x := uint64(phase) * rollPrime
+		x ^= x >> 29
+		return byte(x)
+	}
+	c.state ^= c.state << 13
+	c.state ^= c.state >> 7
+	c.state ^= c.state << 17
+	return byte(c.state)
+}
+
+func (c *refChunker) NextChunk() (fp uint64, length int) {
+	fp = fnvOffset
+	c.win = 0
+	for {
+		b := c.nextByte()
+		c.pos++
+		length++
+		fp = (fp ^ uint64(b)) * fnvPrime
+		c.win = c.win*rollPrime + uint64(b) + 1
+		if length >= minChunk && (c.win&chunkMask) == chunkMask>>1 {
+			return fp, length
+		}
+		if length >= maxChunk {
+			return fp, length
+		}
+	}
+}
+
+// TestChunkerMatchesReference: the register-resident chunker must emit
+// exactly the reference's fingerprints and lengths and leave the same
+// stream position and generator state, chunk after chunk.
+func TestChunkerMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		c := newChunker(seed*0x9E3779B97F4A7C15 + seed)
+		r := &refChunker{state: c.state, repeatEvery: c.repeatEvery, repeatLen: c.repeatLen}
+		for i := 0; i < 3000; i++ {
+			fp, n := c.NextChunk()
+			rfp, rn := r.NextChunk()
+			if fp != rfp || n != rn || c.pos != r.pos || c.state != r.state {
+				t.Fatalf("seed %d chunk %d: (%x, %d, pos %d, state %x), reference (%x, %d, pos %d, state %x)",
+					seed, i, fp, n, c.pos, c.state, rfp, rn, r.pos, r.state)
+			}
+		}
+	}
+}

@@ -33,10 +33,39 @@ type sphere struct {
 }
 
 // scene is the procedurally generated world shared by all workers
-// (read-only after construction, hence lock-free).
+// (read-only after construction apart from the lazily derived camera
+// constants; the workers share one machine and run one at a time).
 type scene struct {
 	spheres []sphere
 	light   vec3
+	// cam holds each sphere's primary-ray constants, derived on the
+	// first renderTile (see camera).
+	cam []camSphere
+}
+
+// eye is the origin of every primary ray.
+var eye = vec3{0, 0, -10}
+
+// camSphere is the part of intersect that depends only on the ray
+// origin, evaluated once per sphere for origin = eye with intersect's
+// own expressions, so primary-ray hits are bit-identical.
+type camSphere struct {
+	oc vec3    // eye − center
+	c  float64 // |eye − center|² − r²
+}
+
+// camera returns the primary-ray constants of every sphere, deriving
+// them on first use. Deriving them here rather than in newScene gives
+// scenes built as literals the same constants.
+func (s *scene) camera() []camSphere {
+	if len(s.cam) != len(s.spheres) {
+		s.cam = make([]camSphere, len(s.spheres))
+		for i, sp := range s.spheres {
+			oc := eye.sub(sp.center)
+			s.cam[i] = camSphere{oc: oc, c: oc.dot(oc) - sp.radius*sp.radius}
+		}
+	}
+	return s.cam
 }
 
 // newScene builds n spheres on a deterministic spiral.
@@ -81,6 +110,26 @@ func (s *scene) intersect(origin, dir vec3) (dist float64, idx, tests int) {
 	return dist, idx, tests
 }
 
+// intersectEye is intersect for a ray from the eye, reading the
+// origin-dependent terms from cam.
+func intersectEye(cam []camSphere, dir vec3) (dist float64, idx int) {
+	dist = math.Inf(1)
+	idx = -1
+	for i := range cam {
+		b := cam[i].oc.dot(dir)
+		disc := b*b - cam[i].c
+		if disc <= 0 {
+			continue
+		}
+		t := -b - math.Sqrt(disc)
+		if t > 1e-4 && t < dist {
+			dist = t
+			idx = i
+		}
+	}
+	return dist, idx
+}
+
 // tileSize is the square tile edge in pixels.
 const tileSize = 8
 
@@ -89,20 +138,20 @@ const tileSize = 8
 func (s *scene) renderTile(tile int) (checksum float64, tests int) {
 	const width = 64 // tiles per row
 	tx, ty := tile%width, (tile/width)%width
-	origin := vec3{0, 0, -10}
+	cam := s.camera()
 	for py := 0; py < tileSize; py++ {
 		for px := 0; px < tileSize; px++ {
 			u := (float64(tx*tileSize+px)/float64(width*tileSize) - 0.5) * 2
 			v := (float64(ty*tileSize+py)/float64(width*tileSize) - 0.5) * 2
 			dir := vec3{u, v, 1}.norm()
-			d, idx, n := s.intersect(origin, dir)
-			tests += n
+			d, idx := intersectEye(cam, dir)
+			tests += len(cam)
 			if idx < 0 {
 				checksum += 0.05 // sky
 				continue
 			}
 			// Lambertian shading with a shadow ray.
-			hit := origin.add(dir.scale(d))
+			hit := eye.add(dir.scale(d))
 			normal := hit.sub(s.spheres[idx].center).norm()
 			_, shadowIdx, n2 := s.intersect(hit.add(normal.scale(1e-3)), s.light)
 			tests += n2

@@ -78,3 +78,77 @@ func TestVecOps(t *testing.T) {
 		t.Fatal("zero vector norm should stay zero")
 	}
 }
+
+// refIntersect and refRenderTile are the renderer before the camera-ray
+// constants were hoisted, kept as the bit-identical reference.
+func (s *scene) refIntersect(origin, dir vec3) (dist float64, idx, tests int) {
+	dist = math.Inf(1)
+	idx = -1
+	for i, sp := range s.spheres {
+		tests++
+		oc := origin.sub(sp.center)
+		b := oc.dot(dir)
+		c := oc.dot(oc) - sp.radius*sp.radius
+		disc := b*b - c
+		if disc <= 0 {
+			continue
+		}
+		t := -b - math.Sqrt(disc)
+		if t > 1e-4 && t < dist {
+			dist = t
+			idx = i
+		}
+	}
+	return dist, idx, tests
+}
+
+func (s *scene) refRenderTile(tile int) (checksum float64, tests int) {
+	const width = 64 // tiles per row
+	tx, ty := tile%width, (tile/width)%width
+	origin := vec3{0, 0, -10}
+	for py := 0; py < tileSize; py++ {
+		for px := 0; px < tileSize; px++ {
+			u := (float64(tx*tileSize+px)/float64(width*tileSize) - 0.5) * 2
+			v := (float64(ty*tileSize+py)/float64(width*tileSize) - 0.5) * 2
+			dir := vec3{u, v, 1}.norm()
+			d, idx, n := s.refIntersect(origin, dir)
+			tests += n
+			if idx < 0 {
+				checksum += 0.05 // sky
+				continue
+			}
+			hit := origin.add(dir.scale(d))
+			normal := hit.sub(s.spheres[idx].center).norm()
+			_, shadowIdx, n2 := s.refIntersect(hit.add(normal.scale(1e-3)), s.light)
+			tests += n2
+			lambert := normal.dot(s.light)
+			if lambert < 0 || shadowIdx >= 0 {
+				lambert = 0
+			}
+			checksum += s.spheres[idx].albedo * lambert
+		}
+	}
+	return checksum, tests
+}
+
+// TestRenderTileMatchesReference: every one of the 4096 distinct tiles
+// (tile ids wrap at 64×64) renders the reference's exact checksum bits
+// and intersection-test count, on the workload's scene and on a scene
+// built as a literal, whose camera constants are derived on first use.
+func TestRenderTileMatchesReference(t *testing.T) {
+	lit := &scene{light: vec3{0, 1, 0}, spheres: []sphere{
+		{center: vec3{0, 0, 5}, radius: 1, albedo: 0.5},
+		{center: vec3{1.5, 0.5, 8}, radius: 2, albedo: 0.9},
+	}}
+	for _, s := range []*scene{newScene(24), lit} {
+		ref := &scene{spheres: s.spheres, light: s.light}
+		for tile := 0; tile < 64*64; tile++ {
+			c, n := s.renderTile(tile)
+			rc, rn := ref.refRenderTile(tile)
+			if math.Float64bits(c) != math.Float64bits(rc) || n != rn {
+				t.Fatalf("%d spheres, tile %d: (%x, %d), reference (%x, %d)",
+					len(s.spheres), tile, math.Float64bits(c), n, math.Float64bits(rc), rn)
+			}
+		}
+	}
+}
