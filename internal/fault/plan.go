@@ -159,6 +159,9 @@ func (p Plan) String() string {
 }
 
 // ParsePlan parses the String() format (a preset name is also accepted).
+// Every probability, and the jitter fraction, must lie in [0, 1]; every
+// tick count and budget must be non-negative. An out-of-range value is
+// an error naming its key, never a plan that silently perturbs less.
 func ParsePlan(s string) (Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
@@ -173,8 +176,20 @@ func ParsePlan(s string) (Plan, error) {
 		if !found {
 			return Plan{}, fmt.Errorf("fault: bad plan term %q (want key=value)", kv)
 		}
-		pf := func() (float64, error) { return strconv.ParseFloat(v, 64) }
-		pi := func() (int64, error) { return strconv.ParseInt(v, 10, 64) }
+		pf := func() (float64, error) {
+			x, err := strconv.ParseFloat(v, 64)
+			if err == nil && !(x >= 0 && x <= 1) { // NaN fails both comparisons
+				err = fmt.Errorf("%v is outside [0, 1]", x)
+			}
+			return x, err
+		}
+		pi := func() (int64, error) {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err == nil && n < 0 {
+				err = fmt.Errorf("%d is negative", n)
+			}
+			return n, err
+		}
 		var err error
 		switch k {
 		case "jitter":

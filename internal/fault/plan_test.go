@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -32,6 +33,80 @@ func TestParsePlanPresetNames(t *testing.T) {
 	if _, err := ParsePlan("no-such-preset"); err == nil {
 		t.Fatal("bogus preset accepted")
 	}
+}
+
+// TestParsePlanRejectsOutOfRange: a value outside its key's range is an
+// error naming the key. NaN probabilities used to parse into a plan
+// whose String was "none", so the replay silently ran without faults.
+func TestParsePlanRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct{ spec, key string }{
+		{"preempt-any=NaN", "preempt-any"},
+		{"crash-hold=NaN", "crash-hold"},
+		{"jitter=Inf", "jitter"},
+		{"drop=-Inf", "drop"},
+		{"preempt-cs=-0.1", "preempt-cs"},
+		{"spurious=1.5", "spurious"},
+		{"crash-parked=2", "crash-parked"},
+		{"jitter=1.01", "jitter"},
+		{"wake-delay=-1", "wake-delay"},
+		{"spurious-after=-5", "spurious-after"},
+		{"npcs-delay=-2", "npcs-delay"},
+		{"detach=-1", "detach"},
+		{"crash-parked-after=-1", "crash-parked-after"},
+		{"crash-max=-3", "crash-max"},
+		{"horizon=-100", "horizon"},
+		{"jitter=0.5,preempt-window=NaN", "preempt-window"},
+	} {
+		if _, err := ParsePlan(c.spec); err == nil || !strings.Contains(err.Error(), `"`+c.key+`"`) {
+			t.Errorf("ParsePlan(%q) = %v, want an error naming %q", c.spec, err, c.key)
+		}
+	}
+}
+
+// inRange reports whether every field of p lies in its documented range.
+func inRange(p Plan) bool {
+	for _, x := range []float64{
+		p.SliceJitterPct, p.PreemptAnyProb, p.PreemptWindowProb, p.PreemptCSProb,
+		p.SpuriousWakeProb, p.DropSwitchProb,
+		p.CrashHoldProb, p.CrashWindowProb, p.CrashQueueProb, p.CrashParkedProb,
+	} {
+		if !(x >= 0 && x <= 1) {
+			return false
+		}
+	}
+	return p.WakeDelay >= 0 && p.SpuriousWakeAfter >= 0 && p.NPCSDelay >= 0 &&
+		p.DetachAfter >= 0 && p.CrashParkedAfter >= 0 && p.CrashMax >= 0 && p.Horizon >= 0
+}
+
+// FuzzParsePlan: parsing never panics, an accepted spec is in range, and
+// it round-trips through String to an equal plan.
+func FuzzParsePlan(f *testing.F) {
+	for _, np := range append(Plans(), CrashPlans()...) {
+		f.Add(np.Name)
+		f.Add(np.Plan.String())
+	}
+	for _, s := range []string{
+		"", "preempt-any=NaN", "crash-hold=NaN", "jitter=Inf", "wake-delay=-1",
+		"jitter=-0", "stuck=0", "preempt-any=0x1p-4,drop=1e-3", "crash-max=+2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		if !inRange(p) {
+			t.Fatalf("ParsePlan(%q) accepted an out-of-range plan %#v", s, p)
+		}
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) = %+v, whose String %q is rejected: %v", s, p, p.String(), err)
+		}
+		if q != p {
+			t.Fatalf("ParsePlan(%q): round trip through %q changed %#v to %#v", s, p.String(), p, q)
+		}
+	})
 }
 
 // TestFromBitsBounded: derived plans stay within the documented caps and

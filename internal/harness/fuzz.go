@@ -72,6 +72,11 @@ type FuzzResult struct {
 	RaceTotal int64
 	// Series is the flight-recorder recording (FuzzCfg.Window only).
 	Series *timeseries.Series
+	// TraceDigest/TraceEvents fingerprint the run's full event stream,
+	// fault decisions and checker verdicts included. The digest tracer
+	// is passive, so every run carries it.
+	TraceDigest uint64
+	TraceEvents int64
 }
 
 // Failed reports whether any invariant was violated.
@@ -173,6 +178,7 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 		// combination yields zero violations.
 		e.Mon.EnableHealthCheck(0, 0)
 	}
+	e.Tr = e.M.AttachTracer(256)
 
 	newLock := e.NewLock
 	if mu != nil {
@@ -231,6 +237,8 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 	if ts != nil {
 		res.Series = ts.Finish(q)
 	}
+	// After both Finish calls: end-of-run verdicts land in the stream too.
+	res.TraceDigest, res.TraceEvents = e.Tr.Digest(), e.Tr.Seen
 	if inj != nil {
 		res.Crashes = inj.Crashes
 		co.Registry.Counter("fault.crashes").Add(inj.Crashes)
@@ -282,7 +290,9 @@ func (c FuzzCfg) Replay() string {
 	return b.String()
 }
 
-// ParseReplay parses a Replay spec.
+// ParseReplay parses a Replay spec. cpus, threads and horizon must be
+// non-negative (zero derives the value from the seed, as an omitted key
+// does).
 func ParseReplay(s string) (FuzzCfg, error) {
 	var c FuzzCfg
 	for _, field := range strings.Fields(s) {
@@ -299,12 +309,12 @@ func ParseReplay(s string) (FuzzCfg, error) {
 		case "seed":
 			c.Seed, err = strconv.ParseUint(v, 10, 64)
 		case "cpus":
-			c.CPUs, err = strconv.Atoi(v)
+			c.CPUs, err = nonNegative(v)
 		case "threads":
-			c.Threads, err = strconv.Atoi(v)
+			c.Threads, err = nonNegative(v)
 		case "horizon":
-			var n int64
-			n, err = strconv.ParseInt(v, 10, 64)
+			var n int
+			n, err = nonNegative(v)
 			c.Horizon = sim.Time(n)
 		case "plan":
 			c.Plan, err = fault.ParsePlan(v)
@@ -316,6 +326,15 @@ func ParseReplay(s string) (FuzzCfg, error) {
 		}
 	}
 	return c, nil
+}
+
+// nonNegative parses a replay value that must not be negative.
+func nonNegative(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("%d is negative", n)
+	}
+	return n, err
 }
 
 // ShrinkFailure minimizes a failing config: re-run to confirm, pin the

@@ -8,6 +8,7 @@ package harness
 // reproducer; `go test -fuzz=FuzzSchedules` explores beyond the corpus.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -180,6 +181,49 @@ func TestReplayGrammarRoundTrip(t *testing.T) {
 			t.Fatalf("render not a fixed point: %q then %q", rendered, c2.Replay())
 		}
 	}
+}
+
+// TestParseReplayRejectsNegative: a negative shape value is an error
+// naming its key. It used to fall back silently to the value derived
+// from the seed.
+func TestParseReplayRejectsNegative(t *testing.T) {
+	for _, key := range []string{"cpus", "threads", "horizon"} {
+		spec := "alg=mcs seed=7 " + key + "=-1 plan=none"
+		if _, err := ParseReplay(spec); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("ParseReplay(%q) = %v, want an error naming %q", spec, err, key)
+		}
+	}
+}
+
+// FuzzParseReplay: parsing never panics, an accepted spec pins no
+// negative shape, and it round-trips through Replay to an equal config.
+func FuzzParseReplay(f *testing.F) {
+	for _, s := range []string{
+		"alg=flexguard seed=31 plan=none",
+		"alg=mcstp seed=7 cpus=4 threads=9 horizon=2500000 plan=crash-queue=0.2",
+		"seed=1 mutant=robust-norecover cpus=3 threads=2 horizon=400000 plan=crash-hold=1",
+		"alg=flexguard seed=11 plan=chaos",
+		"seed=1 cpus=-1", "seed=1 threads=-3", "seed=1 horizon=-5",
+		"seed=2 plan=preempt-any=NaN", "alg=a=b seed=+3 cpus=+2", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseReplay(s)
+		if err != nil {
+			return
+		}
+		if c.CPUs < 0 || c.Threads < 0 || c.Horizon < 0 {
+			t.Fatalf("ParseReplay(%q) accepted a negative shape: %+v", s, c)
+		}
+		c2, err := ParseReplay(c.Replay())
+		if err != nil {
+			t.Fatalf("ParseReplay(%q) = %+v, whose Replay %q is rejected: %v", s, c, c.Replay(), err)
+		}
+		if c2 != c {
+			t.Fatalf("ParseReplay(%q): round trip through %q changed %+v to %+v", s, c.Replay(), c, c2)
+		}
+	})
 }
 
 // FuzzSchedules is the native fuzz target: go's mutator explores

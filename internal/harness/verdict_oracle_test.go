@@ -2,10 +2,13 @@ package harness
 
 // The verdict oracle: the full output of the correctness observers —
 // every invariant violation and race verdict with its time, thread,
-// lock and detail text, plus the run's ops, quiesce time and crash
-// count — over the fault and crash campaign, committed as a fixture.
-// The checker, race auditor and fault injector are performance-tuned
-// observers; this test pins that no such change moves a single verdict.
+// lock and detail text, plus the run's trace digest and event count,
+// ops, quiesce time and crash count — over the fault and crash
+// campaign, committed as a fixture. The checker, race auditor and fault
+// injector are performance-tuned observers, and the scheduler's
+// instruction-boundary seams run on both sides of the coroutine
+// handoff; this test pins that no such change moves a single verdict
+// or event under fault injection.
 // Regenerate after a reviewed behaviour change with
 //
 //	go test ./internal/harness -run TestVerdictOracle -update
@@ -30,6 +33,8 @@ var verdictSeeds = []uint64{1, 4242, 90001}
 // verdictEntry is one campaign cell's committed outcome.
 type verdictEntry struct {
 	Cell       string            `json:"cell"`
+	Digest     string            `json:"digest"`
+	Events     int64             `json:"events"`
 	Violations []check.Violation `json:"violations"`
 	Races      []check.Race      `json:"races"`
 	RaceTotal  int64             `json:"race_total"`
@@ -89,7 +94,8 @@ func TestVerdictOracle(t *testing.T) {
 	res, errs := ParallelMap(0, len(cells), func(i int) (verdictEntry, error) {
 		r, err := Fuzz(cells[i].cfg)
 		return verdictEntry{
-			Cell: cells[i].name, Violations: r.Violations, Races: r.Races,
+			Cell: cells[i].name, Digest: fmt.Sprintf("0x%016x", r.TraceDigest), Events: r.TraceEvents,
+			Violations: r.Violations, Races: r.Races,
 			RaceTotal: r.RaceTotal, Ops: r.Ops, Quiesced: r.Quiesced, Crashes: r.Crashes,
 		}, err
 	})

@@ -37,3 +37,6 @@ func (m *Machine) RunSampled(until Time, sample func(n, strong int)) Time {
 	m.finished = true
 	return quiesced
 }
+
+// Resumes reports how many times step has resumed a thread coroutine.
+func (m *Machine) Resumes() int64 { return m.resumes }

@@ -32,10 +32,11 @@ type LockObserver interface {
 }
 
 // FaultInjector perturbs scheduling-relevant decisions. All methods are
-// called from inside the (single-threaded) event loop and must be
-// deterministic given the machine seed: draw randomness only from a
-// seeded dist.Rand. Attach with SetFaultInjector before Run; with none
-// attached every seam is a single nil check.
+// called while the simulation runs single-threaded — from the event
+// loop, or from a thread's inline fast path while the loop is parked —
+// and must be deterministic given the machine seed: draw randomness
+// only from a seeded dist.Rand. Attach with SetFaultInjector before
+// Run; with none attached every seam is a single nil check.
 type FaultInjector interface {
 	// SliceGrant may perturb the timeslice about to be granted to t.
 	// Values below 1 are clamped to 1 tick.
@@ -179,6 +180,11 @@ type Machine struct {
 	TotalPreemptions int64
 	TotalSteals      int64
 	TotalMigrations  int64
+
+	// resumes counts coroutine resumes (Thread.next calls in step): each
+	// costs a pair of goroutine switches, the event loop's dominant
+	// host-time overhead, and inline batching exists to avoid them.
+	resumes int64
 
 	// memBuf is the Word-access event buffer handed to mem (mem.go). It
 	// sits last so the fields the step loop touches keep their layout.
@@ -586,6 +592,11 @@ func (m *Machine) DeadlockReport() string {
 // state transition the registered kill hooks run, modeling the kernel's
 // exit-time robust-futex walk. Kill runs in kernel context; killing an
 // already dead or exited thread is a no-op.
+//
+// A crash seam can call Kill from the thread-side fast path (Proc.do),
+// but a thread dies at most once, so it is not per-operation work.
+//
+//flexlint:coldpath
 func (m *Machine) Kill(t *Thread) {
 	if t.state == StateDone || t.state == StateDead || t.done {
 		return
@@ -1090,12 +1101,30 @@ func (m *Machine) preempt(c *cpuCtx, t *Thread) {
 	m.contextSwitch(c, t, next)
 }
 
-// finishOp delivers the current op's result: if a preemption was deferred
-// to the instruction boundary it happens now, otherwise the thread is
+// finishOp delivers the current op's result at its instruction
+// boundary: the boundary seams run, and a thread still on its CPU is
 // stepped to its next operation.
 func (m *Machine) finishOp(t *Thread) {
 	t.pending = pendStep
-	c := m.cpus[t.cpu]
+	if m.atBoundary(t) {
+		m.step(t)
+	}
+}
+
+// atBoundary runs the instruction-boundary seams for t, whose op just
+// completed: the crash seam, the forced-preemption seam, then the
+// deferred reschedule. It reports whether t still holds its CPU.
+//
+// Whichever side of the coroutine handoff executed the op runs the
+// seams: finishOp after an event-completed op, Proc.boundary after a
+// thread-side inline op. The two sides never run at the same time, so
+// either sees the same machine and thread state at the same virtual
+// instant, and the injector draws from its stream in the same order.
+// Only event callbacks (sliceFire, forcePreempt) set needResched, and it
+// is false whenever a thread resumes: detach clears it each time a
+// thread leaves its CPU, and finishOp runs this function before step.
+// So the deferred reschedule fires only from finishOp.
+func (m *Machine) atBoundary(t *Thread) bool {
 	// Fault injection: an adversarial scheduler may force an involuntary
 	// switch at any instruction boundary — this is exactly the window
 	// attack of the Listing-2/3 analysis (preempt between the label the
@@ -1104,61 +1133,40 @@ func (m *Machine) finishOp(t *Thread) {
 	// still fires the sched_switch hooks the monitor watches.
 	if m.ci != nil && m.ci.CrashAtBoundary(t) {
 		m.Kill(t)
-		return
+		return false
 	}
 	if m.fi != nil && m.fi.PreemptAtBoundary(t) {
 		t.needResched = false
-		m.preempt(c, t)
-		return
+		m.preempt(m.cpus[t.cpu], t)
+		return false
 	}
 	if t.needResched {
 		t.needResched = false
-		if m.runqLen() == 0 {
-			m.renewSlice(c, t)
-			m.step(t)
-			return
+		if m.runqLen() != 0 {
+			m.preempt(m.cpus[t.cpu], t)
+			return false
 		}
-		m.preempt(c, t)
-		return
+		m.renewSlice(m.cpus[t.cpu], t)
 	}
-	m.step(t)
+	return true
 }
 
 // step resumes t's goroutine until it posts its next operation or exits,
-// then executes ops inline for as long as they stay unobservable (see
-// execOp): each inline completion is a full instruction boundary — the
-// fault injector's forced-preemption seam and deferred-resched handling
-// run exactly as they would in finishOp — after which the loop fetches
-// the next op. The loop leaves when an op needs a scheduled event, the
-// thread is preempted, or it exits.
+// then schedules that operation (execOp). The thread side runs every
+// inlinable op, and its instruction boundary, before it posts; when its
+// own boundary seams took it off its CPU (Proc.boundary), it comes back
+// no longer running and with no op posted.
 func (m *Machine) step(t *Thread) {
-	for {
-		t.next()
-		if t.done {
-			m.onExit(t)
-			return
-		}
-		if !m.execOp(t) {
-			return
-		}
-		if m.ci != nil && m.ci.CrashAtBoundary(t) {
-			m.Kill(t)
-			return
-		}
-		if m.fi != nil && m.fi.PreemptAtBoundary(t) {
-			t.needResched = false
-			m.preempt(m.cpus[t.cpu], t)
-			return
-		}
-		if t.needResched {
-			t.needResched = false
-			if m.runqLen() != 0 {
-				m.preempt(m.cpus[t.cpu], t)
-				return
-			}
-			m.renewSlice(m.cpus[t.cpu], t)
-		}
+	m.resumes++
+	t.next()
+	if t.done {
+		m.onExit(t)
+		return
 	}
+	if t.state != StateRunning {
+		return
+	}
+	m.execOp(t)
 }
 
 // onExit handles a thread whose body returned.

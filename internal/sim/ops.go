@@ -10,25 +10,13 @@ func (m *Machine) jitter() Time {
 	return Time(m.rng.Intn(int(j) + 1))
 }
 
-// execOp starts processing the operation t just posted, returning true if
-// the op completed inline (the fast-forward path) and false if a
-// completion event was scheduled.
-//
-// Fixed-cost instructions — computes, loads, stores, atomics, TLS ops —
-// run inline when nothing can observe or perturb the interval they span:
-// the completion time must fall strictly before both the run horizon and
-// the earliest pending event. Under that guard the event-scheduled
-// execution would have fired the op's completion next with nothing in
-// between, so applying the effect synchronously and advancing the clock
-// is observationally identical (only event sequence numbers differ, and
-// ordering depends solely on their relative order, which is preserved).
-// Cost computation stays ahead of the guard because loadCost/rmwCost
-// mutate cache-line state and draw jitter; both must happen exactly once
-// at the same point in the random-stream order as before.
-//
-// Ops with scheduling side effects (spin, futex, yield, sleep) always take
-// the event path.
-func (m *Machine) execOp(t *Thread) bool {
+// execOp schedules the completion of the operation t just posted. Every
+// op that could complete inline has already done so on the thread side
+// (Proc.do), so what arrives here needs an event: a fixed-cost op whose
+// completion would not land strictly before the next queued event and
+// the run horizon (canInline), or an op with scheduling side effects
+// (spin, futex, yield, sleep).
+func (m *Machine) execOp(t *Thread) {
 	req := &t.req
 	switch req.kind {
 	case opCompute:
@@ -36,30 +24,9 @@ func (m *Machine) execOp(t *Thread) bool {
 		if n <= 0 {
 			n = 1
 		}
-		if m.canInline(n) {
-			m.clock += n
-			t.pending = pendStep
-			t.res = opRes{}
-			return true
-		}
 		m.scheduleCompute(t, n)
 	case opLoad, opStore, opCAS, opXchg, opAdd, opCSAdd:
-		var cost Time
-		if t.opCostSet {
-			// Proc.do already computed the cost (mutating cache state and
-			// drawing jitter) before concluding it could not inline.
-			cost = t.opCost
-			t.opCostSet = false
-		} else {
-			cost = m.fixedCost(t)
-		}
-		if m.canInline(cost) {
-			m.clock += cost
-			t.pending = pendStep
-			m.applyOpEffect(t)
-			return true
-		}
-		m.instr(t, cost)
+		m.instr(t, t.opCost)
 	case opSpin:
 		t.spinBudget = t.spinMax
 		m.resumeSpin(t)
@@ -81,7 +48,6 @@ func (m *Machine) execOp(t *Thread) bool {
 	default:
 		panic("sim: unknown op kind")
 	}
-	return false
 }
 
 // fixedCost computes the duration of a fixed-cost instruction, mutating

@@ -75,46 +75,78 @@ type opRes struct {
 //
 // Fast path: while this goroutine holds the turn, the machine goroutine is
 // parked inside step, so the thread has exclusive access to machine state.
-// A fixed-cost op that would run inline anyway (execOp) can therefore
-// execute right here — same virtual instant, same effect and random-stream
-// order — without the two channel handoffs, which dominate the event
-// loop's real-time cost. With a fault injector attached the fast path is
-// disabled so every instruction boundary goes through the machine's
-// PreemptAtBoundary seam.
+// A fixed-cost op — compute, load, store, atomic, TLS op — therefore
+// completes right here when nothing can observe or perturb the interval it
+// spans: its completion must land strictly before both the run horizon and
+// the earliest pending event (canInline). An event-scheduled completion
+// would then have fired next with nothing in between, so applying the
+// effect now and advancing the clock is observationally identical: the
+// same virtual instant, effect and random-stream order, without the two
+// coroutine switches that dominate the event loop's real-time cost. The
+// cost is computed ahead of the guard, exactly once, because loadCost and
+// rmwCost mutate cache-line state and draw jitter. Any other op is posted
+// to the machine, which schedules its completion (execOp).
 func (p *Proc) do(req opReq) opRes {
 	t := p.t
 	m := p.m
 	t.req = req
-	if m.fi == nil && !t.needResched {
-		switch req.kind {
-		case opCompute:
-			n := Time(req.a)
-			if n <= 0 {
-				n = 1
-			}
-			if m.canInline(n) {
-				m.clock += n
-				t.res = opRes{}
-				return t.res
-			}
-		case opLoad, opStore, opCAS, opXchg, opAdd, opCSAdd:
-			cost := m.fixedCost(t)
-			if m.canInline(cost) {
-				m.clock += cost
-				m.applyOpEffect(t)
-				return t.res
-			}
-			// Cost already computed (cache state mutated, jitter drawn):
-			// hand it to execOp rather than recomputing.
-			t.opCost = cost
-			t.opCostSet = true
+	switch req.kind {
+	case opCompute:
+		n := Time(req.a)
+		if n <= 0 {
+			n = 1
 		}
+		if m.canInline(n) {
+			m.clock += n
+			t.res = opRes{}
+			return p.inlineDone()
+		}
+	case opLoad, opStore, opCAS, opXchg, opAdd, opCSAdd:
+		cost := m.fixedCost(t)
+		if m.canInline(cost) {
+			m.clock += cost
+			m.applyOpEffect(t)
+			return p.inlineDone()
+		}
+		// Cost already computed (cache state mutated, jitter drawn):
+		// hand it to execOp rather than recomputing.
+		t.opCost = cost
 	}
-	if !t.yieldFn(struct{}{}) {
+	p.suspend()
+	return t.res
+}
+
+// inlineDone ends an op the fast path completed. With a fault injector
+// attached, boundary runs the instruction-boundary seams here, exactly as
+// finishOp does after an event-completed op. Without one the seams are
+// no-ops: the deferred reschedule never fires on the thread side (see
+// atBoundary). inlineDone stays small enough for the compiler to inline
+// into do, so an injector-free op pays one nil check.
+func (p *Proc) inlineDone() opRes {
+	if p.m.fi != nil {
+		p.boundary()
+	}
+	return p.t.res
+}
+
+// boundary runs the seams for the op just completed on the thread side.
+// When they kill or preempt the thread, it suspends with no op posted
+// (step sees it is no longer running) and resumes from here at its next
+// dispatch, its result intact; a killed thread unwinds at shutdown
+// instead.
+func (p *Proc) boundary() {
+	if !p.m.atBoundary(p.t) {
+		p.suspend()
+	}
+}
+
+// suspend hands the turn back to the machine and parks until it resumes
+// the thread.
+func (p *Proc) suspend() {
+	if !p.t.yieldFn(struct{}{}) {
 		// The machine called stop (shutdown): unwind the body.
 		panic(errKilled)
 	}
-	return t.res
 }
 
 // Now returns the current virtual time.

@@ -123,13 +123,11 @@ type Thread struct {
 	res       opRes
 	pending   pendingKind
 	pendTicks Time // remaining compute ticks when pending == pendCompute
-	// opCost carries a cost already computed (and cache state already
-	// mutated) by the thread-side fast path in Proc.do when the op could
-	// not run inline after all; execOp must consume it instead of
-	// recomputing, or the coherence mutation and jitter draw would
-	// happen twice.
-	opCost    Time
-	opCostSet bool
+	// opCost carries the cost of a fixed-cost op that Proc.do computed
+	// (mutating cache state and drawing jitter) but could not run
+	// inline; execOp schedules it rather than recomputing, or the
+	// coherence mutation and jitter draw would happen twice.
+	opCost Time
 
 	// Spin bookkeeping (valid while the current op is a spin). The spin
 	// operands live here rather than in opReq so the per-op request stays
