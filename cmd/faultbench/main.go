@@ -12,13 +12,15 @@
 // Exit status: 0 when every stock algorithm held every invariant (and,
 // with -mutants, every mutant was caught; with -crash, every cell ended
 // in recovery or a deterministic orphaned-lock verdict and the robust
-// locks recovered from every holder crash); 1 otherwise.
+// locks recovered from every holder crash); 1 otherwise; 2 when a set
+// flag has no effect in the chosen mode.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/check"
@@ -44,6 +46,21 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	mode := "sweep"
+	switch {
+	case *replay != "":
+		mode = "replay"
+	case *mutants:
+		mode = "mutants"
+	case *crash:
+		mode = "crash"
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(mode, set); err != nil {
+		fmt.Fprintln(os.Stderr, "faultbench:", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -58,14 +75,12 @@ func main() {
 		os.Exit(code)
 	}
 
-	switch {
-	case *replay != "":
+	switch mode {
+	case "replay":
 		exit(runReplay(*replay))
-	case *mutants:
+	case "mutants":
 		exit(runMutants())
-	}
-
-	if *crash {
+	case "crash":
 		algs := harness.CrashAlgorithms()
 		if *quick {
 			algs = []string{"blocking", "mcs", "mcstp", "flexguard", "robust/blocking", "robust/mcs"}
@@ -101,6 +116,33 @@ func main() {
 		}
 	}
 	exit(runSweep(algs, plans, *seeds, *parallel, sim.Time(*window), *report))
+}
+
+// modeFlags names the flags each mode reads besides its own selector and
+// the profiling flags, which every mode honors. -replay and -mutants run
+// one fixed job each; -crash sweeps the fixed fault.CrashPlans with no
+// flight recorder, so it reads neither -plans nor -window.
+var modeFlags = map[string][]string{
+	"replay":  nil,
+	"mutants": nil,
+	"crash":   {"algs", "seeds", "quick", "parallel", "report"},
+	"sweep":   {"algs", "plans", "seeds", "quick", "parallel", "window", "report"},
+}
+
+// checkFlags rejects a command line that sets a flag the chosen mode
+// would silently ignore: one the mode does not read, a second mode's
+// selector, or -seeds next to -quick, which fixes one seed.
+func checkFlags(mode string, set []string) error {
+	for _, name := range set {
+		switch {
+		case name == mode || name == "cpuprofile" || name == "memprofile":
+		case !slices.Contains(modeFlags[mode], name):
+			return fmt.Errorf("-%s has no effect in %s mode", name, mode)
+		case name == "seeds" && slices.Contains(set, "quick"):
+			return fmt.Errorf("-seeds has no effect with -quick, which runs one seed")
+		}
+	}
+	return nil
 }
 
 // cellOutcome is one (alg, plan) cell of the sweep table.

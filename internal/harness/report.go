@@ -189,12 +189,18 @@ func (rep *Report) WriteFile(path string) error {
 	return f.Close()
 }
 
-// LoadReport reads and validates a report file.
+// LoadReport reads and validates a report file: the schema must match
+// and no run name may appear twice (diffs match runs by name).
 func LoadReport(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseReport(path, b)
+}
+
+// parseReport decodes and validates the bytes of report file path.
+func parseReport(path string, b []byte) (*Report, error) {
 	var rep Report
 	if err := json.Unmarshal(b, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -202,13 +208,32 @@ func LoadReport(path string) (*Report, error) {
 	if rep.Schema != ReportSchema {
 		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, ReportSchema)
 	}
+	if err := claimRuns(make(map[string]string), &rep, path); err != nil {
+		return nil, err
+	}
 	return &rep, nil
 }
 
+// claimRuns records in seen that rep's runs come from file path, and
+// fails on a run name already seen, naming the file or files it appears
+// in.
+func claimRuns(seen map[string]string, rep *Report, path string) error {
+	for _, r := range rep.Runs {
+		if prev, dup := seen[r.Name]; dup {
+			if prev == path {
+				return fmt.Errorf("%s: run %q appears twice", path, r.Name)
+			}
+			return fmt.Errorf("run %q appears in both %s and %s", r.Name, prev, path)
+		}
+		seen[r.Name] = path
+	}
+	return nil
+}
+
 // LoadReports reads a report file, or every *.json report in a
-// directory merged into one (run names must already be unique across
-// the files, which holds for reports produced by distinct tools or
-// experiment prefixes).
+// directory merged into one. Run names must be unique across the
+// merged files, which holds for reports produced by distinct tools or
+// experiment prefixes; a name in two files is an error.
 func LoadReports(path string) (*Report, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -226,9 +251,13 @@ func LoadReports(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: no *.json reports", path)
 	}
 	var merged *Report
+	seen := make(map[string]string)
 	for _, n := range names {
 		rep, err := LoadReport(n)
 		if err != nil {
+			return nil, err
+		}
+		if err := claimRuns(seen, rep, n); err != nil {
 			return nil, err
 		}
 		if merged == nil {

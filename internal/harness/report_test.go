@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -127,6 +129,78 @@ func TestLoadReportRejectsWrongSchema(t *testing.T) {
 	}
 }
 
+// TestLoadReportRejectsDuplicateRuns: diffs match runs by name, so a
+// report listing a run twice, or a directory whose files share a run
+// name, must fail to load rather than let the last duplicate win.
+func TestLoadReportRejectsDuplicateRuns(t *testing.T) {
+	dir := t.TempDir()
+	twice := filepath.Join(dir, "twice.json")
+	if err := os.WriteFile(twice, []byte(`{"schema":"`+ReportSchema+`","runs":[`+
+		`{"name":"a","metrics":{"ops_per_sec":10}},{"name":"a","metrics":{"ops_per_sec":100}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadReport(twice)
+	if err == nil || !strings.Contains(err.Error(), `run "a" appears twice`) {
+		t.Fatalf("LoadReport of a run listed twice: err = %v, want it to name run \"a\"", err)
+	}
+
+	merge := filepath.Join(dir, "merge")
+	if err := os.Mkdir(merge, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"one.json", "two.json"} {
+		rep := NewToolReport(name, 0)
+		rep.AddMetrics("shared", map[string]float64{"v": 1})
+		if err := rep.WriteFile(filepath.Join(merge, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = LoadReports(merge)
+	if err == nil || !strings.Contains(err.Error(), `"shared"`) ||
+		!strings.Contains(err.Error(), "one.json") || !strings.Contains(err.Error(), "two.json") {
+		t.Fatalf("LoadReports of a directory sharing a run name: err = %v, want it to name the run and both files", err)
+	}
+}
+
+// FuzzLoadReport: loading arbitrary file bytes never panics, and every
+// report it accepts has the current schema and unique run names.
+func FuzzLoadReport(f *testing.F) {
+	valid := NewToolReport("fuzz", 0)
+	valid.AddMetrics("a", map[string]float64{"v": 1})
+	valid.AddMetrics("b", map[string]float64{"v": 2})
+	var buf bytes.Buffer
+	if err := valid.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, s := range []string{
+		`{"schema":"` + ReportSchema + `","runs":[{"name":"a"},{"name":"a"}]}`,
+		`{"schema":"` + ReportSchema + `","runs":null}`,
+		`{"schema":"` + ReportSchema + `","runs":[{"name":"a","metrics":{"v":1e400}}]}`,
+		`{"schema":"flexguard-report/v0","runs":[]}`,
+		`{"runs":[{"name":""},{"name":""}]}`,
+		`[]`, `null`, ``, `{`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rep, err := parseReport("fuzz.json", b)
+		if err != nil {
+			return
+		}
+		if rep.Schema != ReportSchema {
+			t.Fatalf("accepted schema %q", rep.Schema)
+		}
+		names := make(map[string]bool)
+		for _, r := range rep.Runs {
+			if names[r.Name] {
+				t.Fatalf("accepted run %q twice", r.Name)
+			}
+			names[r.Name] = true
+		}
+	})
+}
+
 // TestSummaryRoundTrip covers the Summary-line grammar shared by the
 // CLIs: render → parse is lossless, FindSummary digs the line out of
 // surrounding output, and malformed pairs panic at render time.
@@ -165,6 +239,9 @@ func TestSummaryRoundTrip(t *testing.T) {
 		{Key: "two words", Value: "v"},
 		{Key: "k=k", Value: "v"},
 		{Key: "k", Value: "two words"},
+		{Key: "k", Value: "a\rb"},
+		{Key: "k", Value: "a\u00a0b"},
+		{Key: "k\u2003", Value: "v"},
 	} {
 		func() {
 			defer func() {
@@ -175,4 +252,38 @@ func TestSummaryRoundTrip(t *testing.T) {
 			SummaryLine(bad)
 		}()
 	}
+}
+
+// FuzzParseSummary: parsing never panics, and the pairs of every
+// accepted line, rendered again in sorted key order, parse back to the
+// same map.
+func FuzzParseSummary(f *testing.F) {
+	for _, s := range []string{
+		"Summary: tool=flexbench cells=42 scale=0.25",
+		"Summary:", "Summary: k=", "Summary: k=a=b", "Summary: =v", "Summary: dangling",
+		"  Summary: a=1\tb=2\r\n", "Summary: a=1\u00a0b=2", "Summary: a=1 a=2", "summary: a=1",
+		"Summary: a=\xff", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		kvs, ok := ParseSummary(line)
+		if !ok {
+			return
+		}
+		keys := make([]string, 0, len(kvs))
+		for k := range kvs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		pairs := make([]KV, len(keys))
+		for i, k := range keys {
+			pairs[i] = KV{Key: k, Value: kvs[k]}
+		}
+		again := SummaryLine(pairs...)
+		back, ok := ParseSummary(again)
+		if !ok || !reflect.DeepEqual(back, kvs) {
+			t.Fatalf("ParseSummary(%q) = %v; rendered as %q, which parses to %v (ok=%v)", line, kvs, again, back, ok)
+		}
+	})
 }

@@ -3,14 +3,16 @@ package harness
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // The Summary line is the one-line machine-readable run descriptor the
 // CLIs print on stdout (VSA-harness style): the literal prefix
 // "Summary:" followed by space-separated key=value pairs, in the order
-// given. Keys are lower_snake identifiers; values must contain no
-// whitespace (numbers, identifiers, hex digests). Drivers grep the
-// prefix and split on spaces — same grammar across flexbench,
+// given. Keys are lower_snake identifiers; values are numbers,
+// identifiers or hex digests. Neither may contain a Unicode space
+// (unicode.IsSpace), the separator ParseSummary splits on. Scripts grep
+// the prefix and split on spaces — same grammar across flexbench,
 // faultbench and fairness, covered by TestSummaryRoundTrip.
 
 // KV is one key=value pair of a Summary line.
@@ -31,8 +33,9 @@ func SummaryLine(kvs ...KV) string {
 	var b strings.Builder
 	b.WriteString("Summary:")
 	for _, kv := range kvs {
-		if kv.Key == "" || strings.ContainsAny(kv.Key, " \t\n=") ||
-			strings.ContainsAny(kv.Value, " \t\n") {
+		if kv.Key == "" || strings.ContainsRune(kv.Key, '=') ||
+			strings.IndexFunc(kv.Key, unicode.IsSpace) >= 0 ||
+			strings.IndexFunc(kv.Value, unicode.IsSpace) >= 0 {
 			panic(fmt.Sprintf("harness: malformed summary pair %q=%q", kv.Key, kv.Value))
 		}
 		b.WriteByte(' ')

@@ -161,6 +161,7 @@ type Machine struct {
 	// callbacks detect staleness by event identity.
 	horizon Time
 	firing  *vtime.Event
+	cont    *Thread // thread the firing callback named to resume (setCont)
 
 	rng *dist.Rand
 
@@ -181,7 +182,7 @@ type Machine struct {
 	TotalSteals      int64
 	TotalMigrations  int64
 
-	// resumes counts coroutine resumes (Thread.next calls in step): each
+	// resumes counts coroutine resumes (Thread.next calls in loop): each
 	// costs a pair of goroutine switches, the event loop's dominant
 	// host-time overhead, and inline batching exists to avoid them.
 	resumes int64
@@ -434,14 +435,18 @@ func (m *Machine) Spawn(name string, body func(p *Proc)) *Thread {
 // live thread. It returns the time at which the machine went quiescent
 // (equal to until unless all threads blocked or exited earlier — a return
 // value below until with blocked threads indicates deadlock).
-func (m *Machine) Run(until Time) Time {
+func (m *Machine) Run(until Time) Time { return m.run(until, nil) }
+
+// run is Run with an optional probe called on the event queue's length
+// and strong length before every pop; tests sample the queue through it.
+func (m *Machine) run(until Time, sample func(n, strong int)) Time {
 	if m.finished {
 		panic("sim: Run called twice")
 	}
 	m.running = true
 	m.horizon = until
 	m.drained = false
-	m.loop(until, false)
+	m.loop(until, false, sample)
 	quiesced := m.clock
 	if m.clock < until {
 		// Queue drained early: everything is blocked or done.
@@ -471,7 +476,7 @@ func (m *Machine) RunPhase(until Time) Time {
 	m.running = true
 	m.horizon = until
 	m.drained = false
-	m.loop(until, true)
+	m.loop(until, true, nil)
 	quiesced := m.clock
 	if m.clock < until {
 		m.clock = until
@@ -494,9 +499,14 @@ func (m *Machine) Reseed(seed uint64) {
 	m.rng = dist.NewRand(seed)
 }
 
-// loop is the event loop shared by Run and RunPhase.
-func (m *Machine) loop(until Time, phase bool) {
+// loop is the event loop shared by Run and RunPhase. It is the only code
+// that resumes a thread coroutine, after the callback that named the
+// thread (setCont) returns, so the switch back unwinds no callback frames.
+func (m *Machine) loop(until Time, phase bool, sample func(n, strong int)) {
 	for {
+		if sample != nil {
+			sample(m.eq.Len(), m.eq.StrongLen())
+		}
 		if m.eq.StrongLen() == 0 {
 			// Nothing left but weak (instrumentation) events, if that.
 			// They must never keep the machine alive: drain here, with
@@ -526,9 +536,27 @@ func (m *Machine) loop(until Time, phase bool) {
 		m.firing = nil
 		// The event fired and every handle to it has been dropped (the
 		// machine nulls its event pointers when a callback runs), so it
-		// can be reused by the next Schedule.
+		// can be reused by the next Schedule, even the resumed thread's.
 		m.eq.Recycle(ev)
+		if t := m.cont; t != nil {
+			m.cont = nil
+			m.resumes++
+			t.next()
+			if t.done {
+				m.onExit(t)
+			}
+		}
 	}
+}
+
+// setCont names t, on its CPU with pending == pendStep, as the thread
+// loop resumes when the firing callback returns. It is always the
+// callback's last action, so the deferred resume reorders nothing.
+func (m *Machine) setCont(t *Thread) {
+	if m.cont != nil {
+		panic("sim: two threads to resume after one event")
+	}
+	m.cont = t
 }
 
 // Deadlocked reports, after Run, whether the machine deadlocked: the
@@ -998,7 +1026,7 @@ func (m *Machine) dispatch(c *cpuCtx, t *Thread) {
 	t.sliceEv = m.eq.Schedule(t.sliceEnd, t.fnSlice)
 	switch t.pending {
 	case pendStep:
-		m.step(t)
+		m.setCont(t)
 	case pendCompute:
 		m.scheduleCompute(t, t.pendTicks)
 	case pendSpin:
@@ -1103,11 +1131,11 @@ func (m *Machine) preempt(c *cpuCtx, t *Thread) {
 
 // finishOp delivers the current op's result at its instruction
 // boundary: the boundary seams run, and a thread still on its CPU is
-// stepped to its next operation.
+// named to continue to its next operation.
 func (m *Machine) finishOp(t *Thread) {
 	t.pending = pendStep
 	if m.atBoundary(t) {
-		m.step(t)
+		m.setCont(t)
 	}
 }
 
@@ -1122,7 +1150,7 @@ func (m *Machine) finishOp(t *Thread) {
 // instant, and the injector draws from its stream in the same order.
 // Only event callbacks (sliceFire, forcePreempt) set needResched, and it
 // is false whenever a thread resumes: detach clears it each time a
-// thread leaves its CPU, and finishOp runs this function before step.
+// thread leaves its CPU, and finishOp runs this function before setCont.
 // So the deferred reschedule fires only from finishOp.
 func (m *Machine) atBoundary(t *Thread) bool {
 	// Fault injection: an adversarial scheduler may force an involuntary
@@ -1149,24 +1177,6 @@ func (m *Machine) atBoundary(t *Thread) bool {
 		m.renewSlice(m.cpus[t.cpu], t)
 	}
 	return true
-}
-
-// step resumes t's goroutine until it posts its next operation or exits,
-// then schedules that operation (execOp). The thread side runs every
-// inlinable op, and its instruction boundary, before it posts; when its
-// own boundary seams took it off its CPU (Proc.boundary), it comes back
-// no longer running and with no op posted.
-func (m *Machine) step(t *Thread) {
-	m.resumes++
-	t.next()
-	if t.done {
-		m.onExit(t)
-		return
-	}
-	if t.state != StateRunning {
-		return
-	}
-	m.execOp(t)
 }
 
 // onExit handles a thread whose body returned.

@@ -10,23 +10,13 @@ func (m *Machine) jitter() Time {
 	return Time(m.rng.Intn(int(j) + 1))
 }
 
-// execOp schedules the completion of the operation t just posted. Every
-// op that could complete inline has already done so on the thread side
-// (Proc.do), so what arrives here needs an event: a fixed-cost op whose
-// completion would not land strictly before the next queued event and
-// the run horizon (canInline), or an op with scheduling side effects
-// (spin, futex, yield, sleep).
+// execOp schedules the completion of an op with scheduling side effects
+// (spin, futex, yield, sleep). Proc.do calls it on the thread side, just
+// before the thread suspends; compute and fixed-cost ops never get here,
+// because do completes them inline or schedules them itself.
 func (m *Machine) execOp(t *Thread) {
 	req := &t.req
 	switch req.kind {
-	case opCompute:
-		n := Time(req.a)
-		if n <= 0 {
-			n = 1
-		}
-		m.scheduleCompute(t, n)
-	case opLoad, opStore, opCAS, opXchg, opAdd, opCSAdd:
-		m.instr(t, t.opCost)
 	case opSpin:
 		t.spinBudget = t.spinMax
 		m.resumeSpin(t)
@@ -146,7 +136,7 @@ func (m *Machine) applyOpEffect(t *Thread) {
 	case opFutexWake:
 		t.res = opRes{val: uint64(m.futexWake(req.w, int(req.a), tid(t)))}
 	case opFutexWait, opYield, opSleep:
-		// No memory effect; scheduling handled in instrDone.
+		// No memory effect; scheduling handled in opFire.
 	}
 }
 
@@ -168,30 +158,22 @@ func (m *Machine) instr(t *Thread, cost Time) {
 }
 
 // opFire completes a scheduled instruction: apply the effect recorded in
-// Thread.req, then continue at the boundary.
+// Thread.req, then finalize it at its boundary, through the handler of
+// an op whose completion changes scheduling state or through finishOp.
 func (m *Machine) opFire(t *Thread) {
 	t.opEv = nil
 	t.opNonPreempt = false
 	m.applyOpEffect(t)
-	m.instrDone(t)
-}
-
-// instrDone finalizes an instruction at its boundary, handling the ops
-// whose completion changes scheduling state.
-func (m *Machine) instrDone(t *Thread) {
-	req := &t.req
-	switch req.kind {
+	switch t.req.kind {
 	case opFutexWait:
 		m.futexWaitDone(t)
-		return
 	case opYield:
 		m.yieldDone(t)
-		return
 	case opSleep:
 		m.sleepDone(t)
-		return
+	default:
+		m.finishOp(t)
 	}
-	m.finishOp(t)
 }
 
 // ---- Compute ----
@@ -249,11 +231,11 @@ func (m *Machine) registerSpinner(t *Thread) {
 	for _, w := range t.spinWatch {
 		if w != nil {
 			scoped = true
-			w.watchers = append(w.watchers, int32(t.id))
+			w.watchers = append(w.watchers, int32(t.id)) //flexlint:allow hotalloc unregisterSpinner deletes in place, so the list keeps its capacity across spin legs
 		}
 	}
 	if !scoped {
-		m.spinners = append(m.spinners, t)
+		m.spinners = append(m.spinners, t) //flexlint:allow hotalloc unregisterSpinner deletes in place, so the list keeps its capacity across spin legs
 	}
 	if m.mem != nil {
 		m.memSpin(MemSpinStart, t, 0)

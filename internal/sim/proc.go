@@ -70,11 +70,11 @@ type opRes struct {
 	timeout bool
 }
 
-// do submits the op and parks the goroutine until the machine delivers the
-// result.
+// do runs the op and returns its result, parking the thread until the
+// machine delivers it when the op needs an event.
 //
-// Fast path: while this goroutine holds the turn, the machine goroutine is
-// parked inside step, so the thread has exclusive access to machine state.
+// While this goroutine holds the turn, the machine goroutine is parked in
+// loop's resume, so the thread has exclusive access to machine state.
 // A fixed-cost op — compute, load, store, atomic, TLS op — therefore
 // completes right here when nothing can observe or perturb the interval it
 // spans: its completion must land strictly before both the run horizon and
@@ -84,8 +84,9 @@ type opRes struct {
 // same virtual instant, effect and random-stream order, without the two
 // coroutine switches that dominate the event loop's real-time cost. The
 // cost is computed ahead of the guard, exactly once, because loadCost and
-// rmwCost mutate cache-line state and draw jitter. Any other op is posted
-// to the machine, which schedules its completion (execOp).
+// rmwCost mutate cache-line state and draw jitter. Any other op schedules
+// its completion here and suspends: that Schedule call would otherwise be
+// the machine's next action after the switch, so its order is unchanged.
 func (p *Proc) do(req opReq) opRes {
 	t := p.t
 	m := p.m
@@ -101,6 +102,7 @@ func (p *Proc) do(req opReq) opRes {
 			t.res = opRes{}
 			return p.inlineDone()
 		}
+		m.scheduleCompute(t, n)
 	case opLoad, opStore, opCAS, opXchg, opAdd, opCSAdd:
 		cost := m.fixedCost(t)
 		if m.canInline(cost) {
@@ -108,9 +110,9 @@ func (p *Proc) do(req opReq) opRes {
 			m.applyOpEffect(t)
 			return p.inlineDone()
 		}
-		// Cost already computed (cache state mutated, jitter drawn):
-		// hand it to execOp rather than recomputing.
-		t.opCost = cost
+		m.instr(t, cost)
+	default:
+		m.execOp(t)
 	}
 	p.suspend()
 	return t.res
@@ -130,10 +132,9 @@ func (p *Proc) inlineDone() opRes {
 }
 
 // boundary runs the seams for the op just completed on the thread side.
-// When they kill or preempt the thread, it suspends with no op posted
-// (step sees it is no longer running) and resumes from here at its next
-// dispatch, its result intact; a killed thread unwinds at shutdown
-// instead.
+// When they kill or preempt the thread, it suspends having scheduled
+// nothing and resumes from here at its next dispatch, its result intact;
+// a killed thread unwinds at shutdown instead.
 func (p *Proc) boundary() {
 	if !p.m.atBoundary(p.t) {
 		p.suspend()

@@ -99,13 +99,14 @@ type Thread struct {
 	m    *Machine
 	proc *Proc
 
-	// Coroutine handoff (iter.Pull over the thread body). next transfers
-	// control into the thread until it posts its next op or exits; stop
-	// terminates it (the suspended yieldFn call returns false and the body
-	// unwinds via errKilled). A coroutine switch is several times cheaper
-	// than the unbuffered-channel ping-pong it replaced — the handoff is
-	// the dominant real-time cost of the event loop — and keeps the
-	// invariant that exactly one of {machine, thread} runs at a time.
+	// Coroutine handoff (iter.Pull over the thread body). next, called
+	// only by Machine.loop, runs the thread until it schedules an op and
+	// suspends, or exits; stop terminates it (the suspended yieldFn call
+	// returns false and the body unwinds via errKilled). A coroutine
+	// switch is several times cheaper than the unbuffered-channel
+	// ping-pong it replaced — the handoff is the dominant real-time cost
+	// of the event loop — and keeps the invariant that exactly one of
+	// {machine, thread} runs at a time.
 	next    func() (struct{}, bool)
 	stop    func()
 	yieldFn func(struct{}) bool
@@ -123,11 +124,6 @@ type Thread struct {
 	res       opRes
 	pending   pendingKind
 	pendTicks Time // remaining compute ticks when pending == pendCompute
-	// opCost carries the cost of a fixed-cost op that Proc.do computed
-	// (mutating cache state and drawing jitter) but could not run
-	// inline; execOp schedules it rather than recomputing, or the
-	// coherence mutation and jitter draw would happen twice.
-	opCost Time
 
 	// Spin bookkeeping (valid while the current op is a spin). The spin
 	// operands live here rather than in opReq so the per-op request stays
