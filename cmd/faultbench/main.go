@@ -20,10 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	"repro/internal/check"
+	"repro/internal/cliflags"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/profiling"
@@ -55,12 +55,7 @@ func main() {
 	case *crash:
 		mode = "crash"
 	}
-	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkFlags(mode, set); err != nil {
-		fmt.Fprintln(os.Stderr, "faultbench:", err)
-		os.Exit(2)
-	}
+	cliflags.Check("faultbench", mode)
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -116,33 +111,6 @@ func main() {
 		}
 	}
 	exit(runSweep(algs, plans, *seeds, *parallel, sim.Time(*window), *report))
-}
-
-// modeFlags names the flags each mode reads besides its own selector and
-// the profiling flags, which every mode honors. -replay and -mutants run
-// one fixed job each; -crash sweeps the fixed fault.CrashPlans with no
-// flight recorder, so it reads neither -plans nor -window.
-var modeFlags = map[string][]string{
-	"replay":  nil,
-	"mutants": nil,
-	"crash":   {"algs", "seeds", "quick", "parallel", "report"},
-	"sweep":   {"algs", "plans", "seeds", "quick", "parallel", "window", "report"},
-}
-
-// checkFlags rejects a command line that sets a flag the chosen mode
-// would silently ignore: one the mode does not read, a second mode's
-// selector, or -seeds next to -quick, which fixes one seed.
-func checkFlags(mode string, set []string) error {
-	for _, name := range set {
-		switch {
-		case name == mode || name == "cpuprofile" || name == "memprofile":
-		case !slices.Contains(modeFlags[mode], name):
-			return fmt.Errorf("-%s has no effect in %s mode", name, mode)
-		case name == "seeds" && slices.Contains(set, "quick"):
-			return fmt.Errorf("-seeds has no effect with -quick, which runs one seed")
-		}
-	}
-	return nil
 }
 
 // cellOutcome is one (alg, plan) cell of the sweep table.

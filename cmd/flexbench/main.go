@@ -18,6 +18,10 @@
 //
 // Scale 1.0 with long durations approaches the paper's full sweeps; the
 // defaults finish each figure in minutes on a laptop.
+//
+// -list, -sweepsmoke, -all and -experiment select the mode; a flag the
+// mode ignores (say -experiment next to -all, or -warm with -window)
+// exits 2.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliflags"
 	"repro/internal/harness"
 	"repro/internal/profiling"
 	"repro/internal/sim"
@@ -43,12 +48,22 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "sweep cells run on this many OS threads (0 = GOMAXPROCS); per-cell results are identical at any setting")
 		window     = flag.Int64("window", 0, "flight-recorder sampling window in virtual ticks (0 = off); series land in the -report file")
 		report     = flag.String("report", "", "write a machine-readable run report (JSON) to this file")
-		warm       = flag.Bool("warm", false, "sharedmem sweeps clone a per-shape warm snapshot instead of cold-starting every seed (ignored with -window)")
+		warm       = flag.Bool("warm", false, "sharedmem sweeps clone a per-shape warm snapshot instead of cold-starting every seed (not with -window)")
 		sweepsmoke = flag.Int("sweepsmoke", 0, "measure sweep-engine throughput over this many repetitions of the canonical cell set and exit (CI gate; metrics land in -report)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	switch {
+	case *list:
+		cliflags.Check("flexbench", "list")
+	case *sweepsmoke > 0:
+		cliflags.Check("flexbench", "sweepsmoke")
+	case *all:
+		cliflags.Check("flexbench", "all")
+	case *exp != "":
+		cliflags.Check("flexbench", "experiment")
+	}
 
 	if *list {
 		fmt.Println("experiments:")

@@ -16,7 +16,8 @@
 //
 // Grid cells fan out across -parallel OS threads; each cell owns an
 // isolated simulated machine, so output is byte-identical at any
-// -parallel value.
+// -parallel value. -quick fixes the patterns, rates, algorithms and
+// duration, so setting any of those next to it exits 2.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cliflags"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -49,6 +51,11 @@ func main() {
 		quick        = flag.Bool("quick", false, "tiny CI grid: poisson+bursty × 100,800 × flexguard,blocking, short window")
 	)
 	flag.Parse()
+	mode := "grid"
+	if *quick {
+		mode = "quick"
+	}
+	cliflags.Check("loadbench", mode)
 
 	g := harness.OpenLoopGridCfg{
 		Patterns:    splitList(*patternsFlag),

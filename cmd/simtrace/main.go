@@ -9,6 +9,8 @@
 //	simtrace -alg flexguard -perfetto trace.json   # open in ui.perfetto.dev
 //	simtrace -mutant tas-noatomic -record run.jsonl
 //	simtrace -races run.jsonl                      # replay through the race auditor
+//
+// -races simulates nothing, so a simulation flag next to it exits 2.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliflags"
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/locks"
@@ -43,6 +46,11 @@ func main() {
 		report   = flag.String("report", "", "write a machine-readable run report (JSON) to this file")
 	)
 	flag.Parse()
+	mode := "run"
+	if *races != "" {
+		mode = "replay"
+	}
+	cliflags.Check("simtrace", mode)
 
 	if *races != "" {
 		n, err := replayRaces(*races, os.Stdout)

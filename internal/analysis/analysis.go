@@ -5,10 +5,6 @@
 //
 // Per-package passes encode lexical disciplines:
 //
-//   - wordaccess: the word arena's backing state is internal/sim's
-//     alone (selections type-resolved against sim.Machine), and
-//     kernel-side writes (KernelStore/KernelAdd) never appear in lock
-//     algorithm code.
 //   - spinloop: busy-wait loops must use SpinOn/SpinOnMax, never
 //     hand-rolled polling.
 //   - determinism: simulation-side packages must not read wall-clock
@@ -313,15 +309,6 @@ func Analyzers() []*Analyzer {
 		"repro/internal/check", "repro/internal/obs", "repro/internal/monitor",
 	}
 	return []*Analyzer{
-		{
-			Name: "wordaccess",
-			Doc:  "word-arena backing state touched outside internal/sim, or kernel-side writes in lock code",
-			Packages: []string{
-				"repro/internal/locks", "repro/internal/core", "repro/internal/fault",
-				"repro/internal/harness",
-			},
-			Run: runWordAccess,
-		},
 		{
 			Name:     "spinloop",
 			Doc:      "hand-rolled busy-wait loops that should use SpinOn/SpinOnMax",

@@ -26,11 +26,6 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mount the fake sim stand-in (exported arena fields) where the
-	// wordaccess bad fixture can import it under an /internal/sim path.
-	loader.Extra = map[string]string{
-		"fixture/fake/internal/sim": filepath.Join("testdata", "src", "fakesim"),
-	}
 	for _, a := range Analyzers() {
 		for _, kind := range []string{"bad", "good"} {
 			a, kind := a, kind

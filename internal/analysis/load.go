@@ -36,12 +36,6 @@ type Loader struct {
 	ModuleRoot string // absolute path of the directory holding go.mod
 	ModulePath string // module path from go.mod
 
-	// Extra maps import paths to directories outside the module's
-	// normal layout — fixture-only stand-in packages (e.g. a fake
-	// "internal/sim" with exported arena fields, impossible to express
-	// against the real package without a compile error).
-	Extra map[string]string
-
 	cache  map[string]*Package
 	source types.ImporterFrom
 }
@@ -184,13 +178,6 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 	l := (*Loader)(li)
 	if path == "unsafe" {
 		return types.Unsafe, nil
-	}
-	if dir, ok := l.Extra[path]; ok {
-		pkg, err := l.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
 	}
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 		pkg, err := l.LoadPath(path)

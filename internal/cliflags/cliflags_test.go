@@ -1,0 +1,66 @@
+package cliflags
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestCheckFlags: every flag a command line sets must change what the
+// chosen mode does; a flag the mode would silently ignore is an error
+// naming the flag.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		cmd, mode string
+		set       []string
+		bad       string // flag the error must name; "" when the line is valid
+	}{
+		{"faultbench", "sweep", nil, ""},
+		{"faultbench", "sweep", []string{"algs", "plans", "seeds", "parallel", "window", "report", "cpuprofile"}, ""},
+		{"faultbench", "sweep", []string{"quick", "algs"}, ""},
+		{"faultbench", "sweep", []string{"quick", "seeds"}, "-seeds"},
+		{"faultbench", "sweep", []string{"crash"}, "-crash"}, // -crash=false selects nothing
+		{"faultbench", "crash", []string{"crash", "quick", "algs", "parallel", "report", "memprofile"}, ""},
+		{"faultbench", "crash", []string{"crash", "seeds"}, ""},
+		{"faultbench", "crash", []string{"crash", "plans"}, "-plans"},
+		{"faultbench", "crash", []string{"crash", "window"}, "-window"},
+		{"faultbench", "crash", []string{"crash", "quick", "seeds"}, "-seeds"},
+		{"faultbench", "replay", []string{"replay", "cpuprofile"}, ""},
+		{"faultbench", "replay", []string{"replay", "seeds"}, "-seeds"},
+		{"faultbench", "replay", []string{"replay", "mutants"}, "-mutants"},
+		{"faultbench", "mutants", []string{"mutants"}, ""},
+		{"faultbench", "mutants", []string{"mutants", "parallel"}, "-parallel"},
+		{"faultbench", "mutants", []string{"crash", "mutants"}, "-crash"},
+
+		{"flexbench", "list", []string{"list"}, ""},
+		{"flexbench", "list", []string{"list", "parallel"}, "-parallel"},
+		{"flexbench", "sweepsmoke", []string{"sweepsmoke", "parallel", "report", "cpuprofile"}, ""},
+		{"flexbench", "sweepsmoke", []string{"sweepsmoke", "experiment", "scale"}, "-experiment"},
+		{"flexbench", "sweepsmoke", []string{"sweepsmoke", "scale"}, "-scale"},
+		{"flexbench", "experiment", []string{"experiment", "scale", "duration", "seeds", "algs", "metrics", "parallel", "window", "report", "memprofile"}, ""},
+		{"flexbench", "experiment", []string{"experiment", "warm", "seeds"}, ""},
+		{"flexbench", "experiment", []string{"experiment", "warm", "window"}, "-warm"},
+		{"flexbench", "experiment", []string{"experiment", "sweepsmoke"}, "-sweepsmoke"}, // -sweepsmoke 0 selects nothing
+		{"flexbench", "all", []string{"all", "scale", "report"}, ""},
+		{"flexbench", "all", []string{"all", "experiment"}, "-experiment"},
+
+		{"loadbench", "grid", []string{"patterns", "rates", "algs", "machine", "cpus", "duration", "seed", "queue", "locks", "service", "parallel", "window", "report"}, ""},
+		{"loadbench", "grid", []string{"quick"}, "-quick"}, // -quick=false selects nothing
+		{"loadbench", "quick", []string{"quick", "parallel", "report", "locks"}, ""},
+		{"loadbench", "quick", []string{"quick", "rates", "algs"}, "-rates"},
+		{"loadbench", "quick", []string{"quick", "duration"}, "-duration"},
+
+		{"simtrace", "run", []string{"alg", "cpus", "threads", "duration", "events", "seed", "window", "report", "record", "mutant"}, ""},
+		{"simtrace", "run", []string{"races"}, "-races"}, // -races "" replays nothing
+		{"simtrace", "replay", []string{"races"}, ""},
+		{"simtrace", "replay", []string{"races", "cpus"}, "-cpus"},
+	}
+	for _, c := range cases {
+		err := check(c.cmd, c.mode, c.set)
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%s: check(%s, %v) = %v, want nil", c.cmd, c.mode, c.set, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), c.bad+" ") || !strings.Contains(err.Error(), " "+c.mode+" mode")):
+			t.Errorf("%s: check(%s, %v) = %v, want an error naming %s and the mode", c.cmd, c.mode, c.set, err, c.bad)
+		}
+	}
+}

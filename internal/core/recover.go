@@ -81,7 +81,6 @@ func (l *FlexGuard) ownerDied(dead *sim.Thread) {
 	rt := l.rt
 	rt.OwnerDeaths++
 	v := l.val.V()
-	//flexlint:allow wordaccess kernel robust walk flags FUTEX_OWNER_DIED
 	rt.m.KernelStore(l.val, OwnerDied)
 	rt.m.KernelLockEvent(sim.TraceOwnerDead, l.lid, int32(dead.ID()), -1)
 	if v == LockedWithBlockedWaiters {

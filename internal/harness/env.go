@@ -71,6 +71,9 @@ type Env struct {
 	// warm snapshot it skips the warm phase's ghost threads so Collect
 	// still identifies workers by position.
 	workerBase int
+	// queueDepth is the open-loop engine's request-queue gauge, set by
+	// its workload so the flight recorder can sample it.
+	queueDepth func() int64
 }
 
 // EnvOptions configures NewEnv.

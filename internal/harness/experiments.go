@@ -106,34 +106,34 @@ func Experiments() []Experiment {
 		{"fig2b", "Fig 2b: normalized CS execution time (AMD, sharedmem)", runFig2Norm("amd")},
 		{"fig2c", "Fig 2c: raw CS execution time in µs (Intel, sharedmem)", runFig2Raw("intel")},
 		{"fig2d", "Fig 2d: raw CS execution time in µs (AMD, sharedmem)", runFig2Raw("amd")},
-		{"fig3a", "Fig 3a: hash-table throughput vs threads (Intel)", runApp("intel", false, RunHashTable)},
-		{"fig3b", "Fig 3b: hash-table + concurrent spinners (Intel)", runApp("intel", true, RunHashTable)},
-		{"fig3c", "Fig 3c: hash-table throughput vs threads (AMD)", runApp("amd", false, RunHashTable)},
-		{"fig3d", "Fig 3d: hash-table + concurrent spinners (AMD)", runApp("amd", true, RunHashTable)},
-		{"fig3e", "Fig 3e: DB index throughput vs threads (Intel)", runApp("intel", false, RunDBIndex)},
-		{"fig3f", "Fig 3f: DB index + concurrent spinners (Intel)", runApp("intel", true, RunDBIndex)},
-		{"fig3g", "Fig 3g: DB index throughput vs threads (AMD)", runApp("amd", false, RunDBIndex)},
-		{"fig3h", "Fig 3h: DB index + concurrent spinners (AMD)", runApp("amd", true, RunDBIndex)},
-		{"fig3i", "Fig 3i: Dedup throughput vs threads (Intel)", runApp("intel", false, RunDedup)},
-		{"fig3j", "Fig 3j: Dedup + concurrent spinners (Intel)", runApp("intel", true, RunDedup)},
-		{"fig3k", "Fig 3k: Dedup throughput vs threads (AMD)", runApp("amd", false, RunDedup)},
-		{"fig3l", "Fig 3l: Dedup + concurrent spinners (AMD)", runApp("amd", true, RunDedup)},
-		{"fig3m", "Fig 3m: Raytrace throughput vs threads (Intel)", runApp("intel", false, RunRaytrace)},
-		{"fig3n", "Fig 3n: Raytrace + concurrent spinners (Intel)", runApp("intel", true, RunRaytrace)},
-		{"fig3o", "Fig 3o: Raytrace throughput vs threads (AMD)", runApp("amd", false, RunRaytrace)},
-		{"fig3p", "Fig 3p: Raytrace + concurrent spinners (AMD)", runApp("amd", true, RunRaytrace)},
-		{"fig3q", "Fig 3q: Streamcluster throughput vs threads (Intel)", runApp("intel", false, RunStreamcluster)},
-		{"fig3r", "Fig 3r: Streamcluster + concurrent spinners (Intel)", runApp("intel", true, RunStreamcluster)},
-		{"fig3s", "Fig 3s: Streamcluster throughput vs threads (AMD)", runApp("amd", false, RunStreamcluster)},
-		{"fig3t", "Fig 3t: Streamcluster + concurrent spinners (AMD)", runApp("amd", true, RunStreamcluster)},
-		{"fig4a", "Fig 4a: LevelDB readrandom vs threads (Intel)", runKVExp("intel", false, kvstore.ReadRandom)},
-		{"fig4b", "Fig 4b: LevelDB readrandom + spinners (Intel)", runKVExp("intel", true, kvstore.ReadRandom)},
-		{"fig4c", "Fig 4c: LevelDB readrandom vs threads (AMD)", runKVExp("amd", false, kvstore.ReadRandom)},
-		{"fig4d", "Fig 4d: LevelDB readrandom + spinners (AMD)", runKVExp("amd", true, kvstore.ReadRandom)},
-		{"fig4e", "Fig 4e: LevelDB fillrandom vs threads (Intel)", runKVExp("intel", false, kvstore.FillRandom)},
-		{"fig4f", "Fig 4f: LevelDB fillrandom + spinners (Intel)", runKVExp("intel", true, kvstore.FillRandom)},
-		{"fig4g", "Fig 4g: LevelDB fillrandom vs threads (AMD)", runKVExp("amd", false, kvstore.FillRandom)},
-		{"fig4h", "Fig 4h: LevelDB fillrandom + spinners (AMD)", runKVExp("amd", true, kvstore.FillRandom)},
+		{"fig3a", "Fig 3a: hash-table throughput vs threads (Intel)", runApp("intel", false, hashtableWork)},
+		{"fig3b", "Fig 3b: hash-table + concurrent spinners (Intel)", runApp("intel", true, hashtableWork)},
+		{"fig3c", "Fig 3c: hash-table throughput vs threads (AMD)", runApp("amd", false, hashtableWork)},
+		{"fig3d", "Fig 3d: hash-table + concurrent spinners (AMD)", runApp("amd", true, hashtableWork)},
+		{"fig3e", "Fig 3e: DB index throughput vs threads (Intel)", runApp("intel", false, dbindexWork)},
+		{"fig3f", "Fig 3f: DB index + concurrent spinners (Intel)", runApp("intel", true, dbindexWork)},
+		{"fig3g", "Fig 3g: DB index throughput vs threads (AMD)", runApp("amd", false, dbindexWork)},
+		{"fig3h", "Fig 3h: DB index + concurrent spinners (AMD)", runApp("amd", true, dbindexWork)},
+		{"fig3i", "Fig 3i: Dedup throughput vs threads (Intel)", runApp("intel", false, dedupWork)},
+		{"fig3j", "Fig 3j: Dedup + concurrent spinners (Intel)", runApp("intel", true, dedupWork)},
+		{"fig3k", "Fig 3k: Dedup throughput vs threads (AMD)", runApp("amd", false, dedupWork)},
+		{"fig3l", "Fig 3l: Dedup + concurrent spinners (AMD)", runApp("amd", true, dedupWork)},
+		{"fig3m", "Fig 3m: Raytrace throughput vs threads (Intel)", runApp("intel", false, raytraceWork)},
+		{"fig3n", "Fig 3n: Raytrace + concurrent spinners (Intel)", runApp("intel", true, raytraceWork)},
+		{"fig3o", "Fig 3o: Raytrace throughput vs threads (AMD)", runApp("amd", false, raytraceWork)},
+		{"fig3p", "Fig 3p: Raytrace + concurrent spinners (AMD)", runApp("amd", true, raytraceWork)},
+		{"fig3q", "Fig 3q: Streamcluster throughput vs threads (Intel)", runApp("intel", false, streamclusterWork)},
+		{"fig3r", "Fig 3r: Streamcluster + concurrent spinners (Intel)", runApp("intel", true, streamclusterWork)},
+		{"fig3s", "Fig 3s: Streamcluster throughput vs threads (AMD)", runApp("amd", false, streamclusterWork)},
+		{"fig3t", "Fig 3t: Streamcluster + concurrent spinners (AMD)", runApp("amd", true, streamclusterWork)},
+		{"fig4a", "Fig 4a: LevelDB readrandom vs threads (Intel)", runApp("intel", false, kvWork(kvstore.ReadRandom))},
+		{"fig4b", "Fig 4b: LevelDB readrandom + spinners (Intel)", runApp("intel", true, kvWork(kvstore.ReadRandom))},
+		{"fig4c", "Fig 4c: LevelDB readrandom vs threads (AMD)", runApp("amd", false, kvWork(kvstore.ReadRandom))},
+		{"fig4d", "Fig 4d: LevelDB readrandom + spinners (AMD)", runApp("amd", true, kvWork(kvstore.ReadRandom))},
+		{"fig4e", "Fig 4e: LevelDB fillrandom vs threads (Intel)", runApp("intel", false, kvWork(kvstore.FillRandom))},
+		{"fig4f", "Fig 4f: LevelDB fillrandom + spinners (Intel)", runApp("intel", true, kvWork(kvstore.FillRandom))},
+		{"fig4g", "Fig 4g: LevelDB fillrandom vs threads (AMD)", runApp("amd", false, kvWork(kvstore.FillRandom))},
+		{"fig4h", "Fig 4h: LevelDB fillrandom + spinners (AMD)", runApp("amd", true, kvWork(kvstore.FillRandom))},
 		{"fig5a", "Fig 5a: runnable threads over time (Intel, 1.35× subscription)", runFig5a},
 		{"fig5b", "Fig 5b: fairness factor by subscription and CS gap", runFig5b},
 		{"fig5c", "Fig 5c: spin-loop iterations per lock algorithm", runFig5c},
@@ -304,10 +304,10 @@ func fig2(machine string, normalize bool, o ExpOptions, w io.Writer) error {
 	return nil
 }
 
-// runApp builds a Figure-3 style generator: application throughput vs
-// thread count (standalone), or vs concurrent-spinner count at a fixed
-// half-context worker count (concurrent).
-func runApp(machine string, concurrent bool, runner func(RunCfg) (Result, error)) func(ExpOptions, io.Writer) error {
+// runApp builds a Figure-3/4 style generator: application throughput
+// vs thread count (standalone), or vs concurrent-spinner count at a
+// fixed half-context worker count (concurrent).
+func runApp(machine string, concurrent bool, work workload) func(ExpOptions, io.Writer) error {
 	return func(o ExpOptions, w io.Writer) error {
 		o = o.withDefaults()
 		base, err := MachineConfig(machine)
@@ -342,7 +342,7 @@ func runApp(machine string, concurrent bool, runner func(RunCfg) (Result, error)
 			}
 			r, err := averageRuns(o, func(seed uint64) (Result, error) {
 				c.Seed = seed
-				return runner(c)
+				return noEnv(runCold(c, work))
 			})
 			if err != nil {
 				return r, fmt.Errorf("%s @%d: %w", o.Algs[row], sweep[col], err)
@@ -368,13 +368,6 @@ func runApp(machine string, concurrent bool, runner func(RunCfg) (Result, error)
 		}
 		return nil
 	}
-}
-
-// runKVExp builds a Figure-4 generator.
-func runKVExp(machine string, concurrent bool, kind kvstore.WorkloadKind) func(ExpOptions, io.Writer) error {
-	return runApp(machine, concurrent, func(c RunCfg) (Result, error) {
-		return RunKV(c, kind)
-	})
 }
 
 // runFig5a prints the runnable-thread timeline for MCS, the blocking lock

@@ -15,11 +15,9 @@ import (
 	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/locks"
 	"repro/internal/obs"
 	"repro/internal/obs/timeseries"
 	"repro/internal/sim"
-	"repro/internal/workloads/sharedmem"
 )
 
 // FuzzCfg describes one fuzz run. Zero CPUs/Threads/Horizon are derived
@@ -138,63 +136,11 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 		horizon = c.Plan.Horizon
 	}
 
-	cfg := sim.Small(cpus)
+	cfg := withHeadroom(sim.Small(cpus), threads+8)
 	cfg.Seed = c.Seed
 	cfg.Costs.Timeslice = timeslice
 	cfg.Costs.MinSlice = timeslice / 10
 	cfg.Costs.SliceExt = sliceExt
-	if need := threads + 8; cfg.MaxThreads < need {
-		cfg.MaxThreads = need
-	}
-
-	e, err := NewEnv(EnvOptions{Config: cfg, Alg: alg})
-	if err != nil {
-		return FuzzResult{}, err
-	}
-
-	co := c.Check
-	if co.Registry == nil {
-		co.Registry = obs.NewRegistry()
-	}
-	co.EmitEvents = true
-	if co.StallBound <= 0 && horizon/2 < 1_000_000 {
-		// Short horizons need a proportionally shorter stall bound or
-		// end-of-run stall checks can never trip.
-		co.StallBound = horizon / 2
-	}
-	ck := check.Attach(e.M, co)
-	var ra *check.RaceAuditor
-	if c.Races {
-		ra = check.AttachRace(e.M, check.RaceOptions{
-			StallBound: co.StallBound,
-			Registry:   co.Registry,
-			EmitEvents: true,
-		})
-	}
-	inj := fault.Apply(e.M, e.Mon, c.Plan, c.Seed)
-	if e.Mon != nil && c.Plan.DegradesMonitor() {
-		// Degraded-monitor plans arm the monitor's self-check: the
-		// graceful-degradation acceptance criterion is exactly that this
-		// combination yields zero violations.
-		e.Mon.EnableHealthCheck(0, 0)
-	}
-	e.Tr = e.M.AttachTracer(256)
-
-	newLock := e.NewLock
-	if mu != nil {
-		var npcs *sim.Word
-		if e.Mon != nil {
-			npcs = e.Mon.NPCS()
-		}
-		newLock = func(name string) locks.Lock {
-			return mu.New(e.M, npcs, name)
-		}
-	}
-	w := sharedmem.Build(e.M, sharedmem.Options{
-		Threads:  threads,
-		Deadline: horizon,
-		NewLock:  newLock,
-	})
 
 	// Grace: how long past the horizon the machine may take to drain.
 	// u-SCL drains slowly by design; fault plans (wake delays, forced
@@ -207,63 +153,46 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 		grace += horizon + sim.Time(threads)*(4*c.Plan.WakeDelay+100_000)
 	}
 
-	var ts *timeseries.Sampler
-	if c.Window > 0 {
-		ts = timeseries.Attach(e.M, timeseries.Options{
-			Window:        c.Window,
-			ExpectWindows: int(grace/c.Window) + 1,
-		})
+	co := fuzzCheck(c.Check, horizon)
+	out, err := stages{
+		env:   newEnv(EnvOptions{Config: cfg, Alg: alg}),
+		check: co, races: c.Races, plan: c.Plan, trace: true, window: c.Window,
+		work: sharedmemWork(0, mu), threads: threads,
+		// Any thread parked at the drain is a deadlock.
+		deadline: horizon, horizon: grace, hangBefore: grace + 1,
+	}.run()
+	if err != nil {
+		return FuzzResult{}, err
 	}
-
-	q := e.M.Run(grace)
 	res := FuzzResult{
-		Quiesced: q,
-		Grace:    grace,
-		HitGrace: q >= grace,
-		CPUs:     cpus,
-		Threads:  threads,
-		Horizon:  horizon,
-		Registry: co.Registry,
+		Violations: out.verdicts("%v"), Deadlocked: out.deadlocked, DeadlockDump: out.dump,
+		Quiesced: out.q, Grace: grace, HitGrace: out.q >= grace,
+		CPUs: cpus, Threads: threads, Horizon: horizon,
+		Crashes: out.crashes, Abandoned: out.e.Shared.Abandons, Registry: co.Registry,
+		Races: out.races, RaceTotal: out.raceTotal, Series: out.series,
+		TraceDigest: out.digest, TraceEvents: out.events,
 	}
-	res.Deadlocked = e.M.Deadlocked()
-	if res.Deadlocked {
-		res.DeadlockDump = e.M.DeadlockReport()
-	}
-	res.Violations = ck.Finish(q)
-	if ra != nil {
-		res.Races = ra.Finish(q)
-		res.RaceTotal = ra.Total
-	}
-	if ts != nil {
-		res.Series = ts.Finish(q)
-	}
-	// After both Finish calls: end-of-run verdicts land in the stream too.
-	res.TraceDigest, res.TraceEvents = e.Tr.Digest(), e.Tr.Seen
-	if inj != nil {
-		res.Crashes = inj.Crashes
-		co.Registry.Counter("fault.crashes").Add(inj.Crashes)
-	}
-	res.Abandoned = e.Shared.Abandons
-	co.Registry.Counter("locks.abandoned").Add(e.Shared.Abandons)
-	validate := func() (bool, uint64, uint64) { return w.Validate(e.M) }
-	if res.Crashes > 0 {
-		// A killed holder may have died between the two line stores;
-		// tolerate exactly that much divergence, nothing more.
-		validate = func() (bool, uint64, uint64) { return w.ValidateCrashed(e.M, res.Crashes) }
-	}
-	if ok, a, b := validate(); !ok {
-		// Workload-level witness: the two cache lines of the critical
-		// section diverged — mutual exclusion was lost even if the event
-		// stream looked clean.
-		res.Violations = append(res.Violations, check.Violation{
-			Invariant: check.MutualExclusion, At: q, Lock: -1, Thread: -1,
-			Detail: fmt.Sprintf("sharedmem critical-section lines diverged: %d vs %d", a, b),
-		})
-	}
-	for _, th := range e.M.Threads() {
+	co.Registry.Counter("locks.abandoned").Add(res.Abandoned)
+	for _, th := range out.e.M.Threads() {
 		res.Ops += th.Ops
 	}
 	return res, nil
+}
+
+// fuzzCheck completes the fuzz paths' checker options: a fresh registry
+// unless one was given, verdicts emitted into the trace, and a stall
+// bound short horizons can trip.
+func fuzzCheck(co check.Options, horizon sim.Time) *check.Options {
+	if co.Registry == nil {
+		co.Registry = obs.NewRegistry()
+	}
+	co.EmitEvents = true
+	if co.StallBound <= 0 && horizon/2 < 1_000_000 {
+		// Short horizons need a proportionally shorter stall bound or
+		// end-of-run stall checks can never trip.
+		co.StallBound = horizon / 2
+	}
+	return &co
 }
 
 // Replay renders the config as a one-line replay spec, parsable by

@@ -83,56 +83,56 @@ type OpenLoopResult struct {
 	Series      *timeseries.Series
 }
 
+// trafficWork is the open-loop traffic engine: pattern arrivals at rate
+// requests per virtual millisecond, seeded from the machine seed. The
+// built engine lands in *eng for the caller's stats, and its queue gauge
+// on the env for the flight recorder.
+func trafficWork(pattern string, rate float64, seed uint64, o traffic.Options, eng **traffic.Engine) (workload, error) {
+	arr, err := traffic.New(pattern, seed^0x9e3779b97f4a7c15, sim.Time(TicksPerMillisecond/rate))
+	if err != nil {
+		return nil, err
+	}
+	o.Arrivals, o.Seed = arr, seed+1
+	return func(e *Env, _ int, deadline sim.Time) func(int64) error {
+		o.Deadline, o.NewLock = deadline, e.NewLock
+		*eng = traffic.Build(e.M, o)
+		e.queueDepth = (*eng).QueueDepth
+		return func(int64) error { return (*eng).Validate() }
+	}, nil
+}
+
 // RunOpenLoop runs one open-loop cell.
 func RunOpenLoop(c OpenLoopCfg) (OpenLoopResult, error) {
 	if c.RateMs <= 0 {
 		return OpenLoopResult{}, fmt.Errorf("harness: open-loop rate must be positive, got %g", c.RateMs)
 	}
-	cfg := c.Config
-	cfg.Seed = c.Seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
 	// Headroom for the elastic pool: the engine clamps its own worker
 	// cap to this budget.
-	if need := 4*cfg.NumCPUs + 80; cfg.MaxThreads < need {
-		cfg.MaxThreads = need
-	}
-	e, err := NewEnv(EnvOptions{Config: cfg, Alg: c.Alg})
-	if err != nil {
-		return OpenLoopResult{}, err
-	}
-	if c.Trace {
-		e.Tr = e.M.AttachTracer(256)
-	}
+	cfg := withHeadroom(c.Config, 4*c.Config.NumCPUs+80)
+	cfg.Seed = defaultSeed(c.Seed)
 	dur := c.Duration
 	if dur == 0 {
 		dur = 20_000_000
 	}
-	meanGap := sim.Time(TicksPerMillisecond / c.RateMs)
-	arr, err := traffic.New(c.Pattern, cfg.Seed^0x9e3779b97f4a7c15, meanGap)
-	if err != nil {
-		return OpenLoopResult{}, err
-	}
-	eng := traffic.Build(e.M, traffic.Options{
-		Arrivals:    arr,
-		Deadline:    dur,
+	var eng *traffic.Engine
+	work, err := trafficWork(c.Pattern, c.RateMs, cfg.Seed, traffic.Options{
 		QueueCap:    c.QueueCap,
 		Locks:       c.Locks,
 		ServiceMean: c.ServiceMean,
-		NewLock:     e.NewLock,
-		Seed:        cfg.Seed + 1,
-	})
-	if c.Window > 0 {
-		e.TS = timeseries.Attach(e.M, timeseries.Options{
-			Window:        c.Window,
-			ExpectWindows: int((dur+dur/2)/c.Window) + 1,
-			QueueDepth:    eng.QueueDepth,
-		})
+	}, &eng)
+	if err != nil {
+		return OpenLoopResult{}, err
 	}
 	horizon := dur + dur/2
-	q := e.M.Run(horizon)
-	if err := eng.Validate(); err != nil {
+	out, err := stages{
+		env:   newEnv(EnvOptions{Config: cfg, Alg: c.Alg}),
+		trace: c.Trace, window: c.Window, work: work,
+		deadline: dur, horizon: horizon, hangBefore: horizon,
+	}.run()
+	if err == nil {
+		err = out.err
+	}
+	if err != nil {
 		return OpenLoopResult{}, err
 	}
 	s := eng.Stats()
@@ -149,6 +149,11 @@ func RunOpenLoop(c OpenLoopCfg) (OpenLoopResult, error) {
 		SpawnedWorkers: s.SpawnedWorkers,
 		PeakQueue:      s.PeakQueue,
 		Stalled:        s.Stalled,
+		Deadlocked:     out.deadlocked,
+		DeadlockDump:   out.dump,
+		TraceDigest:    out.digest,
+		TraceEvents:    out.events,
+		Series:         out.series,
 	}
 	if window := s.ClosedAt; window > 0 {
 		secs := float64(window) / (sim.TicksPerMicrosecond * 1e6)
@@ -165,17 +170,6 @@ func RunOpenLoop(c OpenLoopCfg) (OpenLoopResult, error) {
 	}
 	if s.Wait.Count > 0 {
 		r.WaitMeanUS = s.Wait.Mean() / us
-	}
-	if q < horizon && e.M.Deadlocked() {
-		r.Deadlocked = true
-		r.DeadlockDump = e.M.DeadlockReport()
-	}
-	if e.Tr != nil {
-		r.TraceDigest = e.Tr.Digest()
-		r.TraceEvents = e.Tr.Seen
-	}
-	if e.TS != nil {
-		r.Series = e.TS.Finish(q)
 	}
 	return r, nil
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -76,43 +74,10 @@ func FuzzOpenLoop(c OpenLoopFuzzCfg) (OpenLoopFuzzResult, error) {
 		rate = 200 * float64(cpus)
 	}
 
-	cfg := sim.Small(cpus)
-	cfg.Seed = c.Seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	if need := 4*cpus + 80; cfg.MaxThreads < need {
-		cfg.MaxThreads = need
-	}
-	e, err := NewEnv(EnvOptions{Config: cfg, Alg: alg})
-	if err != nil {
-		return OpenLoopFuzzResult{}, err
-	}
-
-	co := c.Check
-	if co.Registry == nil {
-		co.Registry = obs.NewRegistry()
-	}
-	co.EmitEvents = true
-	if co.StallBound <= 0 && horizon/2 < 1_000_000 {
-		co.StallBound = horizon / 2
-	}
-	ck := check.Attach(e.M, co)
-	inj := fault.Apply(e.M, e.Mon, c.Plan, cfg.Seed)
-	if e.Mon != nil && c.Plan.DegradesMonitor() {
-		e.Mon.EnableHealthCheck(0, 0)
-	}
-
-	meanGap := sim.Time(TicksPerMillisecond / rate)
-	arr, err := traffic.New(pattern, cfg.Seed^0x9e3779b97f4a7c15, meanGap)
-	if err != nil {
-		return OpenLoopFuzzResult{}, err
-	}
-	eng := traffic.Build(e.M, traffic.Options{
-		Arrivals: arr,
-		Deadline: horizon,
-		NewLock:  e.NewLock,
-		Seed:     cfg.Seed + 1,
+	cfg := withHeadroom(sim.Small(cpus), 4*cpus+80)
+	cfg.Seed = defaultSeed(c.Seed)
+	var eng *traffic.Engine
+	work, err := trafficWork(pattern, rate, cfg.Seed, traffic.Options{
 		// A shallow queue bounds the post-deadline drain (the backlog a
 		// fuzz cell may carry past the horizon is QueueCap×ServiceMean/
 		// cores), keeping a healthy slowed-down run comfortably inside
@@ -121,38 +86,31 @@ func FuzzOpenLoop(c OpenLoopFuzzCfg) (OpenLoopFuzzResult, error) {
 		// Keep the watchdog inside the grace window even when a fault
 		// plan slows everything down.
 		StallBound: horizon / 2,
-	})
-
+	}, &eng)
+	if err != nil {
+		return OpenLoopFuzzResult{}, err
+	}
 	grace := horizon * 3
 	if !c.Plan.IsZero() {
 		grace += horizon + 4*c.Plan.WakeDelay + 400_000
 	}
-	q := e.M.Run(grace)
-
-	res := OpenLoopFuzzResult{
-		Quiesced: q,
-		Grace:    grace,
-		HitGrace: q >= grace,
-		Registry: co.Registry,
+	co := fuzzCheck(c.Check, horizon)
+	out, err := stages{
+		env:   newEnv(EnvOptions{Config: cfg, Alg: alg}),
+		check: co, plan: c.Plan, work: work,
+		// Any thread parked at the drain is a deadlock.
+		deadline: horizon, horizon: grace, hangBefore: grace + 1,
+	}.run()
+	if err != nil {
+		return OpenLoopFuzzResult{}, err
 	}
-	res.Deadlocked = e.M.Deadlocked()
-	if res.Deadlocked {
-		res.DeadlockDump = e.M.DeadlockReport()
-	}
-	res.Violations = ck.Finish(q)
-	if inj != nil {
-		res.Crashes = inj.Crashes
-		co.Registry.Counter("fault.crashes").Add(inj.Crashes)
-	}
-	res.Stats = eng.Stats()
-	res.Stalled = res.Stats.Stalled
-	if err := eng.Validate(); err != nil {
+	st := eng.Stats()
+	return OpenLoopFuzzResult{
 		// Conservation is the engine-level mutual-exclusion witness: it
 		// must hold through crashes (killed workers resolve as Lost).
-		res.Violations = append(res.Violations, check.Violation{
-			Invariant: check.MutualExclusion, At: q, Lock: -1, Thread: -1,
-			Detail: fmt.Sprintf("open-loop conservation: %v", err),
-		})
-	}
-	return res, nil
+		Violations: out.verdicts("open-loop conservation: %v"),
+		Deadlocked: out.deadlocked, DeadlockDump: out.dump,
+		HitGrace: out.q >= grace, Quiesced: out.q, Grace: grace,
+		Stalled: st.Stalled, Crashes: out.crashes, Stats: st, Registry: co.Registry,
+	}, nil
 }

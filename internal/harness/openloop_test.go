@@ -180,7 +180,9 @@ func TestOpenLoopGoldenSummaries(t *testing.T) {
 // invariant checker must stay clean, conservation must hold through
 // crashes, and no cell may still be running at the grace horizon (an
 // arrival chain that outlives a wedged system would be exactly the
-// masking bug this suite exists to prevent).
+// masking bug this suite exists to prevent). Each cell's outcome is
+// also pinned exactly: the run is deterministic, so a moved quiesce
+// time, completion, loss or crash count means the run itself changed.
 func TestFuzzOpenLoopFaultPlans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz campaign cells are not -short")
@@ -197,6 +199,21 @@ func TestFuzzOpenLoopFaultPlans(t *testing.T) {
 	}
 	if crash.IsZero() {
 		t.Fatal("crash-queue plan missing")
+	}
+	type pin struct {
+		quiesced        sim.Time
+		completed, lost int64
+		crashes         int64
+	}
+	pins := map[string]pin{
+		"poisson/chaos":    {5682925, 324, 0, 0},
+		"poisson/crash":    {5437634, 315, 1, 1},
+		"bursty/chaos":     {5665574, 327, 0, 0},
+		"bursty/crash":     {5693163, 327, 1, 1},
+		"diurnal/chaos":    {5617429, 334, 0, 0},
+		"diurnal/crash":    {5490807, 315, 1, 1},
+		"antagonist/chaos": {5640093, 327, 0, 0},
+		"antagonist/crash": {5606000, 323, 1, 1},
 	}
 	for _, pattern := range traffic.Patterns() {
 		for _, tc := range []struct {
@@ -235,6 +252,10 @@ func TestFuzzOpenLoopFaultPlans(t *testing.T) {
 				}
 				if tc.name == "crash" && res.Crashes > 0 && res.Stats.Lost == 0 && res.Stats.Completed == 0 {
 					t.Error("crashes occurred but nothing was completed or resolved lost")
+				}
+				got := pin{res.Quiesced, res.Stats.Completed, res.Stats.Lost, res.Crashes}
+				if want := pins[pattern+"/"+tc.name]; got != want {
+					t.Errorf("outcome (quiesced, completed, lost, crashes) = %v, want %v", got, want)
 				}
 			})
 		}

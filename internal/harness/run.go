@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"fmt"
+
 	"repro/internal/check"
+	"repro/internal/fault"
 	"repro/internal/locks"
 	"repro/internal/obs/timeseries"
 	"repro/internal/sim"
@@ -47,19 +50,172 @@ type RunCfg struct {
 	Window sim.Time
 }
 
-// runOptions resolves a RunCfg into the env construction options and
-// the workload duration (the pure-data half of prepare, shared with the
-// warm-snapshot path in snapshot.go).
-func runOptions(c RunCfg) (EnvOptions, sim.Time) {
-	cfg := c.Config
-	cfg.Seed = c.Seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
+// workload builds one workload on an env: it spawns the worker threads,
+// which stop at deadline (absolute machine time), and returns the
+// end-of-run check, given how many threads a fault plan killed.
+type workload func(e *Env, threads int, deadline sim.Time) (validate func(crashes int64) error)
+
+// stages is one run through the staged path behind every entry point:
+// build env → attach observers → build workload → run to a horizon →
+// finish observers → validate. Entry points fill it from their config
+// and map the staged outcome onto their result type.
+type stages struct {
+	env func() (*Env, error) // NewEnv, or a warm-snapshot clone
+
+	// Observers. All but the flight recorder attach before the build,
+	// in this order: checker, race auditor, fault plan, tracer.
+	check  *check.Options // nil: no invariant checker
+	races  bool
+	plan   fault.Plan // requires check; seeded with the machine's config seed
+	trace  bool
+	window sim.Time
+
+	work     workload
+	threads  int
+	spinners int
+	// capped stops a closed-loop run after the build when the algorithm
+	// exceeded its lock-count cap (u-SCL), as the paper's runs crash.
+	capped bool
+	// deadline, horizon and hangBefore are relative to the machine clock
+	// at the build: zero on cold machines, the snapshot boundary on warm
+	// clones. Threads still parked when the machine drained are a
+	// deadlock only if it drained before hangBefore.
+	deadline, horizon, hangBefore sim.Time
+}
+
+// staged is the outcome of a staged run.
+type staged struct {
+	e          *Env
+	q          sim.Time
+	deadlocked bool
+	dump       string
+	violations []check.Violation
+	races      []check.Race
+	raceTotal  int64
+	series     *timeseries.Series
+	digest     uint64
+	events     int64
+	crashes    int64
+	err        error // the workload's end-of-run check
+}
+
+// run takes the stages in order. It fails only when the env cannot be
+// built; a failed workload check lands in the outcome's err.
+func (s stages) run() (*staged, error) {
+	e, err := s.env()
+	if err != nil {
+		return nil, err
 	}
-	cfg.RecordRunnable = c.RecordRunnable
-	if need := c.Threads + c.Spinners + 8; cfg.MaxThreads < need {
+	var ck *check.Checker
+	if s.check != nil {
+		ck = check.Attach(e.M, *s.check)
+	}
+	if s.races {
+		var ro check.RaceOptions
+		if s.check != nil {
+			ro = check.RaceOptions{StallBound: s.check.StallBound, Registry: s.check.Registry, EmitEvents: true}
+		}
+		e.Race = check.AttachRace(e.M, ro)
+	}
+	inj := fault.Apply(e.M, e.Mon, s.plan, e.M.Config().Seed)
+	if e.Mon != nil && s.plan.DegradesMonitor() {
+		// Degraded-monitor plans arm the monitor's self-check: the
+		// graceful-degradation acceptance criterion is exactly that this
+		// combination yields zero violations.
+		e.Mon.EnableHealthCheck(0, 0)
+	}
+	if s.trace {
+		// A tiny ring suffices: the digest is folded per event before
+		// eviction, so it is exact over the whole stream.
+		e.Tr = e.M.AttachTracer(256)
+	}
+
+	base := e.M.Now()
+	validate := s.work(e, s.threads, base+s.deadline)
+	out := &staged{e: e}
+	if s.capped && e.Crashed() {
+		return out, nil // nothing runs
+	}
+	if s.window > 0 {
+		// Sized to the horizon so steady-state sampling is allocation-free.
+		e.TS = timeseries.Attach(e.M, timeseries.Options{
+			Window:        s.window,
+			ExpectWindows: int(s.horizon/s.window) + 1,
+			QueueDepth:    e.queueDepth,
+		})
+	}
+	// After the workload: Collect identifies workers by spawn index.
+	e.SpawnSpinners(s.spinners, base+s.deadline)
+
+	out.q = e.M.Run(base + s.horizon)
+	if out.q < base+s.hangBefore && e.M.Deadlocked() {
+		out.deadlocked, out.dump = true, e.M.DeadlockReport()
+	}
+	if ck != nil {
+		out.violations = ck.Finish(out.q)
+	}
+	if e.Race != nil {
+		out.races = e.Race.Finish(out.q)
+		out.raceTotal = e.Race.Total
+	}
+	if e.TS != nil {
+		out.series = e.TS.Finish(out.q)
+	}
+	// After every Finish: end-of-run verdicts land in the stream too.
+	if e.Tr != nil {
+		out.digest, out.events = e.Tr.Digest(), e.Tr.Seen
+	}
+	if inj != nil {
+		out.crashes = inj.Crashes
+		s.check.Registry.Counter("fault.crashes").Add(inj.Crashes)
+	}
+	out.err = validate(out.crashes)
+	return out, nil
+}
+
+// verdicts returns the checker's verdicts plus a failed workload check
+// as a MutualExclusion violation, detailed through format: the
+// workload-level witness that mutual exclusion was lost even if the
+// event stream looked clean.
+func (s *staged) verdicts(format string) []check.Violation {
+	if s.err == nil {
+		return s.violations
+	}
+	return append(s.violations, check.Violation{
+		Invariant: check.MutualExclusion, At: s.q, Lock: -1, Thread: -1,
+		Detail: fmt.Sprintf(format, s.err),
+	})
+}
+
+// newEnv is the cold env stage.
+func newEnv(o EnvOptions) func() (*Env, error) {
+	return func() (*Env, error) { return NewEnv(o) }
+}
+
+// defaultSeed maps seed 0 to 42, the closed- and open-loop default
+// (Fuzz alone passes seed 0 through).
+func defaultSeed(seed uint64) uint64 {
+	if seed == 0 {
+		return 42
+	}
+	return seed
+}
+
+// withHeadroom raises the machine's thread cap to at least need.
+func withHeadroom(cfg sim.Config, need int) sim.Config {
+	if cfg.MaxThreads < need {
 		cfg.MaxThreads = need
 	}
+	return cfg
+}
+
+// runOptions resolves a RunCfg into the env construction options and
+// the workload duration (shared with the warm-snapshot path in
+// snapshot.go).
+func runOptions(c RunCfg) (EnvOptions, sim.Time) {
+	cfg := withHeadroom(c.Config, c.Threads+c.Spinners+8)
+	cfg.Seed = defaultSeed(c.Seed)
+	cfg.RecordRunnable = c.RecordRunnable
 	dur := c.Duration
 	if dur == 0 {
 		dur = 20_000_000
@@ -73,222 +229,144 @@ func runOptions(c RunCfg) (EnvOptions, sim.Time) {
 	}, dur
 }
 
-// attach wires the optional observers onto a built env (the other half
-// of the construction closure the warm-snapshot path replays).
-func attach(e *Env, c RunCfg, dur sim.Time) {
-	if c.Trace {
-		// A tiny ring suffices: the digest is folded per event before
-		// eviction, so it is exact over the whole stream.
-		e.Tr = e.M.AttachTracer(256)
-	}
-	if c.Races {
-		e.Race = check.AttachRace(e.M, check.RaceOptions{})
-	}
-	if c.Window > 0 {
-		// The run horizon is dur+dur/4 (see finish); size the series
-		// preallocation to cover it so steady-state sampling is
-		// allocation-free.
-		e.TS = timeseries.Attach(e.M, timeseries.Options{
-			Window:        c.Window,
-			ExpectWindows: int((dur+dur/4)/c.Window) + 1,
-		})
-	}
-}
-
-// prepare builds the env; the workload's worker threads must be spawned
-// before spinners so Collect can identify them by index.
-func prepare(c RunCfg) (*Env, sim.Time, error) {
-	o, dur := runOptions(c)
-	e, err := NewEnv(o)
+// runClosed runs a closed-loop workload through the staged path: the
+// workers stop at dur and the machine runs on to 5/4 of it so in-flight
+// operations complete. Threads still parked when the machine drained
+// are a hang only if the drain happened before the workload deadline:
+// waiters stranded at shutdown (e.g. barrier peers whose partners
+// exited on deadline) are a benign end-of-run artifact.
+func runClosed(c RunCfg, dur sim.Time, env func() (*Env, error), w workload) (*Env, Result, error) {
+	out, err := stages{
+		env: env, races: c.Races, trace: c.Trace, window: c.Window,
+		work: w, threads: c.Threads, spinners: c.Spinners, capped: true,
+		deadline: dur, horizon: dur + dur/4, hangBefore: dur,
+	}.run()
 	if err != nil {
-		return nil, 0, err
+		return nil, Result{}, err
 	}
-	attach(e, c, dur)
-	return e, dur, nil
+	if out.e.Crashed() {
+		return out.e, Result{Alg: c.Alg, Threads: c.Threads, Spinners: c.Spinners, Crashed: true}, nil
+	}
+	r := out.e.Collect(c.Threads, dur)
+	r.Spinners = c.Spinners
+	r.Deadlocked, r.DeadlockDump = out.deadlocked, out.dump
+	r.TraceDigest, r.TraceEvents = out.digest, out.events
+	r.Races, r.RaceTotal = out.races, out.raceTotal
+	r.Series = out.series
+	return out.e, r, out.err
 }
 
-// finish runs the machine (deadline at 80% of the horizon so in-flight
-// operations complete) and collects worker metrics. Deadlines are
-// relative to the machine clock at entry (zero on cold machines; the
-// snapshot boundary on warm clones).
-func finish(e *Env, c RunCfg, dur sim.Time) Result {
-	base := e.M.Now()
-	e.SpawnSpinners(c.Spinners, base+dur)
-	q := e.M.Run(base + dur + dur/4)
-	r := e.Collect(c.Threads, dur)
-	r.Spinners = c.Spinners
-	// Threads still parked when the machine drained are a hang only if
-	// the drain happened before the workload deadline: waiters stranded
-	// at shutdown (e.g. barrier peers whose partners exited on deadline)
-	// are a benign end-of-run artifact.
-	if q < base+dur && e.M.Deadlocked() {
-		r.Deadlocked = true
-		r.DeadlockDump = e.M.DeadlockReport()
+// runCold runs a closed-loop workload on a freshly built machine.
+func runCold(c RunCfg, w workload) (*Env, Result, error) {
+	o, dur := runOptions(c)
+	return runClosed(c, dur, newEnv(o), w)
+}
+
+// noEnv drops the env from runCold's outcome.
+func noEnv(_ *Env, r Result, err error) (Result, error) { return r, err }
+
+// sharedmemWork is the shared-memory-access microbenchmark; mu, when
+// set, replaces the env's locks with a fault mutant.
+func sharedmemWork(think sim.Time, mu *fault.Mutant) workload {
+	return func(e *Env, threads int, deadline sim.Time) func(int64) error {
+		newLock := e.NewLock
+		if mu != nil {
+			var npcs *sim.Word
+			if e.Mon != nil {
+				npcs = e.Mon.NPCS()
+			}
+			newLock = func(name string) locks.Lock { return mu.New(e.M, npcs, name) }
+		}
+		w := sharedmem.Build(e.M, sharedmem.Options{
+			Threads:    threads,
+			Deadline:   deadline,
+			ThinkTicks: think,
+			NewLock:    newLock,
+		})
+		return func(crashes int64) error {
+			ok, a, b := w.Validate(e.M)
+			if crashes > 0 {
+				// A killed holder may have died between the two line
+				// stores; tolerate exactly that much divergence.
+				ok, a, b = w.ValidateCrashed(e.M, crashes)
+			}
+			if !ok {
+				return fmt.Errorf("sharedmem critical-section lines diverged: %d vs %d", a, b)
+			}
+			return nil
+		}
 	}
-	if e.Tr != nil {
-		r.TraceDigest = e.Tr.Digest()
-		r.TraceEvents = e.Tr.Seen
+}
+
+// The Figure 3/4 applications. No fault plan runs them, so their checks
+// take no crash count.
+
+func hashtableWork(e *Env, threads int, deadline sim.Time) func(int64) error {
+	return noCrashes(hashtable.Build(e.M, hashtable.Options{Threads: threads, Deadline: deadline, NewLock: e.NewLock}).Validate)
+}
+
+func dbindexWork(e *Env, threads int, deadline sim.Time) func(int64) error {
+	return noCrashes(dbindex.Build(e.M, dbindex.Options{Threads: threads, Deadline: deadline, NewLock: e.NewLock}).Validate)
+}
+
+func dedupWork(e *Env, threads int, deadline sim.Time) func(int64) error {
+	return noCrashes(dedup.Build(e.M, dedup.Options{Threads: threads, Stripes: 16384, Deadline: deadline, NewLock: e.NewLock}).Validate)
+}
+
+func raytraceWork(e *Env, threads int, deadline sim.Time) func(int64) error {
+	w := raytrace.Build(e.M, raytrace.Options{Threads: threads, Deadline: deadline, NewLock: e.NewLock})
+	return noCrashes(func() error { return w.Validate(threads) })
+}
+
+func streamclusterWork(e *Env, threads int, deadline sim.Time) func(int64) error {
+	return noCrashes(streamcluster.Build(e.M, streamcluster.Options{
+		Threads: threads, Deadline: deadline, NewLock: e.NewLock,
+		NewBarrier: func(n string, k int) *locks.Barrier { return locks.NewBarrier(e.M, n, k) },
+	}).Validate)
+}
+
+func kvWork(kind kvstore.WorkloadKind) workload {
+	return func(e *Env, threads int, deadline sim.Time) func(int64) error {
+		db := kvstore.Open(e.M, kvstore.DBOptions{NewLock: e.NewLock})
+		kvstore.Bench(e.M, db, kvstore.BenchOptions{Kind: kind, Threads: threads, Deadline: deadline})
+		return noCrashes(db.Validate)
 	}
-	if e.Race != nil {
-		r.Races = e.Race.Finish(q)
-		r.RaceTotal = e.Race.Total
-	}
-	if e.TS != nil {
-		r.Series = e.TS.Finish(q)
-	}
-	return r
+}
+
+func noCrashes(check func() error) func(int64) error {
+	return func(int64) error { return check() }
 }
 
 // RunSharedMem runs the shared-memory-access microbenchmark (Figs 1/2/5).
 func RunSharedMem(c RunCfg, think sim.Time) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	sharedmem.Build(e.M, sharedmem.Options{
-		Threads:    c.Threads,
-		Deadline:   dur,
-		ThinkTicks: think,
-		NewLock:    e.NewLock,
-	})
-	return finish(e, c, dur), nil
+	return noEnv(RunSharedMemEnv(c, think))
 }
 
 // RunSharedMemEnv is RunSharedMem but returns the env for inspection
 // (Figure 5a timeline, mode-transition counts).
 func RunSharedMemEnv(c RunCfg, think sim.Time) (*Env, Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	sharedmem.Build(e.M, sharedmem.Options{
-		Threads:    c.Threads,
-		Deadline:   dur,
-		ThinkTicks: think,
-		NewLock:    e.NewLock,
-	})
-	r := finish(e, c, dur)
-	return e, r, nil
+	return runCold(c, sharedmemWork(think, nil))
 }
 
 // RunHashTable runs the hash-table microbenchmark (Figs 3a–d).
-func RunHashTable(c RunCfg) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	w := hashtable.Build(e.M, hashtable.Options{
-		Threads:  c.Threads,
-		Deadline: dur,
-		NewLock:  e.NewLock,
-	})
-	r := finish(e, c, dur)
-	if err := w.Validate(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
+func RunHashTable(c RunCfg) (Result, error) { return noEnv(runCold(c, hashtableWork)) }
 
 // RunDBIndex runs the PiBench-style database index (Figs 3e–h).
-func RunDBIndex(c RunCfg) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	w := dbindex.Build(e.M, dbindex.Options{
-		Threads:  c.Threads,
-		Deadline: dur,
-		NewLock:  e.NewLock,
-	})
-	if e.Crashed() {
-		return Result{Alg: c.Alg, Threads: c.Threads, Spinners: c.Spinners, Crashed: true}, nil
-	}
-	r := finish(e, c, dur)
-	if err := w.Validate(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
+func RunDBIndex(c RunCfg) (Result, error) { return noEnv(runCold(c, dbindexWork)) }
 
 // RunDedup runs the Dedup pipeline (Figs 3i–l).
-func RunDedup(c RunCfg) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	w := dedup.Build(e.M, dedup.Options{
-		Threads:  c.Threads,
-		Stripes:  16384,
-		Deadline: dur,
-		NewLock:  e.NewLock,
-	})
-	if e.Crashed() {
-		return Result{Alg: c.Alg, Threads: c.Threads, Spinners: c.Spinners, Crashed: true}, nil
-	}
-	r := finish(e, c, dur)
-	if err := w.Validate(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
+func RunDedup(c RunCfg) (Result, error) { return noEnv(runCold(c, dedupWork)) }
 
 // RunRaytrace runs the Raytrace workload (Figs 3m–p).
-func RunRaytrace(c RunCfg) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	w := raytrace.Build(e.M, raytrace.Options{
-		Threads:  c.Threads,
-		Deadline: dur,
-		NewLock:  e.NewLock,
-	})
-	r := finish(e, c, dur)
-	if err := w.Validate(c.Threads); err != nil {
-		return r, err
-	}
-	return r, nil
-}
+func RunRaytrace(c RunCfg) (Result, error) { return noEnv(runCold(c, raytraceWork)) }
 
 // RunStreamcluster runs the Streamcluster workload (Figs 3q–t).
-func RunStreamcluster(c RunCfg) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	w := streamcluster.Build(e.M, streamcluster.Options{
-		Threads:  c.Threads,
-		Deadline: dur,
-		NewLock:  e.NewLock,
-		NewBarrier: func(n string, k int) *locks.Barrier {
-			return locks.NewBarrier(e.M, n, k)
-		},
-	})
-	r := finish(e, c, dur)
-	if err := w.Validate(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
+func RunStreamcluster(c RunCfg) (Result, error) { return noEnv(runCold(c, streamclusterWork)) }
 
 // RunKV runs the LevelDB-style store (Fig 4). kind selects
 // readrandom/fillrandom.
 func RunKV(c RunCfg, kind kvstore.WorkloadKind) (Result, error) {
-	e, dur, err := prepare(c)
-	if err != nil {
-		return Result{}, err
-	}
-	db := kvstore.Open(e.M, kvstore.DBOptions{NewLock: e.NewLock})
-	kvstore.Bench(e.M, db, kvstore.BenchOptions{
-		Kind:     kind,
-		Threads:  c.Threads,
-		Deadline: dur,
-	})
-	r := finish(e, c, dur)
-	if err := db.Validate(); err != nil {
-		return r, err
-	}
-	return r, nil
+	return noEnv(runCold(c, kvWork(kind)))
 }
 
 // RunHackbench runs the §5.4 overhead experiment and returns the runtimes

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/workloads/sharedmem"
 )
 
 // WarmSpec configures the warm phase run before a snapshot is taken:
@@ -51,13 +50,24 @@ type Warmed struct {
 // machine continuing without ever being snapshotted.
 func prewarmEnv(c RunCfg, w WarmSpec) (*Env, sim.Time, error) {
 	o, dur := runOptions(c)
-	e, err := NewEnv(o)
+	e, err := construct(sim.New(envConfig(o)), o, c.Trace)
 	if err != nil {
 		return nil, 0, err
 	}
-	attach(e, c, dur)
 	warmPhase(e.M, w)
 	return e, dur, nil
+}
+
+// construct is the snapshot's construction closure: the env's Go-heap
+// state plus the tracer. The tracer attaches here, not in the staged
+// run, because Clone panics when tracer attachment differs and the
+// digest state lives in the snapshot.
+func construct(m *sim.Machine, o EnvOptions, trace bool) (*Env, error) {
+	e, err := buildEnv(m, o)
+	if err == nil && trace {
+		e.Tr = m.AttachTracer(256)
+	}
+	return e, err
 }
 
 // warmPhase spawns the warm workers and drives them to quiescence. The
@@ -117,15 +127,11 @@ func (wm *Warmed) clone(seed uint64) *Env {
 	var e *Env
 	m := wm.snap.Clone(func(mm *sim.Machine) {
 		// The alg was validated when Prewarm built the warm machine, so
-		// buildEnv cannot fail here.
-		e, _ = buildEnv(mm, wm.o)
-		attach(e, wm.c, wm.dur)
+		// construct cannot fail here.
+		e, _ = construct(mm, wm.o, wm.c.Trace)
 	})
 	e.workerBase = wm.base
-	if seed == 0 {
-		seed = 42
-	}
-	m.Reseed(seed)
+	m.Reseed(defaultSeed(seed))
 	return e
 }
 
@@ -134,12 +140,9 @@ func (wm *Warmed) clone(seed uint64) *Env {
 // RunSharedMem. The workload deadline and all collected metrics are
 // relative to the snapshot boundary.
 func (wm *Warmed) RunSharedMem(seed uint64, think sim.Time) Result {
-	e := wm.clone(seed)
-	sharedmem.Build(e.M, sharedmem.Options{
-		Threads:    wm.c.Threads,
-		Deadline:   e.M.Now() + wm.dur,
-		ThinkTicks: think,
-		NewLock:    e.NewLock,
-	})
-	return finish(e, wm.c, wm.dur)
+	c := wm.c
+	c.Trace = false // attached by the construction closure
+	clone := func() (*Env, error) { return wm.clone(seed), nil }
+	_, r, _ := runClosed(c, wm.dur, clone, sharedmemWork(think, nil))
+	return r
 }

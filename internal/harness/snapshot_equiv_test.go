@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/workloads/sharedmem"
 )
 
 // warmColdRef is the uninterrupted reference for the snapshot
@@ -19,17 +18,10 @@ func warmColdRef(c RunCfg, w WarmSpec, seed uint64, think sim.Time) (Result, err
 		return Result{}, err
 	}
 	e.workerBase = len(e.M.Threads())
-	if seed == 0 {
-		seed = 42
-	}
-	e.M.Reseed(seed)
-	sharedmem.Build(e.M, sharedmem.Options{
-		Threads:    c.Threads,
-		Deadline:   e.M.Now() + dur,
-		ThinkTicks: think,
-		NewLock:    e.NewLock,
-	})
-	return finish(e, c, dur), nil
+	e.M.Reseed(defaultSeed(seed))
+	c.Trace = false // attached by prewarmEnv
+	warm := func() (*Env, error) { return e, nil }
+	return noEnv(runClosed(c, dur, warm, sharedmemWork(think, nil)))
 }
 
 // TestSnapshotEquivalence is the clone guarantee at the harness level:

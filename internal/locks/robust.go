@@ -146,7 +146,6 @@ func (l *RobustBlocking) threadDied(reg *RobustRegistry, dead *sim.Thread) {
 		return
 	}
 	reg.OwnerDeaths++
-	//flexlint:allow wordaccess kernel robust walk flags FUTEX_OWNER_DIED
 	l.m.KernelStore(l.v, rbOwnerDied|(v&rbWaiters))
 	l.m.KernelLockEvent(sim.TraceOwnerDead, l.lid, int32(dead.ID()), -1)
 	if v&rbWaiters != 0 {
@@ -330,14 +329,12 @@ func (l *RobustMCS) threadDied(reg *RobustRegistry, dead *sim.Thread) {
 			reg.OwnerDeaths++
 			l.m.KernelLockEvent(sim.TraceOwnerDead, l.lid, int32(dead.ID()), -1)
 			if l.tail.V() == enc(dead.ID()) {
-				//flexlint:allow wordaccess kernel robust walk resets the tail of the dead holder's empty queue
 				l.m.KernelStore(l.tail, 0)
 			}
 			return
 		}
 		// Publish the possibly-missing predecessor link, then fall
 		// through to the dead-waiter marking below.
-		//flexlint:allow wordaccess kernel robust walk publishes the dead waiter's unfinished link store
 		l.m.KernelStore(l.nodes[dec(dead.Reg)].next, enc(dead.ID()))
 	case regRMQueued:
 		// Linked and spinning: the walk below is all that is needed.
@@ -350,7 +347,6 @@ func (l *RobustMCS) threadDied(reg *RobustRegistry, dead *sim.Thread) {
 	if reg.abandons != nil {
 		*reg.abandons++
 	}
-	//flexlint:allow wordaccess kernel robust walk marks the dead waiter node
 	l.m.KernelStore(qn.status, rmDead)
 	l.m.KernelLockEvent(sim.TraceAbandon, l.lid, int32(dead.ID()), int32(dead.ID()))
 }

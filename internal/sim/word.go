@@ -83,9 +83,8 @@ func (m *Machine) onlySharerIs(line int32, cpu int) bool {
 // A Word is a handle: its value lives in the machine's chunked value
 // arena (w.p points at the slot, stable for the Word's lifetime) and
 // its coherence state in the machine's line arrays, both indexed by the
-// dense allocation ids. Outside internal/sim, always go through the
-// Word API — flexlint's wordaccess pass flags direct indexing into the
-// backing arrays just like raw value-field access.
+// dense allocation ids. Outside internal/sim the Word API is the only
+// way in: the backing arrays are unexported Machine fields.
 type Word struct {
 	p      *uint64 // value slot in the machine's arena
 	lineID int32   // dense cache-line id in the machine's line arrays

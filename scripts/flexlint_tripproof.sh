@@ -81,6 +81,20 @@ func ztripCost(m *sim.Machine, w *sim.Word) {
 }
 GO
 
+# costcoverage, kernel writes: a kernel-side store issued from a
+# spawned simulated thread instead of a kernel hook.
+trip costcoverage <<'GO'
+package locks
+
+import "repro/internal/sim"
+
+func ztripKernel(m *sim.Machine, w *sim.Word) {
+	m.Spawn("ztrip", func(p *sim.Proc) {
+		m.KernelStore(w, 1)
+	})
+}
+GO
+
 # traceprotocol: a Lock path that emits two acquire-class events.
 trip traceprotocol <<'GO'
 package locks
