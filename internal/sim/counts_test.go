@@ -19,10 +19,12 @@ type shape struct {
 }
 
 // counts are the deterministic outputs of one run: the trace digest,
-// the traced event count and the coroutine resumes.
+// the traced event count, the coroutine resumes and the peak event
+// queue length.
 type counts struct {
 	digest          uint64
 	events, resumes int64
+	peak            int
 }
 
 // run runs the cell under alg with fault injector fi (nil for none).
@@ -40,8 +42,9 @@ func (s shape) run(t *testing.T, alg string, fi sim.FaultInjector) counts {
 	tr := e.M.AttachTracer(256)
 	e.M.SetFaultInjector(fi)
 	sharedmem.Build(e.M, sharedmem.Options{Threads: s.threads, Deadline: s.dur, ThinkTicks: s.think, NewLock: e.NewLock})
-	e.M.Run(s.dur + s.dur/4)
-	return counts{tr.Digest(), tr.Seen, e.M.Resumes()}
+	peak := 0
+	e.M.RunSampled(s.dur+s.dur/4, func(n, _ int) { peak = max(peak, n) })
+	return counts{tr.Digest(), tr.Seen, e.M.Resumes(), peak}
 }
 
 // smallShape is TestInjectedInlineBatching's cell; sweepShape is the
@@ -64,19 +67,19 @@ func TestPinnedCounts(t *testing.T) {
 		alg   string
 		want  counts
 	}{
-		{smallShape, "blocking", counts{0xf73b637b5fbe2b1f, 12933, 14523}},
-		{smallShape, "mcs", counts{0x82534fb39f62560d, 2866, 4992}},
-		{smallShape, "flexguard", counts{0xe72994b09d3dccc9, 26733, 56969}},
-		{sweepShape, "blocking", counts{0x4e1e6306c12d8ec5, 74357, 83802}},
-		{sweepShape, "mcs", counts{0xecc844d89e141b6e, 11801, 30152}},
-		{sweepShape, "flexguard", counts{0xbe3e5444e4fb5ba5, 32811, 66780}},
+		{smallShape, "blocking", counts{0xf73b637b5fbe2b1f, 12933, 14523, 10}},
+		{smallShape, "mcs", counts{0x82534fb39f62560d, 2866, 4992, 8}},
+		{smallShape, "flexguard", counts{0xe72994b09d3dccc9, 26733, 56969, 10}},
+		{sweepShape, "blocking", counts{0x4e1e6306c12d8ec5, 74357, 83802, 56}},
+		{sweepShape, "mcs", counts{0xecc844d89e141b6e, 11801, 30152, 52}},
+		{sweepShape, "flexguard", counts{0xbe3e5444e4fb5ba5, 32811, 66780, 52}},
 	}
 	for _, c := range cases {
 		got := c.shape.run(t, c.alg, nil)
-		t.Logf("%s/%s: digest %#016x, %d events, %d resumes", c.shape.name, c.alg, got.digest, got.events, got.resumes)
+		t.Logf("%s/%s: digest %#016x, %d events, %d resumes, peak %d", c.shape.name, c.alg, got.digest, got.events, got.resumes, got.peak)
 		if got != c.want {
-			t.Errorf("%s/%s: digest %#016x, %d events, %d resumes; want %#016x, %d, %d", c.shape.name, c.alg,
-				got.digest, got.events, got.resumes, c.want.digest, c.want.events, c.want.resumes)
+			t.Errorf("%s/%s: digest %#016x, %d events, %d resumes, peak %d; want %#016x, %d, %d, %d", c.shape.name, c.alg,
+				got.digest, got.events, got.resumes, got.peak, c.want.digest, c.want.events, c.want.resumes, c.want.peak)
 		}
 	}
 }

@@ -9,3 +9,8 @@ func (m *Machine) RunSampled(until Time, sample func(n, strong int)) Time {
 
 // Resumes reports how many times loop has resumed a thread coroutine.
 func (m *Machine) Resumes() int64 { return m.resumes }
+
+// QueueTiers reports how the event queue's pending events split between
+// its wheel and heap tiers, and whether its next pop takes the heap's
+// head.
+func (m *Machine) QueueTiers() (wheel, heap int, heapNext bool) { return m.eq.Tiers() }

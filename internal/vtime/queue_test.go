@@ -340,6 +340,43 @@ func TestStrongLenCancel(t *testing.T) {
 	}
 }
 
+// TestQueueRouting pins which tier an event joins: the wheel takes the
+// buckets [base, base+windowBuckets) and the heap everything else, and
+// only a pop moves base, forward, to the popped event's bucket.
+func TestQueueRouting(t *testing.T) {
+	const edge = windowBuckets << bucketShift // the zero queue's window end
+	var q Queue
+	tiers := func(wantWheel, wantHeap int, wantHeapNext bool) {
+		t.Helper()
+		if w, h, hn := q.Tiers(); w != wantWheel || h != wantHeap || hn != wantHeapNext {
+			t.Fatalf("Tiers = %d, %d, %v; want %d, %d, %v", w, h, hn, wantWheel, wantHeap, wantHeapNext)
+		}
+	}
+	tiers(0, 0, false)
+	q.Schedule(edge-1, func() {}) // the window's last tick
+	q.Schedule(0, func() {})      // the window's first tick
+	q.Schedule(edge, func() {})   // one past the window
+	q.Schedule(-1, func() {})     // before the base
+	tiers(2, 2, true)
+	if e := q.Pop(); e.At != -1 {
+		t.Fatalf("popped %d, want -1", e.At)
+	}
+	if e := q.Pop(); e.At != 0 || q.base != 0 {
+		t.Fatalf("popped %d with base %d, want 0 and 0", e.At, q.base)
+	}
+	q.PeekTime() // peeking never moves the base
+	if e := q.Pop(); e.At != edge-1 || q.base != windowBuckets-1 {
+		t.Fatalf("popped %d with base %d, want %d and %d", e.At, q.base, edge-1, windowBuckets-1)
+	}
+	// The window now starts at edge-1's bucket; edge stays in the heap.
+	q.Schedule(edge+1, func() {})
+	tiers(1, 1, true)
+	if e := q.Pop(); e.At != edge {
+		t.Fatalf("popped %d, want %d", e.At, edge)
+	}
+	tiers(1, 0, false)
+}
+
 func BenchmarkQueueScheduleAndPop(b *testing.B) {
 	var q Queue
 	for i := 0; i < b.N; i++ {
@@ -350,11 +387,79 @@ func BenchmarkQueueScheduleAndPop(b *testing.B) {
 	}
 }
 
-// checkHeap verifies the queue's whole state against the reference
-// list of pending events: the exact Len and StrongLen, the 4-ary heap
-// order, every tracked index, the keys stored next to each event, and
-// that no entry is canceled.
-func checkHeap(t *testing.T, q *Queue, pending []*Event, where string) {
+// BenchmarkQueueSweepMix runs the queue in the figure sweep's measured
+// steady state: 14 near-term events, with delays drawn from the default
+// cost table (72% op completions 40–60 ticks ahead plus jitter, the rest
+// context switches, futex wakes and compute legs), threaded between 17
+// slice timers 100K–1M ticks ahead. Each iteration pops the earliest
+// event and schedules its successor — a near event after a near one, a
+// fresh slice timer after an expired one — and every 64th also cancels a
+// slice timer and rearms it, as a context switch does.
+func BenchmarkQueueSweepMix(b *testing.B) {
+	const (
+		nearEvents  = 14
+		sliceTimers = 17
+		draws       = 4096 // precomputed delays, cycled
+	)
+	rng := rand.New(rand.NewSource(1))
+	near := make([]Time, draws)
+	for i := range near {
+		switch r := rng.Intn(100); {
+		case r < 72: // LoadRemote, StoreRemote or AtomicRemote, plus Jitter
+			near[i] = []Time{40, 50, 60}[r%3] + Time(rng.Intn(17))
+		case r < 86: // CtxSwitch, or Syscall+FutexWakeWork
+			near[i] = 3000
+		case r < 92: // WakeLatency
+			near[i] = 2000
+		default: // a compute leg, up to the spinners' 10 000
+			near[i] = 1 + Time(rng.Intn(10_000))
+		}
+	}
+	far := make([]Time, draws)
+	for i := range far {
+		far[i] = 100_000 + Time(rng.Intn(900_000))
+	}
+	var q Queue
+	fired := -1 // the slice timer the last callback was, -1 for a near event
+	timers := make([]*Event, sliceTimers)
+	timerFns := make([]func(), sliceTimers)
+	for i := range timers {
+		timerFns[i] = func() { fired = i }
+		timers[i] = q.Schedule(far[i], timerFns[i])
+	}
+	nearFn := func() { fired = -1 }
+	for i := range nearEvents {
+		q.Schedule(near[i], nearFn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := q.Pop()
+		now := e.At
+		e.Fn()
+		q.Recycle(e)
+		d := i & (draws - 1)
+		if fired < 0 {
+			q.Schedule(now+near[d], nearFn)
+		} else {
+			timers[fired] = q.Schedule(now+far[d], timerFns[fired])
+		}
+		if i%64 == 0 {
+			k := d % sliceTimers
+			timers[k].Cancel()
+			timers[k] = q.Schedule(now+far[d^1], timerFns[k])
+		}
+	}
+}
+
+// checkQueue verifies the queue's whole state against the reference list
+// of pending events. In the wheel, every event sits in its time's bucket
+// inside [base, base+windowBuckets), each bucket's list is sorted by
+// (time, sequence) with consistent links, the bitmap marks exactly the
+// non-empty buckets, and first names the earliest one. In the heap, the
+// 4-ary order holds, with every tracked index and the keys stored next to
+// each event. In both, no entry is canceled or pooled, each is pending in
+// the reference, and Len and StrongLen are exact.
+func checkQueue(t *testing.T, q *Queue, pending []*Event, where string) {
 	t.Helper()
 	strong := 0
 	for _, e := range pending {
@@ -365,119 +470,275 @@ func checkHeap(t *testing.T, q *Queue, pending []*Event, where string) {
 	if q.Len() != len(pending) || q.StrongLen() != strong {
 		t.Fatalf("%s: Len %d StrongLen %d, reference %d / %d", where, q.Len(), q.StrongLen(), len(pending), strong)
 	}
+	live := func(e *Event, tier string) {
+		t.Helper()
+		switch {
+		case e.canceled || e.pooled:
+			t.Fatalf("%s: %s event at %d is canceled or pooled", where, tier, e.At)
+		case e.q != q:
+			t.Fatalf("%s: %s event at %d belongs to another queue", where, tier, e.At)
+		case !slices.Contains(pending, e):
+			t.Fatalf("%s: %s event at %d is not pending in the reference", where, tier, e.At)
+		}
+	}
+	nwheel, earliest := 0, int64(0)
+	for s, h := range q.wheel {
+		if marked := q.bitmap[s>>6]&(1<<(s&63)) != 0; marked != (h != nil) {
+			t.Fatalf("%s: slot %d: bitmap bit %v, list empty %v", where, s, marked, h == nil)
+		}
+		if h == nil {
+			continue
+		}
+		var prev *Event
+		for e := h; e != nil; prev, e = e, e.next {
+			b := e.At >> bucketShift
+			switch {
+			case e.index != inWheel:
+				t.Fatalf("%s: slot %d: event at %d tracks index %d", where, s, e.At, e.index)
+			case int(b&bucketMask) != s:
+				t.Fatalf("%s: slot %d holds an event at %d, of bucket %d", where, s, e.At, b)
+			case b < q.base || b >= q.base+windowBuckets:
+				t.Fatalf("%s: wheel event at %d (bucket %d) outside the window [%d, %d)", where, e.At, b, q.base, q.base+windowBuckets)
+			case prev != nil && e.prev != prev:
+				t.Fatalf("%s: slot %d: event at %d has a stale prev link", where, s, e.At)
+			case prev != nil && !(entry{at: prev.At, seq: prev.seq}).before(entry{at: e.At, seq: e.seq}):
+				t.Fatalf("%s: slot %d: (%d,%d) listed before (%d,%d)", where, s, prev.At, prev.seq, e.At, e.seq)
+			}
+			live(e, "wheel")
+			if nwheel == 0 || b < earliest {
+				earliest = b
+			}
+			nwheel++
+		}
+		if h.prev != prev {
+			t.Fatalf("%s: slot %d: the head's prev is not the tail", where, s)
+		}
+	}
+	if nwheel != q.nwheel {
+		t.Fatalf("%s: wheel lists hold %d events, nwheel %d", where, nwheel, q.nwheel)
+	}
+	if nwheel > 0 && q.first != earliest {
+		t.Fatalf("%s: first %d, earliest non-empty bucket %d", where, q.first, earliest)
+	}
 	for i, en := range q.heap {
 		switch {
 		case en.ev.index != i:
 			t.Fatalf("%s: entry %d tracks index %d", where, i, en.ev.index)
 		case en.at != en.ev.At || en.seq != en.ev.seq:
 			t.Fatalf("%s: entry %d key (%d,%d) != event (%d,%d)", where, i, en.at, en.seq, en.ev.At, en.ev.seq)
-		case en.ev.canceled || en.ev.pooled:
-			t.Fatalf("%s: entry %d is canceled or pooled", where, i)
-		case !slices.Contains(pending, en.ev):
-			t.Fatalf("%s: entry %d is not pending in the reference", where, i)
 		case i > 0 && en.before(q.heap[(i-1)/arity]):
 			t.Fatalf("%s: entry %d fires before its parent", where, i)
+		}
+		live(en.ev, "heap")
+	}
+}
+
+// refQueue drives a Queue next to a naive reference: the pending events
+// in scheduling order, whose head is the minimum time, the earliest
+// scheduled on ties. Every step checks the queue's whole state.
+type refQueue struct {
+	t       *testing.T
+	q       Queue
+	pending []*Event // in scheduling order
+	now     Time     // the last popped time
+	where   string   // the step, for failure messages
+}
+
+// at returns a time of the given class, with n (0–255) choosing within
+// it. The classes reach both tiers and every routing edge: near-term
+// ticks with frequent ties, bucket edges ±1, either edge of the window
+// ±1, slice timers ≥ 1M ticks ahead, the past, and anywhere up to just
+// past the window.
+func (r *refQueue) at(class, n int) Time {
+	switch class % 6 {
+	case 0:
+		return r.now + Time(n%6)
+	case 1:
+		return (r.now>>bucketShift+Time(1+n%4))<<bucketShift + Time(n%3-1)
+	case 2:
+		edge := r.q.base
+		if n%2 == 1 {
+			edge += windowBuckets
+		}
+		return edge<<bucketShift + Time(n/2%3-1)
+	case 3:
+		return r.now + 1_000_000 + Time(n)
+	case 4:
+		return r.now - 1 - Time(n%100)
+	default:
+		return r.now + Time(n)*67
+	}
+}
+
+// head returns the index of the reference's next event, or -1.
+func (r *refQueue) head() int {
+	best := -1
+	for i, e := range r.pending {
+		if best < 0 || e.At < r.pending[best].At {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refQueue) check(op string) { checkQueue(r.t, &r.q, r.pending, r.where+" ("+op+")") }
+
+func (r *refQueue) schedule(at Time, weak bool) *Event {
+	r.t.Helper()
+	var e *Event
+	if weak {
+		e = r.q.ScheduleWeak(at, func() {})
+	} else {
+		e = r.q.Schedule(at, func() {})
+	}
+	if slices.Contains(r.pending, e) || e.Canceled() || e.index == -1 {
+		r.t.Fatalf("%s: Schedule returned a pending or stale event", r.where)
+	}
+	r.pending = append(r.pending, e)
+	r.check("schedule")
+	return e
+}
+
+// cancel cancels pending event i. Then, by follow: cancels it again (a
+// no-op), lets the next Schedule, at reuse, take it from the free list,
+// or does neither.
+func (r *refQueue) cancel(i, follow int, reuse Time) {
+	r.t.Helper()
+	e := r.pending[i]
+	free := len(r.q.free)
+	e.Cancel()
+	r.pending = slices.Delete(r.pending, i, i+1)
+	if !e.Canceled() || e.index != -1 || len(r.q.free) != free+1 {
+		r.t.Fatalf("%s: canceled event not removed and recycled", r.where)
+	}
+	r.check("cancel")
+	switch follow % 3 {
+	case 0:
+		e.Cancel()
+		if len(r.q.free) != free+1 {
+			r.t.Fatalf("%s: double cancel recycled the event twice", r.where)
+		}
+		r.check("double cancel")
+	case 1:
+		if got := r.schedule(reuse, false); got != e {
+			r.t.Fatalf("%s: Schedule did not reuse the canceled event", r.where)
 		}
 	}
 }
 
+// pop pops one event and checks it is the reference's head. With
+// cancelAfter it then cancels the fired event, which changes nothing,
+// before recycling it the way the simulator's loop does.
+func (r *refQueue) pop(cancelAfter bool) {
+	r.t.Helper()
+	e := r.q.Pop()
+	h := r.head()
+	if h < 0 {
+		if e != nil {
+			r.t.Fatalf("%s: popped an event from an empty reference", r.where)
+		}
+		return
+	}
+	if e != r.pending[h] {
+		r.t.Fatalf("%s: popped (%d), reference head (%d,%d)", r.where, e.At, r.pending[h].At, r.pending[h].seq)
+	}
+	r.pending = slices.Delete(r.pending, h, h+1)
+	r.now = e.At
+	r.check("pop")
+	if cancelAfter {
+		e.Cancel()
+		r.check("cancel after fire")
+	}
+	r.q.Recycle(e)
+}
+
+func (r *refQueue) peek() {
+	r.t.Helper()
+	at, ok := r.q.PeekTime()
+	if h := r.head(); ok != (h >= 0) || ok && at != r.pending[h].At {
+		r.t.Fatalf("%s: PeekTime %d,%v disagrees with the reference", r.where, at, ok)
+	}
+}
+
+func (r *refQueue) reset() {
+	r.q.Reset()
+	r.pending = r.pending[:0]
+	r.check("reset")
+}
+
 // TestQueueMatchesSortedReference is the differential test of the
-// live-only heap: random schedule / weak-schedule / cancel / pop / peek /
-// reset sequences run against a naive reference (the pending events in
-// scheduling order, whose head is the minimum time, earliest scheduled
-// on ties), and the queue's full state is checked after every step. The
-// mix covers cancel-after-fire, double cancel, and a canceled event that
-// the very next Schedule reuses.
+// two-tier queue: random schedule / weak-schedule / cancel / pop / peek /
+// reset sequences over every time class of refQueue.at run against the
+// naive reference, and the queue's full state is checked after every
+// step. The mix covers cancel-after-fire, double cancel, and a canceled
+// event that the very next Schedule reuses.
 func TestQueueMatchesSortedReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var q Queue
-		var pending []*Event // in scheduling order
-		now := Time(0)
-		head := func() int {
-			best := -1
-			for i, e := range pending {
-				if best < 0 || e.At < pending[best].At {
-					best = i
-				}
-			}
-			return best
-		}
-		schedule := func(weak bool) *Event {
-			at := now + Time(rng.Intn(6)) // ties are frequent
-			var e *Event
-			if weak {
-				e = q.ScheduleWeak(at, func() {})
-			} else {
-				e = q.Schedule(at, func() {})
-			}
-			if slices.Contains(pending, e) || e.Canceled() || e.index < 0 {
-				t.Fatalf("seed %d: Schedule returned a pending or stale event", seed)
-			}
-			pending = append(pending, e)
-			return e
-		}
+		r := &refQueue{t: t}
 		for step := 0; step < 600; step++ {
-			where := func(op string) string { return fmt.Sprintf("seed %d step %d (%s)", seed, step, op) }
-			switch r := rng.Intn(100); {
-			case r < 40 || len(pending) == 0 && r < 80:
-				schedule(rng.Intn(6) == 0)
-				checkHeap(t, &q, pending, where("schedule"))
-			case r < 58 && len(pending) > 0:
-				i := rng.Intn(len(pending))
-				e := pending[i]
-				free := len(q.free)
-				e.Cancel()
-				pending = slices.Delete(pending, i, i+1)
-				if !e.Canceled() || e.index != -1 || len(q.free) != free+1 {
-					t.Fatalf("%s: canceled event not removed and recycled", where("cancel"))
-				}
-				checkHeap(t, &q, pending, where("cancel"))
-				switch rng.Intn(3) {
-				case 0: // double cancel is a no-op
-					e.Cancel()
-					if len(q.free) != free+1 {
-						t.Fatalf("%s: double cancel recycled the event twice", where("double cancel"))
-					}
-				case 1: // the next Schedule reuses the canceled event
-					if r := schedule(false); r != e {
-						t.Fatalf("%s: Schedule did not reuse the canceled event", where("reuse"))
-					}
-				}
-				checkHeap(t, &q, pending, where("after cancel"))
-			case r < 85:
-				e := q.Pop()
-				h := head()
-				if h < 0 {
-					if e != nil {
-						t.Fatalf("%s: popped an event from an empty reference", where("pop"))
-					}
-					break
-				}
-				if e != pending[h] {
-					t.Fatalf("%s: popped (%d), reference head (%d)", where("pop"), e.At, pending[h].At)
-				}
-				pending = slices.Delete(pending, h, h+1)
-				now = e.At
-				checkHeap(t, &q, pending, where("pop"))
-				// Cancel after fire changes nothing; the event is then
-				// recycled the way the simulator's loop does.
-				if rng.Intn(4) == 0 {
-					e.Cancel()
-					checkHeap(t, &q, pending, where("cancel after fire"))
-				}
-				q.Recycle(e)
-			case r < 97:
-				at, ok := q.PeekTime()
-				h := head()
-				if ok != (h >= 0) || ok && at != pending[h].At {
-					t.Fatalf("%s: PeekTime %d,%v disagrees with the reference", where("peek"), at, ok)
-				}
+			r.where = fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(100); {
+			case op < 40 || len(r.pending) == 0 && op < 80:
+				r.schedule(r.at(rng.Intn(6), rng.Intn(256)), rng.Intn(6) == 0)
+			case op < 58 && len(r.pending) > 0:
+				r.cancel(rng.Intn(len(r.pending)), rng.Intn(3), r.at(rng.Intn(6), rng.Intn(256)))
+			case op < 85:
+				r.pop(rng.Intn(4) == 0)
+			case op < 97:
+				r.peek()
 			default:
-				q.Reset()
-				pending = pending[:0]
-				checkHeap(t, &q, pending, where("reset"))
+				r.reset()
 			}
 		}
 	}
+}
+
+// FuzzQueue decodes its input into steps of three bytes — an op, a time
+// class (or pending index), and an offset within the class — and runs
+// them against the sorted reference, checking every pop, every peek and
+// the queue's full state after every step.
+func FuzzQueue(f *testing.F) {
+	f.Add([]byte{})
+	// An equal-time burst on one tick, drained.
+	burst := []byte{}
+	for range 20 {
+		burst = append(burst, 0, 0, 0)
+	}
+	for range 21 {
+		burst = append(burst, 10, 0, 0)
+	}
+	f.Add(burst)
+	// Both window edges ±1, a far timer, and the past, interleaved with
+	// pops that move the base.
+	f.Add([]byte{0, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0, 2, 4, 0, 2, 5, 0, 3, 9, 0, 4, 7, 10, 0, 0, 13, 0, 0,
+		0, 1, 1, 0, 1, 2, 10, 0, 0, 10, 0, 0, 8, 0, 1, 10, 0, 0, 10, 0, 0, 13, 0, 0, 15, 0, 0})
+	for seed := int64(1); seed <= 4; seed++ {
+		data := make([]byte, 900)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &refQueue{t: t}
+		for i := 0; i+3 <= len(data); i += 3 {
+			op, a, n := data[i]%16, int(data[i+1]), int(data[i+2])
+			r.where = fmt.Sprintf("step %d", i/3)
+			switch {
+			case op < 6:
+				r.schedule(r.at(a, n), false)
+			case op < 8:
+				r.schedule(r.at(a, n), true)
+			case op < 10:
+				if len(r.pending) > 0 {
+					r.cancel(a%len(r.pending), n, r.at(n, a))
+				}
+			case op < 13:
+				r.pop(n%4 == 0)
+			case op < 15:
+				r.peek()
+			default:
+				r.reset()
+			}
+		}
+	})
 }
