@@ -5,7 +5,8 @@ package analysis
 // configuration; this pass enforces it at compile time for every
 // function reachable from the hot roots:
 //
-//   - (*Machine).loop — the event step loop,
+//   - (*Machine).drive — the event loop, on whichever goroutine holds
+//     the turn,
 //   - (*Proc).do — the thread-side fast path,
 //   - every lock implementation's Lock/Unlock (structural match:
 //     methods named Lock and Unlock on the same receiver, taking one
@@ -98,7 +99,7 @@ func isHotRoot(n *FuncNode) bool {
 	}
 	switch {
 	case inSimPackage(n):
-		return n.Decl.Name.Name == "loop" || n.Decl.Name.Name == "do"
+		return n.Decl.Name.Name == "drive" || n.Decl.Name.Name == "do"
 	case strings.HasSuffix(n.Pkg.Path, "/internal/traffic") || n.Pkg.Path == "internal/traffic":
 		return n.Decl.Name.Name == "worker" || n.Decl.Name.Name == "arrive"
 	}

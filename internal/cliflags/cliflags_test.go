@@ -64,3 +64,42 @@ func TestCheckFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckValues: a numeric flag outside its range is an error naming
+// the flag and the range; 0 stays valid where the help text gives it a
+// meaning.
+func TestCheckValues(t *testing.T) {
+	cases := []struct {
+		cmd, flag, value string
+		want             string // the error's text; "" when the value is valid
+	}{
+		{"simtrace", "cpus", "0", "-cpus must be at least 1, got 0"},
+		{"simtrace", "cpus", "-3", "-cpus must be at least 1, got -3"},
+		{"simtrace", "cpus", "1", ""},
+		{"simtrace", "threads", "0", "-threads must be at least 1, got 0"},
+		{"simtrace", "duration", "-5", "-duration must be at least 1, got -5"},
+		{"simtrace", "window", "0", ""},
+		{"simtrace", "events", "-1", "-events must be at least 0, got -1"},
+		{"flexbench", "duration", "-1", "-duration must be at least 1, got -1"},
+		{"flexbench", "scale", "2", "-scale must be in (0, 1], got 2"},
+		{"flexbench", "scale", "0", "-scale must be in (0, 1], got 0"},
+		{"flexbench", "scale", "1", ""},
+		{"flexbench", "scale", "0.1", ""},
+		{"flexbench", "parallel", "0", ""},
+		{"flexbench", "seeds", "0", "-seeds must be at least 1, got 0"},
+		{"loadbench", "duration", "-100", "-duration must be at least 1, got -100"},
+		{"loadbench", "cpus", "0", ""},
+		{"loadbench", "queue", "-1", "-queue must be at least 0, got -1"},
+		{"loadbench", "rates", "-1", ""}, // not numeric: loadbench parses the list itself
+		{"faultbench", "seeds", "0", "-seeds must be at least 1, got 0"},
+	}
+	for _, c := range cases {
+		err := checkValue(c.cmd, c.flag, c.value)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s -%s %s: %v, want nil", c.cmd, c.flag, c.value, err)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s -%s %s: %v, want %q", c.cmd, c.flag, c.value, err, c.want)
+		}
+	}
+}

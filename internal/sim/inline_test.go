@@ -17,8 +17,8 @@ func (idleInjector) SpuriousWakeDelay(*sim.Thread) sim.Time            { return 
 // TestInjectedInlineBatching pins that an attached fault injector leaves
 // the thread-side inline fast path on: the instruction-boundary seams run
 // on whichever side executed the op, so a sharedmem cell with an injector
-// that never fires takes exactly as many coroutine resumes as the same
-// cell without one, and the same event stream. Switching the fast path
+// that never fires takes exactly as many coroutine resumes and switches
+// as the same cell without one, and the same event stream. Switching the fast path
 // off under injection would give every inlinable op an event and a
 // coroutine resume.
 func TestInjectedInlineBatching(t *testing.T) {

@@ -32,11 +32,12 @@ type LockObserver interface {
 }
 
 // FaultInjector perturbs scheduling-relevant decisions. All methods are
-// called while the simulation runs single-threaded — from the event
-// loop, or from a thread's inline fast path while the loop is parked —
-// and must be deterministic given the machine seed: draw randomness
-// only from a seeded dist.Rand. Attach with SetFaultInjector before
-// Run; with none attached every seam is a single nil check.
+// called while the simulation runs single-threaded — from an event
+// callback, or from a thread's inline fast path, on whichever goroutine
+// holds the turn — and must be deterministic given the machine seed:
+// draw randomness only from a seeded dist.Rand. Attach with
+// SetFaultInjector before Run; with none attached every seam is a single
+// nil check.
 type FaultInjector interface {
 	// SliceGrant may perturb the timeslice about to be granted to t.
 	// Values below 1 are clamped to 1 tick.
@@ -163,6 +164,15 @@ type Machine struct {
 	firing  *vtime.Event
 	cont    *Thread // thread the firing callback named to resume (setCont)
 
+	// Event-loop state. The loop runs on whichever goroutine holds the
+	// turn (see drive), so none of it may live in a goroutine's frame:
+	// phase marks a RunPhase, sample is RunSampled's probe, and stopped
+	// ends the run. stopped stays set until the next Run or RunPhase, so
+	// a body unwinding at shutdown never fires an event.
+	phase   bool
+	sample  func(n, strong int)
+	stopped bool
+
 	rng *dist.Rand
 
 	runnable int64
@@ -182,10 +192,14 @@ type Machine struct {
 	TotalSteals      int64
 	TotalMigrations  int64
 
-	// resumes counts coroutine resumes (Thread.next calls in loop): each
-	// costs a pair of goroutine switches, the event loop's dominant
-	// host-time overhead, and inline batching exists to avoid them.
-	resumes int64
+	// resumes counts continuations: each time a thread named by setCont
+	// gets the turn back, whichever goroutine hands it over. coroSwitches
+	// counts the coroutine switches those handoffs cost, the event
+	// loop's dominant host-time overhead: two per Thread.next call, one
+	// up and one back down when the thread yields or exits. Inline
+	// batching avoids continuations; nesting (see drive) avoids switches.
+	resumes      int64
+	coroSwitches int64
 
 	// memBuf is the Word-access event buffer handed to mem (mem.go). It
 	// sits last so the fields the step loop touches keep their layout.
@@ -409,12 +423,14 @@ func (m *Machine) Spawn(name string, body func(p *Proc)) *Thread {
 	t.fnDispatch = func() { m.dispatch(m.cpus[t.dispatchCPU], t) }
 	m.threads = append(m.threads, t)
 	// The thread body runs as a coroutine: nothing executes until the
-	// first next() (the first dispatch), and every Proc op suspends it via
-	// yieldFn until the machine resumes it. Shutdown calls stop, which
-	// makes the suspended yieldFn return false; Proc.do then panics
-	// errKilled so the body unwinds, and the recover below swallows
-	// exactly that sentinel. A real panic in workload code propagates out
-	// of next() into the caller (the sweep engine's per-cell recover).
+	// first next() (the first dispatch), and every Proc op that waits on
+	// an event runs the loop in drive until the thread is named again.
+	// Shutdown calls stop, which makes the parked yieldFn return false;
+	// drive then panics errKilled so the body unwinds, and the recover
+	// below swallows exactly that sentinel. A real panic in workload code
+	// or a callback propagates out of next() through every goroutine on
+	// the stack, with its value, into Run's caller (the sweep engine's
+	// per-cell recover).
 	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
 		t.yieldFn = yield
 		func() {
@@ -443,10 +459,8 @@ func (m *Machine) run(until Time, sample func(n, strong int)) Time {
 	if m.finished {
 		panic("sim: Run called twice")
 	}
-	m.running = true
-	m.horizon = until
-	m.drained = false
-	m.loop(until, false, sample)
+	m.start(until, false, sample)
+	m.drive(nil)
 	quiesced := m.clock
 	if m.clock < until {
 		// Queue drained early: everything is blocked or done.
@@ -473,10 +487,8 @@ func (m *Machine) RunPhase(until Time) Time {
 	if m.finished {
 		panic("sim: RunPhase after Run finished")
 	}
-	m.running = true
-	m.horizon = until
-	m.drained = false
-	m.loop(until, true, nil)
+	m.start(until, true, nil)
+	m.drive(nil)
 	quiesced := m.clock
 	if m.clock < until {
 		m.clock = until
@@ -499,59 +511,132 @@ func (m *Machine) Reseed(seed uint64) {
 	m.rng = dist.NewRand(seed)
 }
 
-// loop is the event loop shared by Run and RunPhase. It is the only code
-// that resumes a thread coroutine, after the callback that named the
-// thread (setCont) returns, so the switch back unwinds no callback frames.
-func (m *Machine) loop(until Time, phase bool, sample func(n, strong int)) {
+// start arms the event loop for a Run or RunPhase up to until.
+func (m *Machine) start(until Time, phase bool, sample func(n, strong int)) {
+	m.running = true
+	m.horizon = until
+	m.phase = phase
+	m.sample = sample
+	m.drained = false
+	m.stopped = false
+}
+
+// drive runs the event loop on the goroutine that holds the turn: Run's
+// goroutine (self == nil), or thread self's coroutine, which calls it
+// from Proc.suspend and returns into its body when named to continue.
+// The goroutines form a stack: Run's goroutine at the bottom, and above
+// it each thread that the goroutine below resumed with next and that has
+// not yielded back since (Thread.onStack). Only the top one runs. After
+// each event, the thread the callback named (setCont) is
+//   - self: drive returns, with no switch;
+//   - lower on the stack: the top yields, and the goroutine below
+//     carries on with the same decision until the thread is reached;
+//   - off the stack: resumed with next, nesting above the top.
+//
+// So a thread handing the turn back to the thread that resumed it costs
+// one switch, where a loop on Run's goroutine alone pays two per resume.
+// Nesting is unbounded; the depth stays within the thread count (80 on
+// perfbench sweep). A cap would cost switches and buy no speed:
+// replaying recorded resume sequences, sweep needs 65% of the
+// two-per-resume switches unbounded and 70% with a cap of 4 (unwinding
+// to Run's goroutine when full, which beats resuming from the level
+// below the top), and timed side by side in one process the sweep's
+// sharedmem ladder took 85% of the single-loop time unbounded against
+// 87% capped at 4 or 8, with spin-ext's 45–65 thread herds no slower.
+//
+// A run that stops unwinds the whole stack, so when Run or RunPhase
+// returns every live thread is parked in its own yield, as shutdown,
+// Snapshot and Clone expect. The decisions read only machine state, and
+// every goroutine fires events through the same fire, so where the loop
+// runs never moves an event, a random draw or a resume.
+func (m *Machine) drive(self *Thread) {
 	for {
-		if sample != nil {
-			sample(m.eq.Len(), m.eq.StrongLen())
-		}
-		if m.eq.StrongLen() == 0 {
-			// Nothing left but weak (instrumentation) events, if that.
-			// They must never keep the machine alive: drain here, with
-			// the clock still at the last real event, so the quiesce
-			// time and deadlock detection match an uninstrumented run.
-			m.drained = true
-			return
-		}
-		ev := m.eq.Pop()
-		if ev == nil {
-			m.drained = true
-			return
-		}
-		if ev.At >= until {
-			if phase {
-				panic(fmt.Sprintf("sim: RunPhase horizon %d reached with work pending at %d; a phase must quiesce", until, ev.At))
-			}
-			m.clock = until
-			return
-		}
-		if ev.At < m.clock {
-			panic(fmt.Sprintf("sim: time went backwards: event at %d, clock %d", ev.At, m.clock))
-		}
-		m.clock = ev.At
-		m.firing = ev
-		ev.Fn()
-		m.firing = nil
-		// The event fired and every handle to it has been dropped (the
-		// machine nulls its event pointers when a callback runs), so it
-		// can be reused by the next Schedule, even the resumed thread's.
-		m.eq.Recycle(ev)
-		if t := m.cont; t != nil {
+		t := m.cont
+		switch {
+		case t != nil && t == self:
 			m.cont = nil
 			m.resumes++
-			t.next()
-			if t.done {
-				m.onExit(t)
+			return
+		case t == nil && !m.stopped:
+			m.fire()
+		case t != nil && !t.onStack:
+			m.resume(t)
+		case self == nil:
+			return // the run stopped and the stack has unwound
+		default:
+			// Yield down: t is lower on the stack, or the run stopped.
+			// self gets the turn back only through next, once a callback
+			// names it again and the goroutine then on top consumes that.
+			if !self.yieldFn(struct{}{}) {
+				// The machine called stop (shutdown): unwind the body.
+				panic(errKilled)
 			}
+			return
 		}
 	}
 }
 
+// resume hands the turn to t, which is off the coroutine stack, and
+// takes it back when t yields or its body returns. onExit runs here, in
+// the goroutine whose next reported the body done.
+func (m *Machine) resume(t *Thread) {
+	m.cont = nil
+	m.resumes++
+	m.coroSwitches += 2
+	t.onStack = true
+	t.next()
+	t.onStack = false
+	if t.done {
+		m.onExit(t)
+	}
+}
+
+// fire pops the next event and runs its callback, or stops the run at
+// its end: the queue holds no strong event, or the next one is at or
+// past the horizon.
+func (m *Machine) fire() {
+	if m.sample != nil {
+		m.sample(m.eq.Len(), m.eq.StrongLen())
+	}
+	if m.eq.StrongLen() == 0 {
+		// Nothing left but weak (instrumentation) events, if that.
+		// They must never keep the machine alive: drain here, with
+		// the clock still at the last real event, so the quiesce
+		// time and deadlock detection match an uninstrumented run.
+		m.drained = true
+		m.stopped = true
+		return
+	}
+	ev := m.eq.Pop()
+	if ev == nil {
+		m.drained = true
+		m.stopped = true
+		return
+	}
+	if ev.At >= m.horizon {
+		if m.phase {
+			panic(fmt.Sprintf("sim: RunPhase horizon %d reached with work pending at %d; a phase must quiesce", m.horizon, ev.At))
+		}
+		m.clock = m.horizon
+		m.stopped = true
+		return
+	}
+	if ev.At < m.clock {
+		panic(fmt.Sprintf("sim: time went backwards: event at %d, clock %d", ev.At, m.clock))
+	}
+	m.clock = ev.At
+	m.firing = ev
+	ev.Fn()
+	m.firing = nil
+	// The event fired and every handle to it has been dropped (the
+	// machine nulls its event pointers when a callback runs), so it
+	// can be reused by the next Schedule, even the resumed thread's.
+	m.eq.Recycle(ev)
+}
+
 // setCont names t, on its CPU with pending == pendStep, as the thread
-// loop resumes when the firing callback returns. It is always the
-// callback's last action, so the deferred resume reorders nothing.
+// drive hands the turn to when the firing callback returns. It is always
+// the callback's last action, so the deferred resume reorders nothing.
 func (m *Machine) setCont(t *Thread) {
 	if m.cont != nil {
 		panic("sim: two threads to resume after one event")

@@ -73,16 +73,18 @@ type opRes struct {
 // do runs the op and returns its result, parking the thread until the
 // machine delivers it when the op needs an event.
 //
-// While this goroutine holds the turn, the machine goroutine is parked in
-// loop's resume, so the thread has exclusive access to machine state.
-// A fixed-cost op — compute, load, store, atomic, TLS op — therefore
-// completes right here when nothing can observe or perturb the interval it
-// spans: its completion must land strictly before both the run horizon and
-// the earliest pending event (canInline). An event-scheduled completion
+// While this goroutine holds the turn, every other goroutine of the
+// machine is parked in a coroutine switch (see Machine.drive), so the
+// thread has exclusive access to machine state. A fixed-cost op —
+// compute, load, store, atomic, TLS op — therefore completes right here
+// when nothing can observe or perturb the interval it spans: its
+// completion must land strictly before both the run horizon and the
+// earliest pending event (canInline). An event-scheduled completion
 // would then have fired next with nothing in between, so applying the
 // effect now and advancing the clock is observationally identical: the
-// same virtual instant, effect and random-stream order, without the two
-// coroutine switches that dominate the event loop's real-time cost. The
+// same virtual instant, effect and random-stream order, without a
+// continuation and the coroutine switches that dominate the event loop's
+// real-time cost. The
 // cost is computed ahead of the guard, exactly once, because loadCost and
 // rmwCost mutate cache-line state and draw jitter. Any other op schedules
 // its completion here and suspends: that Schedule call would otherwise be
@@ -141,13 +143,10 @@ func (p *Proc) boundary() {
 	}
 }
 
-// suspend hands the turn back to the machine and parks until it resumes
-// the thread.
+// suspend runs the event loop on the thread's own goroutine until a
+// callback names the thread to continue (see Machine.drive).
 func (p *Proc) suspend() {
-	if !p.t.yieldFn(struct{}{}) {
-		// The machine called stop (shutdown): unwind the body.
-		panic(errKilled)
-	}
+	p.m.drive(p.t)
 }
 
 // Now returns the current virtual time.

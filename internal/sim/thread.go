@@ -100,16 +100,19 @@ type Thread struct {
 	proc *Proc
 
 	// Coroutine handoff (iter.Pull over the thread body). next, called
-	// only by Machine.loop, runs the thread until it schedules an op and
-	// suspends, or exits; stop terminates it (the suspended yieldFn call
-	// returns false and the body unwinds via errKilled). A coroutine
-	// switch is several times cheaper than the unbuffered-channel
-	// ping-pong it replaced — the handoff is the dominant real-time cost
-	// of the event loop — and keeps the invariant that exactly one of
-	// {machine, thread} runs at a time.
+	// only by Machine.resume from whichever goroutine holds the turn,
+	// runs the thread until it yields the turn back down or exits;
+	// meanwhile the thread's own goroutine runs the event loop
+	// (Machine.drive) whenever it waits for an op. onStack marks a
+	// thread resumed that way and not yet yielded back: reaching it
+	// again costs one switch down instead of a next. stop terminates
+	// the thread (the parked yieldFn call returns false and the body
+	// unwinds via errKilled). Exactly one goroutine of the machine runs
+	// at a time.
 	next    func() (struct{}, bool)
 	stop    func()
 	yieldFn func(struct{}) bool
+	onStack bool
 
 	state   State
 	cpu     int // hardware context while running, else -1
