@@ -146,13 +146,16 @@ func (d traceIDs) word(id int32) error {
 }
 
 // mem validates one Word-access record's ids. Loads, stores, RMWs and
-// kernel writes name a word; spin events carry -1 and futex wakes the
-// futex word; a wake's Arg is the woken thread.
+// kernel writes name a word; spin events carry -1 and a non-empty watch
+// set, futex wakes the futex word; a wake's Arg is the woken thread.
 func (d traceIDs) mem(l *traceLine) error {
 	if err := d.thread(l.TID); err != nil {
 		return err
 	}
 	kind := sim.MemKind(l.Kind)
+	if (kind == sim.MemSpinStart || kind == sim.MemSpinExit) && len(l.Watch) == 0 {
+		return fmt.Errorf("%s record with an empty watch set", kind)
+	}
 	if kind == sim.MemFutexWake {
 		if err := d.thread(l.Arg); err != nil {
 			return err

@@ -99,6 +99,8 @@ func TestReplayRejectsUndefinedIDs(t *testing.T) {
 		{"undefined word", `{"t":"mem","kind":2,"tid":0,"word":1}`, "word id 1"},
 		{"wordless load", `{"t":"mem","kind":1,"tid":0,"word":-1}`, "word id -1"},
 		{"undefined watch", `{"t":"mem","kind":5,"tid":0,"word":-1,"watch":[0,9]}`, "word id 9"},
+		{"watchless spin start", `{"t":"mem","kind":5,"tid":0,"word":-1}`, "spin-start record with an empty watch set"},
+		{"watchless spin exit", `{"t":"mem","kind":6,"tid":0,"word":-1,"watch":[]}`, "spin-exit record with an empty watch set"},
 		{"undefined wakee", `{"t":"mem","kind":7,"tid":0,"word":0,"arg":5}`, "thread id 5"},
 		{"undefined lock", `{"t":"lock","kind":5,"tid":0,"lock":1}`, "lock id 1"},
 		{"negative lock", `{"t":"lock","kind":5,"tid":0,"lock":-2}`, "lock id -2"},

@@ -64,9 +64,9 @@ type FuncNode struct {
 	Edges  []Edge
 
 	// SpinCond marks literals (or named functions) passed as the
-	// condition argument of Proc.SpinOn/SpinOnMax/SpinWhile/
-	// SpinWhileMax: they run inside the event loop's spin machinery,
-	// not on the simulated thread's op path.
+	// condition argument of Proc.SpinOn/SpinOnMax: they run inside the
+	// event loop's spin machinery, not on the simulated thread's op
+	// path.
 	SpinCond bool
 	// SpawnBody marks function values passed as the body argument of
 	// Machine.Spawn: they are simulated-thread bodies.
@@ -367,7 +367,7 @@ func (p *Program) collectEdges(n *FuncNode) {
 			}
 			// Classify function values passed as special arguments.
 			switch name := simMethodCall(pkg.Info, node, "Proc"); name {
-			case "SpinOn", "SpinOnMax", "SpinWhile", "SpinWhileMax":
+			case "SpinOn", "SpinOnMax":
 				if len(node.Args) > 0 {
 					if cond := p.resolveValue(pkg, node.Args[0]); cond != nil {
 						cond.SpinCond = true

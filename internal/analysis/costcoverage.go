@@ -6,13 +6,12 @@ package analysis
 // two escape hatches are checked interprocedurally:
 //
 //   - the free peek Word.V is legal only in spin-condition context
-//     (function values passed to SpinOn/SpinOnMax/SpinWhile/
-//     SpinWhileMax, and helpers reachable only from them — the event
-//     loop re-evaluates those from inside the scheduler), in
-//     kernel-side hook code, and in post-run inspection. The pass
-//     flags a V call exactly when its function is reachable from
-//     simulated-thread context: a function taking *sim.Proc, or a
-//     Machine.Spawn thread body.
+//     (function values passed to SpinOn/SpinOnMax, and helpers
+//     reachable only from them — the event loop re-evaluates those
+//     from inside the scheduler), in kernel-side hook code, and in
+//     post-run inspection. The pass flags a V call exactly when its
+//     function is reachable from simulated-thread context: a function
+//     taking *sim.Proc, or a Machine.Spawn thread body.
 //   - kernel-side writes (Machine.KernelStore/KernelAdd) must never be
 //     reachable from simulated-thread context at all — they bypass
 //     both the cost model and the tracer's happens-before edges.

@@ -29,7 +29,7 @@ package analysis
 // strconv/sort/bytes stdlib families (all allocate internally).
 //
 // Three constructs are exempt by design:
-//   - spin-condition closures (SpinOn/SpinWhile arguments): they are
+//   - spin-condition closures (SpinOn/SpinOnMax arguments): they are
 //     the costed op API's required shape and are passed directly to a
 //     call, so escape analysis keeps them on the stack;
 //   - arguments of panic(...): an assertion failure terminates the

@@ -19,10 +19,12 @@ package analysis
 //     Machine.Spawn) must exit with nothing held — the point where a
 //     consistent leak anywhere down the call chain surfaces.
 //
-// Approximations: branches merge by union (a conditional acquire
-// balanced by a conditional release is assumed intentional), recursion
-// summarizes to neutral, goroutines and unresolved dynamic calls are
-// lock-neutral, and labeled branches bind to the nearest loop.
+// Each function is interpreted on the statement walker this pass
+// shares with traceprotocol (flow.go). Approximations: branches merge
+// by union (a conditional acquire balanced by a conditional release is
+// assumed intentional), recursion summarizes to neutral, goroutines and
+// unresolved dynamic calls are lock-neutral, and labeled branches bind
+// to the nearest loop.
 
 import (
 	"go/ast"
@@ -168,13 +170,9 @@ func (lp *lockPair) summarize(n *FuncNode) *lpSummary {
 	lp.visiting[n] = true
 	defer func() { lp.visiting[n] = false }()
 
-	w := &lpWalker{lp: lp, node: n}
-	state := newLPState()
-	terminated := w.block(n.Body().List, state)
-	if !terminated {
-		w.recordExit(n.Body().End(), state)
-	}
-	s := w.finish()
+	f := &lpFunc{lp: lp, node: n}
+	walkFlow(f, n.Pkg, n.Body(), newLPState())
+	s := f.finish()
 	lp.summaries[n] = s
 	return s
 }
@@ -185,36 +183,60 @@ type lpExit struct {
 	state map[string]*lpInfo
 }
 
-type lpWalker struct {
+// lpFunc is the pass's interpretation of one function: the flowPass
+// the shared walker drives over held-lock states.
+type lpFunc struct {
 	lp    *lockPair
 	node  *FuncNode
 	exits []lpExit
-	// loops is the breakable-context stack (loops and switches).
-	loops []*lpLoopCtx
 }
 
-type lpLoopCtx struct {
-	isLoop bool
-	entry  *lpState
-	breaks []*lpState
+func (f *lpFunc) clone(s *lpState) *lpState { return s.clone() }
+
+// merge unions two states (max held count per key — a lock held on
+// either surviving branch is treated as held after the merge).
+func (f *lpFunc) merge(a, b *lpState) *lpState {
+	out := a.clone()
+	for k, bi := range b.held {
+		ai := out.held[k]
+		if ai == nil {
+			out.held[k] = bi.clone()
+			continue
+		}
+		if bi.count > ai.count {
+			ai.count = bi.count
+		}
+		if len(ai.sites) == 0 {
+			ai.sites = append([]ast.Node(nil), bi.sites...)
+		}
+		if ai.root == nil {
+			ai.root = bi.root
+		}
+	}
+	for k, d := range b.deferred {
+		if d > out.deferred[k] {
+			out.deferred[k] = d
+		}
+	}
+	return out
 }
 
-// recordExit snapshots an exit path's effective state.
-func (w *lpWalker) recordExit(pos token.Pos, state *lpState) {
-	w.exits = append(w.exits, lpExit{pos: pos, state: state.effective()})
+// exit snapshots an exit path's effective state.
+func (f *lpFunc) exit(s *lpState, pos token.Pos) {
+	f.exits = append(f.exits, lpExit{pos: pos, state: s.effective()})
 }
 
 // finish checks exit consistency and the thread-body rule, then builds
 // the summary.
-func (w *lpWalker) finish() *lpSummary {
-	fset := w.lp.mp.Fset
-	if len(w.exits) == 0 {
+func (f *lpFunc) finish() *lpSummary {
+	fset := f.lp.mp.Fset
+	if len(f.exits) == 0 {
 		return &lpSummary{}
 	}
 
 	// Thread bodies must exit clean.
-	if w.node.SpawnBody {
-		for _, ex := range w.exits {
+	if f.node.SpawnBody {
+		for _, ex := range f.exits {
 			for _, key := range sortedLPKeys(ex.state) {
 				info := ex.state[key]
 				if info.count <= 0 {
@@ -224,7 +246,7 @@ func (w *lpWalker) finish() *lpSummary {
 				if len(info.sites) > 0 {
 					pos = info.sites[0].Pos()
 				}
-				w.lp.mp.Reportf(pos,
+				f.lp.mp.Reportf(pos,
 					"%s.Lock is still held when the thread body exits at line %d",
 					key, fset.Position(ex.pos).Line)
 			}
@@ -234,7 +256,7 @@ func (w *lpWalker) finish() *lpSummary {
 	// All exits must agree.
 	consistent := true
 	union := make(map[string]bool)
-	for _, ex := range w.exits {
+	for _, ex := range f.exits {
 		for k, info := range ex.state {
 			if info.count != 0 {
 				union[k] = true
@@ -253,16 +275,16 @@ func (w *lpWalker) finish() *lpSummary {
 			}
 			return 0
 		}
-		base := countAt(w.exits[0])
-		for _, ex := range w.exits[1:] {
+		base := countAt(f.exits[0])
+		for _, ex := range f.exits[1:] {
 			if countAt(ex) == base {
 				continue
 			}
 			consistent = false
 			// Find a held exit and a released exit for the message.
 			var heldEx, freeEx *lpExit
-			for i := range w.exits {
-				ex := &w.exits[i]
+			for i := range f.exits {
+				ex := &f.exits[i]
 				if countAt(*ex) > 0 && heldEx == nil {
 					heldEx = ex
 				}
@@ -275,29 +297,29 @@ func (w *lpWalker) finish() *lpSummary {
 				if info := heldEx.state[key]; info != nil && len(info.sites) > 0 {
 					pos = info.sites[0].Pos()
 				}
-				w.lp.mp.Reportf(pos,
+				f.lp.mp.Reportf(pos,
 					"%s.Lock has no matching Unlock on the path exiting at line %d (it is released on the path exiting at line %d)",
 					key, fset.Position(heldEx.pos).Line, fset.Position(freeEx.pos).Line)
 			} else {
-				w.lp.mp.Reportf(w.exits[0].pos,
+				f.lp.mp.Reportf(f.exits[0].pos,
 					"exit paths disagree on %s.Unlock (lines %d and %d release it a different number of times)",
-					key, fset.Position(w.exits[0].pos).Line, fset.Position(ex.pos).Line)
+					key, fset.Position(f.exits[0].pos).Line, fset.Position(ex.pos).Line)
 			}
 			break
 		}
 	}
-	if !consistent || w.node.SpawnBody {
+	if !consistent || f.node.SpawnBody {
 		return &lpSummary{}
 	}
 
 	// Consistent: the first exit is the summary.
-	return w.buildSummary(w.exits[0].state)
+	return f.buildSummary(f.exits[0].state)
 }
 
 // buildSummary roots each net count at the callee's receiver, a
 // parameter, a package-level object, or an opaque token.
-func (w *lpWalker) buildSummary(state map[string]*lpInfo) *lpSummary {
-	recvObj, params := calleeParams(w.node)
+func (f *lpFunc) buildSummary(state map[string]*lpInfo) *lpSummary {
+	recvObj, params := calleeParams(f.node)
 	s := &lpSummary{}
 	for _, key := range sortedLPKeys(state) {
 		info := state[key]
@@ -319,218 +341,18 @@ func (w *lpWalker) buildSummary(state map[string]*lpInfo) *lpSummary {
 			e.suffix = suffixAfterRoot(key)
 		default:
 			e.rootKind = lpRootOpaque
-			e.opaque = w.node.Name + "#" + key
+			e.opaque = f.node.Name + "#" + key
 		}
 		s.entries = append(s.entries, e)
 	}
 	return s
 }
 
-// ---- statement interpretation ----
+// ---- effects ----
 
-// block interprets a statement list; true means every path terminated.
-func (w *lpWalker) block(stmts []ast.Stmt, state *lpState) bool {
-	for _, s := range stmts {
-		if w.stmt(s, state) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lpWalker) stmt(s ast.Stmt, state *lpState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if isTerminalCall(w.node.Pkg, s.X) {
-			w.scanExpr(s.X, state)
-			return true
-		}
-		w.scanExpr(s.X, state)
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			w.scanExpr(rhs, state)
-		}
-		for _, lhs := range s.Lhs {
-			w.scanExpr(lhs, state)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, state)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, state)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, state)
-		w.scanExpr(s.Value, state)
-	case *ast.DeferStmt:
-		w.deferCall(s.Call, state)
-	case *ast.GoStmt:
-		// The goroutine runs asynchronously; its lock flow is its own.
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, state)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scanExpr(r, state)
-		}
-		w.recordExit(s.Pos(), state)
-		return true
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			if ctx := w.nearestBreakable(); ctx != nil {
-				ctx.breaks = append(ctx.breaks, state.clone())
-			}
-			return true
-		case token.CONTINUE:
-			if ctx := w.nearestLoop(); ctx != nil {
-				w.checkNeutral(ctx.entry, state, s.Pos())
-			}
-			return true
-		case token.GOTO:
-			return true // out of model: end the path
-		}
-	case *ast.BlockStmt:
-		return w.block(s.List, state)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		w.scanExpr(s.Cond, state)
-		thenState := state.clone()
-		thenTerm := w.block(s.Body.List, thenState)
-		elseState := state.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.stmt(s.Else, elseState)
-		}
-		// Union-merge surviving branches.
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*state = *elseState
-		case elseTerm:
-			*state = *thenState
-		default:
-			*state = *mergeLPStates(thenState, elseState)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, state)
-		}
-		return w.loopBody(s.Body, s.Post, state, s.Cond != nil)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, state)
-		return w.loopBody(s.Body, nil, state, true)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, state)
-		}
-		return w.switchBody(s.Body, state, hasDefaultClause(s.Body))
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		return w.switchBody(s.Body, state, hasDefaultClause(s.Body))
-	case *ast.SelectStmt:
-		return w.switchBody(s.Body, state, false)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, state)
-	}
-	return false
-}
-
-// loopBody interprets one loop: the body must be lock-neutral per
-// iteration; breaks carry their state past the loop.
-func (w *lpWalker) loopBody(body *ast.BlockStmt, post ast.Stmt, state *lpState, canSkip bool) bool {
-	ctx := &lpLoopCtx{isLoop: true, entry: state.clone()}
-	w.loops = append(w.loops, ctx)
-	bodyState := state.clone()
-	terminated := w.block(body.List, bodyState)
-	if !terminated {
-		if post != nil {
-			w.stmt(post, bodyState)
-		}
-		w.checkNeutral(ctx.entry, bodyState, body.End())
-	}
-	w.loops = w.loops[:len(w.loops)-1]
-
-	// After the loop: entry state (zero iterations or a clean exit
-	// through the condition) unioned with every break state.
-	var after *lpState
-	if canSkip {
-		after = ctx.entry.clone()
-	}
-	for _, b := range ctx.breaks {
-		if after == nil {
-			after = b
-		} else {
-			after = mergeLPStates(after, b)
-		}
-	}
-	if after == nil {
-		return true // for{} with no breaks: nothing falls through
-	}
-	*state = *after
-	return false
-}
-
-// switchBody interprets switch/type-switch/select clause sets.
-func (w *lpWalker) switchBody(body *ast.BlockStmt, state *lpState, hasDefault bool) bool {
-	ctx := &lpLoopCtx{isLoop: false, entry: state.clone()}
-	w.loops = append(w.loops, ctx)
-	var surviving []*lpState
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.scanExpr(e, state)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, state)
-			}
-			stmts = c.Body
-		}
-		caseState := ctx.entry.clone()
-		if !w.block(stmts, caseState) {
-			surviving = append(surviving, caseState)
-		}
-	}
-	surviving = append(surviving, ctx.breaks...)
-	w.loops = w.loops[:len(w.loops)-1]
-	if !hasDefault {
-		surviving = append(surviving, ctx.entry.clone())
-	}
-	if len(surviving) == 0 {
-		return true
-	}
-	after := surviving[0]
-	for _, s := range surviving[1:] {
-		after = mergeLPStates(after, s)
-	}
-	*state = *after
-	return false
-}
-
-// checkNeutral reports locks whose count changed across one loop
-// iteration (or a continue path).
-func (w *lpWalker) checkNeutral(entry, at *lpState, pos token.Pos) {
+// backEdge reports locks whose count changed across one loop iteration
+// (or a continue path).
+func (f *lpFunc) backEdge(entry, at *lpState, pos token.Pos) {
 	entryEff := entry.effective()
 	atEff := at.effective()
 	union := make(map[string]bool)
@@ -568,50 +390,15 @@ func (w *lpWalker) checkNeutral(entry, at *lpState, pos token.Pos) {
 		if a > e && site != nil {
 			rpos = site.Pos()
 		}
-		w.lp.mp.Reportf(rpos,
+		f.lp.mp.Reportf(rpos,
 			"%s is not lock-neutral across this loop iteration (net %+d per pass)", key, a-e)
 	}
 }
 
-func (w *lpWalker) nearestBreakable() *lpLoopCtx {
-	if len(w.loops) == 0 {
-		return nil
-	}
-	return w.loops[len(w.loops)-1]
-}
-
-func (w *lpWalker) nearestLoop() *lpLoopCtx {
-	for i := len(w.loops) - 1; i >= 0; i-- {
-		if w.loops[i].isLoop {
-			return w.loops[i]
-		}
-	}
-	return nil
-}
-
-// ---- expression scanning ----
-
-// scanExpr applies every call in e (in syntactic order, skipping
-// function literals — they are their own contexts) to the state.
-func (w *lpWalker) scanExpr(e ast.Expr, state *lpState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.applyCall(call, state)
-		}
-		return true
-	})
-}
-
-// applyCall applies one call's lock effect: the syntactic
-// Lock/Unlock primitive, plus the resolved callee's summary.
-func (w *lpWalker) applyCall(call *ast.CallExpr, state *lpState) {
-	pkg := w.node.Pkg
+// call applies one call's lock effect: the syntactic Lock/Unlock
+// primitive, plus the resolved callee's summary.
+func (f *lpFunc) call(state *lpState, call *ast.CallExpr) {
+	pkg := f.node.Pkg
 	if recvExpr, name := lockCallExpr(call); name != "" {
 		key := types.ExprString(recvExpr)
 		root := rootObjOf(pkg, recvExpr)
@@ -621,21 +408,21 @@ func (w *lpWalker) applyCall(call *ast.CallExpr, state *lpState) {
 			state.add(key, -1, nil, root)
 		}
 	}
-	callee := w.lp.mp.Prog.ResolveCall(pkg, call)
-	if callee == nil || callee == w.node {
+	callee := f.lp.mp.Prog.ResolveCall(pkg, call)
+	if callee == nil || callee == f.node {
 		return
 	}
-	sum := w.lp.summarize(callee)
+	sum := f.lp.summarize(callee)
 	for _, entry := range sum.entries {
-		key, root := w.substitute(call, callee, entry)
+		key, root := f.substitute(call, callee, entry)
 		state.add(key, entry.count, call, root)
 	}
 }
 
 // deferCall registers a deferred call's releases (a deferred Unlock,
 // or a deferred helper with a negative summary).
-func (w *lpWalker) deferCall(call *ast.CallExpr, state *lpState) {
-	pkg := w.node.Pkg
+func (f *lpFunc) deferCall(state *lpState, call *ast.CallExpr) {
+	pkg := f.node.Pkg
 	if recvExpr, name := lockCallExpr(call); name == "Unlock" {
 		state.deferred[types.ExprString(recvExpr)]++
 		return
@@ -644,23 +431,23 @@ func (w *lpWalker) deferCall(call *ast.CallExpr, state *lpState) {
 		state.add(types.ExprString(recvExpr), 1, call, rootObjOf(pkg, recvExpr))
 		return
 	}
-	callee := w.lp.mp.Prog.ResolveCall(pkg, call)
+	callee := f.lp.mp.Prog.ResolveCall(pkg, call)
 	if callee == nil {
 		return
 	}
-	sum := w.lp.summarize(callee)
+	sum := f.lp.summarize(callee)
 	for _, entry := range sum.entries {
 		if entry.count >= 0 {
 			continue
 		}
-		key, _ := w.substitute(call, callee, entry)
+		key, _ := f.substitute(call, callee, entry)
 		state.deferred[key] += -entry.count
 	}
 }
 
 // substitute renders a callee summary entry in the caller's context.
-func (w *lpWalker) substitute(call *ast.CallExpr, callee *FuncNode, e lpDeltaEntry) (string, types.Object) {
-	pkg := w.node.Pkg
+func (f *lpFunc) substitute(call *ast.CallExpr, callee *FuncNode, e lpDeltaEntry) (string, types.Object) {
+	pkg := f.node.Pkg
 	switch e.rootKind {
 	case lpRootRecv:
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -687,34 +474,6 @@ func (w *lpWalker) substitute(call *ast.CallExpr, callee *FuncNode, e lpDeltaEnt
 }
 
 // ---- small helpers ----
-
-// mergeLPStates unions two states (max held count per key — a lock
-// held on either surviving branch is treated as held after the merge).
-func mergeLPStates(a, b *lpState) *lpState {
-	out := a.clone()
-	for k, bi := range b.held {
-		ai := out.held[k]
-		if ai == nil {
-			out.held[k] = bi.clone()
-			continue
-		}
-		if bi.count > ai.count {
-			ai.count = bi.count
-		}
-		if len(ai.sites) == 0 {
-			ai.sites = append([]ast.Node(nil), bi.sites...)
-		}
-		if ai.root == nil {
-			ai.root = bi.root
-		}
-	}
-	for k, d := range b.deferred {
-		if d > out.deferred[k] {
-			out.deferred[k] = d
-		}
-	}
-	return out
-}
 
 // lockCallExpr returns (receiver expr, method) for x.Lock()/x.Unlock().
 func lockCallExpr(call *ast.CallExpr) (ast.Expr, string) {
@@ -793,44 +552,6 @@ func paramIndex(params []types.Object, obj types.Object) int {
 // isPackageLevel reports whether obj is declared at package scope.
 func isPackageLevel(obj types.Object) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
-}
-
-// isTerminalCall reports whether the expression statement ends the
-// path: panic(...) or os.Exit(...).
-func isTerminalCall(pkg *Package, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if _, ok := pkg.Info.Uses[fun].(*types.Builtin); ok && fun.Name == "panic" {
-			return true
-		}
-	case *ast.SelectorExpr:
-		if pkgName, ok := fun.X.(*ast.Ident); ok {
-			if pn, ok := pkg.Info.Uses[pkgName].(*types.PkgName); ok {
-				p, m := pn.Imported().Path(), fun.Sel.Name
-				if p == "os" && m == "Exit" {
-					return true
-				}
-				if p == "log" && (m == "Fatal" || m == "Fatalf" || m == "Fatalln" || m == "Panic" || m == "Panicf") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// hasDefaultClause reports whether a switch body has a default case.
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // sortStrings keeps report order deterministic.

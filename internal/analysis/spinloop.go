@@ -7,9 +7,8 @@ package analysis
 // use SpinOn/SpinOnMax with a declared watch set.
 //
 // Loops are exempt when they contain, outside nested function literals:
-//   - a spin or blocking primitive (SpinOn, SpinOnMax, SpinWhile,
-//     FutexWait, FutexWaitTimed, Sleep, Yield) — a retry loop around a
-//     proper wait;
+//   - a spin or blocking primitive (SpinOn, SpinOnMax, FutexWait,
+//     Sleep, Yield) — a retry loop around a proper wait;
 //   - a costed atomic RMW (CAS, Xchg, Add) — a TAS-style loop whose
 //     polling is the atomic itself, priced by the coherence model.
 
@@ -18,8 +17,7 @@ import (
 )
 
 var waitPrimitives = map[string]bool{
-	"SpinOn": true, "SpinOnMax": true, "SpinWhile": true,
-	"FutexWait": true, "FutexWaitTimed": true, "Sleep": true, "Yield": true,
+	"SpinOn": true, "SpinOnMax": true, "FutexWait": true, "Sleep": true, "Yield": true,
 }
 
 var rmwPrimitives = map[string]bool{

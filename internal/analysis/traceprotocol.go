@@ -11,11 +11,12 @@ package analysis
 // Roots are found structurally: methods named Lock/Unlock whose
 // receiver type has both, each with signature func(*sim.Proc) and no
 // results. Each function summarizes to a saturating interval per
-// class — [lo,hi] trace events emitted, capped at 2 — computed over
-// the same outcome walker lockpair uses: branches union their
-// intervals, loop back edges must emit zero in both classes (a spin
-// retry must not re-emit), deferred emissions land on every
-// subsequent exit, and panic/os.Exit paths don't count as exits.
+// class — [lo,hi] trace events emitted, capped at 2 — computed on the
+// statement walker this pass shares with lockpair (flow.go), over
+// interval states: branches union their intervals, loop back edges
+// must emit zero in both classes (a spin retry must not re-emit),
+// deferred emissions land on every subsequent exit, and panic/os.Exit
+// paths don't count as exits.
 // Helper summaries compose across calls; a call through an interface
 // that declares both Lock and Unlock (func(*sim.Proc)) is assumed to
 // honor the protocol — exactly the contract this pass verifies for
@@ -193,13 +194,10 @@ func (tp *traceProtocol) analyze(n *FuncNode) *tpResult {
 	tp.visiting[n] = true
 	defer delete(tp.visiting, n)
 
-	w := &tpWalker{tp: tp, node: n}
-	var state tpState
-	if !w.block(n.Body().List, &state) {
-		w.recordExit(n.Body().End(), state)
-	}
-	res := &tpResult{exits: w.exits}
-	for i, ex := range w.exits {
+	f := &tpFunc{tp: tp, node: n}
+	walkFlow(f, n.Pkg, n.Body(), &tpState{})
+	res := &tpResult{exits: f.exits}
+	for i, ex := range f.exits {
 		a, r := ex.state.exitEffect()
 		if i == 0 {
 			res.a, res.r = a, r
@@ -212,254 +210,24 @@ func (tp *traceProtocol) analyze(n *FuncNode) *tpResult {
 	return res
 }
 
-// ---- statement interpretation (the lockpair outcome walker, over
-// interval state) ----
+// ---- effects ----
 
-type tpWalker struct {
+// tpFunc is the pass's interpretation of one function: the flowPass the
+// shared walker drives over interval states.
+type tpFunc struct {
 	tp    *traceProtocol
 	node  *FuncNode
 	exits []tpExit
-	loops []*tpLoopCtx
 }
 
-type tpLoopCtx struct {
-	isLoop bool
-	entry  tpState
-	breaks []tpState
+func (f *tpFunc) clone(s *tpState) *tpState {
+	c := *s
+	return &c
 }
 
-func (w *tpWalker) recordExit(pos token.Pos, state tpState) {
-	w.exits = append(w.exits, tpExit{pos: pos, state: state})
-}
-
-// block interprets a statement list; true means every path terminated.
-func (w *tpWalker) block(stmts []ast.Stmt, state *tpState) bool {
-	for _, s := range stmts {
-		if w.stmt(s, state) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *tpWalker) stmt(s ast.Stmt, state *tpState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scanExpr(s.X, state)
-		if isTerminalCall(w.node.Pkg, s.X) {
-			return true
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			w.scanExpr(rhs, state)
-		}
-		for _, lhs := range s.Lhs {
-			w.scanExpr(lhs, state)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, state)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, state)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, state)
-		w.scanExpr(s.Value, state)
-	case *ast.DeferStmt:
-		w.deferCall(s.Call, state)
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, state)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scanExpr(r, state)
-		}
-		w.recordExit(s.Pos(), *state)
-		return true
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			if ctx := w.nearestBreakable(); ctx != nil {
-				ctx.breaks = append(ctx.breaks, *state)
-			}
-			return true
-		case token.CONTINUE:
-			if ctx := w.nearestLoop(); ctx != nil {
-				w.checkBackEdge(ctx.entry, *state, s.Pos())
-			}
-			return true
-		case token.GOTO:
-			return true
-		}
-	case *ast.BlockStmt:
-		return w.block(s.List, state)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		w.scanExpr(s.Cond, state)
-		thenState := *state
-		thenTerm := w.block(s.Body.List, &thenState)
-		elseState := *state
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.stmt(s.Else, &elseState)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*state = elseState
-		case elseTerm:
-			*state = thenState
-		default:
-			*state = mergeTPStates(thenState, elseState)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, state)
-		}
-		return w.loopBody(s.Body, s.Post, state, s.Cond != nil)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, state)
-		return w.loopBody(s.Body, nil, state, true)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, state)
-		}
-		return w.switchBody(s.Body, state, hasDefaultClause(s.Body))
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, state)
-		}
-		return w.switchBody(s.Body, state, hasDefaultClause(s.Body))
-	case *ast.SelectStmt:
-		return w.switchBody(s.Body, state, false)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, state)
-	}
-	return false
-}
-
-// loopBody interprets one loop: the back edge must emit nothing.
-func (w *tpWalker) loopBody(body *ast.BlockStmt, post ast.Stmt, state *tpState, canSkip bool) bool {
-	ctx := &tpLoopCtx{isLoop: true, entry: *state}
-	w.loops = append(w.loops, ctx)
-	bodyState := *state
-	terminated := w.block(body.List, &bodyState)
-	if !terminated {
-		if post != nil {
-			w.stmt(post, &bodyState)
-		}
-		w.checkBackEdge(ctx.entry, bodyState, body.End())
-	}
-	w.loops = w.loops[:len(w.loops)-1]
-
-	var after *tpState
-	if canSkip {
-		e := ctx.entry
-		after = &e
-	}
-	for i := range ctx.breaks {
-		if after == nil {
-			after = &ctx.breaks[i]
-		} else {
-			m := mergeTPStates(*after, ctx.breaks[i])
-			after = &m
-		}
-	}
-	if after == nil {
-		return true
-	}
-	*state = *after
-	return false
-}
-
-// switchBody interprets switch/type-switch/select clause sets.
-func (w *tpWalker) switchBody(body *ast.BlockStmt, state *tpState, hasDefault bool) bool {
-	ctx := &tpLoopCtx{isLoop: false, entry: *state}
-	w.loops = append(w.loops, ctx)
-	var surviving []tpState
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.scanExpr(e, state)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, state)
-			}
-			stmts = c.Body
-		}
-		caseState := ctx.entry
-		if !w.block(stmts, &caseState) {
-			surviving = append(surviving, caseState)
-		}
-	}
-	surviving = append(surviving, ctx.breaks...)
-	w.loops = w.loops[:len(w.loops)-1]
-	if !hasDefault {
-		surviving = append(surviving, ctx.entry)
-	}
-	if len(surviving) == 0 {
-		return true
-	}
-	after := surviving[0]
-	for _, s := range surviving[1:] {
-		after = mergeTPStates(after, s)
-	}
-	*state = after
-	return false
-}
-
-// checkBackEdge reports emissions that would repeat every loop
-// iteration (including defers accumulated inside the loop).
-func (w *tpWalker) checkBackEdge(entry, at tpState, pos token.Pos) {
-	if entry.a != at.a || entry.da != at.da {
-		w.tp.mp.Reportf(pos,
-			"acquire-class trace event may be emitted on this loop's back edge; each retry would emit another TraceAcquire")
-	}
-	if entry.r != at.r || entry.dr != at.dr {
-		w.tp.mp.Reportf(pos,
-			"release-class trace event may be emitted on this loop's back edge; each retry would emit another TraceRelease")
-	}
-}
-
-func (w *tpWalker) nearestBreakable() *tpLoopCtx {
-	if len(w.loops) == 0 {
-		return nil
-	}
-	return w.loops[len(w.loops)-1]
-}
-
-func (w *tpWalker) nearestLoop() *tpLoopCtx {
-	for i := len(w.loops) - 1; i >= 0; i-- {
-		if w.loops[i].isLoop {
-			return w.loops[i]
-		}
-	}
-	return nil
-}
-
-// mergeTPStates unions two surviving branches' intervals.
-func mergeTPStates(a, b tpState) tpState {
-	return tpState{
+// merge unions two surviving branches' intervals.
+func (f *tpFunc) merge(a, b *tpState) *tpState {
+	return &tpState{
 		a:  a.a.union(b.a),
 		r:  a.r.union(b.r),
 		da: a.da.union(b.da),
@@ -467,83 +235,64 @@ func mergeTPStates(a, b tpState) tpState {
 	}
 }
 
-// ---- expression scanning ----
-
-func (w *tpWalker) scanExpr(e ast.Expr, state *tpState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.applyCall(call, state)
-		}
-		return true
-	})
+func (f *tpFunc) exit(s *tpState, pos token.Pos) {
+	f.exits = append(f.exits, tpExit{pos: pos, state: *s})
 }
 
-// applyCall adds one call's emission effect: a direct LockEvent
-// emission, a resolved callee's summary, or the interface-contract
-// assumption for dynamic Lock/Unlock calls.
-func (w *tpWalker) applyCall(call *ast.CallExpr, state *tpState) {
-	info := w.node.Pkg.Info
-	if name := simMethodCall(info, call, "Proc"); name == "LockEvent" || name == "LockEventArg" {
-		switch w.tp.classify(info, call) {
-		case tpAcq:
-			state.a = state.a.add(tpOne)
-		case tpRel:
-			state.r = state.r.add(tpOne)
-		}
-		return
+// backEdge reports emissions that would repeat every loop iteration
+// (including defers accumulated inside the loop).
+func (f *tpFunc) backEdge(entry, at *tpState, pos token.Pos) {
+	if entry.a != at.a || entry.da != at.da {
+		f.tp.mp.Reportf(pos,
+			"acquire-class trace event may be emitted on this loop's back edge; each retry would emit another TraceAcquire")
 	}
-	callee := w.tp.mp.Prog.ResolveCall(w.node.Pkg, call)
-	if callee == nil {
-		switch ifaceLockCall(info, call) {
-		case tpAcq:
-			state.a = state.a.add(tpOne)
-		case tpRel:
-			state.r = state.r.add(tpOne)
-		}
-		return
+	if entry.r != at.r || entry.dr != at.dr {
+		f.tp.mp.Reportf(pos,
+			"release-class trace event may be emitted on this loop's back edge; each retry would emit another TraceRelease")
 	}
-	if callee == w.node || inSimPackage(callee) {
-		return
-	}
-	res := w.tp.analyze(callee)
-	state.a = state.a.add(res.a)
-	state.r = state.r.add(res.r)
+}
+
+// call adds one call's emissions to the path.
+func (f *tpFunc) call(s *tpState, call *ast.CallExpr) {
+	a, r := f.effect(call)
+	s.a, s.r = s.a.add(a), s.r.add(r)
 }
 
 // deferCall registers a deferred call's emissions for every later exit.
-func (w *tpWalker) deferCall(call *ast.CallExpr, state *tpState) {
-	info := w.node.Pkg.Info
+func (f *tpFunc) deferCall(s *tpState, call *ast.CallExpr) {
+	a, r := f.effect(call)
+	s.da, s.dr = s.da.add(a), s.dr.add(r)
+}
+
+// effect returns one call's acquire- and release-class emissions: a
+// direct LockEvent emission, a resolved callee's summary, or the
+// interface-contract assumption for dynamic Lock/Unlock calls.
+func (f *tpFunc) effect(call *ast.CallExpr) (a, r tpInterval) {
+	info := f.node.Pkg.Info
 	if name := simMethodCall(info, call, "Proc"); name == "LockEvent" || name == "LockEventArg" {
-		switch w.tp.classify(info, call) {
-		case tpAcq:
-			state.da = state.da.add(tpOne)
-		case tpRel:
-			state.dr = state.dr.add(tpOne)
-		}
-		return
+		return f.tp.classify(info, call).interval()
 	}
-	callee := w.tp.mp.Prog.ResolveCall(w.node.Pkg, call)
+	callee := f.tp.mp.Prog.ResolveCall(f.node.Pkg, call)
 	if callee == nil {
-		switch ifaceLockCall(info, call) {
-		case tpAcq:
-			state.da = state.da.add(tpOne)
-		case tpRel:
-			state.dr = state.dr.add(tpOne)
-		}
+		return ifaceLockCall(info, call).interval()
+	}
+	if callee == f.node || inSimPackage(callee) {
 		return
 	}
-	if callee == w.node || inSimPackage(callee) {
-		return
+	res := f.tp.analyze(callee)
+	return res.a, res.r
+}
+
+// interval returns the acquire- and release-class counts of one
+// emission of class c.
+func (c tpClass) interval() (a, r tpInterval) {
+	switch c {
+	case tpAcq:
+		a = tpOne
+	case tpRel:
+		r = tpOne
 	}
-	res := w.tp.analyze(callee)
-	state.da = state.da.add(res.a)
-	state.dr = state.dr.add(res.r)
+	return a, r
 }
 
 // classify resolves an emission's trace kind by constant value; a

@@ -30,7 +30,7 @@ package check
 //   are exempt: overwriting a value with itself destroys nothing (the
 //   TAS unlock racing only against failed re-assertions is correct).
 //
-//   missed-signal — at run end, a scoped spinner stranded on a free,
+//   missed-signal — at run end, a spinner stranded on a free,
 //   long-inactive lock whose watched words carry no unobserved
 //   modifying write: every signal that will ever arrive has already
 //   arrived, so the wait can never end. This is the dropped-handover
@@ -263,12 +263,9 @@ type RaceAuditor struct {
 	m *sim.Machine // nil in replay mode
 	o RaceOptions
 
-	threads []raceThread
-	words   []raceWord
-	locks   []raceLock
-	// global is the join of every writer clock, acquired by unscoped
-	// spin exits (their conditions may read any word).
-	global   vclock
+	threads  []raceThread
+	words    []raceWord
+	locks    []raceLock
 	lockName func(int32) string
 
 	// acc and watch are the reusable record MemEvent translates the
@@ -363,7 +360,10 @@ func (a *RaceAuditor) lock(id int32) *raceLock {
 // holds reports whether slot s holds l.
 func (l *raceLock) holds(s int) bool { return s < len(l.held) && l.held[s] }
 
-// Apply feeds one Word-access record through the detector.
+// Apply feeds one Word-access record through the detector. Its ids must
+// be the machine's dense ones (see RaceAuditor), and a spin-start or
+// spin-exit record must carry a non-empty watch set: every spin
+// declares the words it waits on, and a spin exit acquires only theirs.
 func (a *RaceAuditor) Apply(acc MemAccess) { a.apply(&acc) }
 
 func (a *RaceAuditor) apply(acc *MemAccess) {
@@ -400,9 +400,6 @@ func (a *RaceAuditor) apply(acc *MemAccess) {
 		t.setWatch(acc.Watch)
 	case sim.MemSpinExit:
 		t := a.thread(acc.TID)
-		if len(acc.Watch) == 0 {
-			t.clock.join(a.global)
-		}
 		for _, id := range acc.Watch {
 			t.clock.join(a.word(id, "").rel)
 		}
@@ -415,13 +412,12 @@ func (a *RaceAuditor) apply(acc *MemAccess) {
 	}
 }
 
-// release publishes the writer's clock into the word (and the global
-// clock), recording the epoch of a value-modifying write.
+// release publishes the writer's clock into the word, recording the
+// epoch of a value-modifying write.
 func (a *RaceAuditor) release(acc *MemAccess, c *vclock, w *raceWord) {
 	s := slot(acc.TID)
 	c.tick(s)
 	w.rel.join(*c)
-	a.global.join(*c)
 	if acc.Old != acc.New {
 		w.mod.set(s, c.get(s))
 		if s >= len(w.modAt) {
@@ -535,8 +531,8 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 	a.finished = true
 	for s := range a.threads {
 		t := &a.threads[s]
-		if !t.spinning || len(t.watch) == 0 {
-			continue // not spinning, or unscoped: no watch set to prove exhaustion over
+		if !t.spinning {
+			continue
 		}
 		lock := t.waitingOn
 		if lock < 0 {

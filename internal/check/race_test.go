@@ -179,7 +179,7 @@ func TestRaceDedup(t *testing.T) {
 	}
 }
 
-// missedSignalSetup strands thread 5 in a scoped spin on word 7 waiting
+// missedSignalSetup strands thread 5 in a spin on word 7 waiting
 // for lock 0, with the spin start at t=100.
 func missedSignalSetup(a *RaceAuditor) {
 	a.LockEvent(100, sim.TraceSpinStart, 0, 5, 0)
@@ -233,17 +233,8 @@ func TestRaceMissedSignalGates(t *testing.T) {
 			t.Fatalf("flagged inside the stall bound: %v", races)
 		}
 	})
-	t.Run("unscoped-spin", func(t *testing.T) {
-		// No watch set means no way to prove signal exhaustion.
-		a := NewRaceAuditor(RaceOptions{})
-		a.LockEvent(100, sim.TraceSpinStart, 0, 5, 0)
-		feed(a, spinStart(100, 5))
-		if races := a.Finish(5_000_000); len(races) != 0 {
-			t.Fatalf("flagged an unscoped spin: %v", races)
-		}
-	})
 	t.Run("workload-spin", func(t *testing.T) {
-		// A scoped spin with no lock association is a workload-level wait
+		// A spin with no lock association is a workload-level wait
 		// (barrier, pipeline stage), outside the auditor's claim.
 		a := NewRaceAuditor(RaceOptions{})
 		feed(a, spinStart(100, 5, 7))

@@ -147,15 +147,6 @@ type Machine struct {
 	adoptLine  []int32
 	adoptName  []string
 
-	// spinners holds the live UNSCOPED spinners (SpinWhile with no watch
-	// set): their conditions may read any word, so every store
-	// re-evaluates them. Scoped spinners (SpinOn) live on the watch lists
-	// of their declared words instead. spinSeq numbers registrations
-	// globally so checkSpinners can merge both populations in exact
-	// registration order.
-	spinners []*Thread
-	spinSeq  uint64
-
 	// horizon is the current Run deadline; firing is the event whose
 	// callback is executing. Both drive the fast-forward path: horizon
 	// bounds inline execution, and firing lets pre-bound slice-expiry
@@ -460,7 +451,7 @@ func (m *Machine) run(until Time, sample func(n, strong int)) Time {
 		panic("sim: Run called twice")
 	}
 	m.start(until, false, sample)
-	m.drive(nil)
+	m.driveRun()
 	quiesced := m.clock
 	if m.clock < until {
 		// Queue drained early: everything is blocked or done.
@@ -488,7 +479,7 @@ func (m *Machine) RunPhase(until Time) Time {
 		panic("sim: RunPhase after Run finished")
 	}
 	m.start(until, true, nil)
-	m.drive(nil)
+	m.driveRun()
 	quiesced := m.clock
 	if m.clock < until {
 		m.clock = until
@@ -519,6 +510,23 @@ func (m *Machine) start(until Time, phase bool, sample func(n, strong int)) {
 	m.sample = sample
 	m.drained = false
 	m.stopped = false
+}
+
+// driveRun runs the event loop from Run's goroutine. A panic in a thread
+// body or an event callback unwinds every coroutine on the stack to here;
+// the threads parked in their yields are then stopped as at shutdown,
+// with the run marked stopped so none of their unwinding fires an event,
+// and the panic continues to Run's caller with its original value.
+func (m *Machine) driveRun() {
+	defer func() {
+		if r := recover(); r != nil {
+			m.stopped = true
+			m.cont = nil
+			m.stopThreads()
+			panic(r)
+		}
+	}()
+	m.drive(nil)
 }
 
 // drive runs the event loop on the goroutine that holds the turn: Run's
@@ -722,18 +730,9 @@ func (m *Machine) Kill(t *Thread) {
 		t.opEv.Cancel()
 		t.opEv = nil
 	}
-	if t.spinExitEv != nil {
-		t.spinExitEv.Cancel()
-		t.spinExitEv = nil
-	}
-	if t.spinTimeEv != nil {
-		t.spinTimeEv.Cancel()
-		t.spinTimeEv = nil
-	}
-	if t.spinReg {
-		m.accountSpin(t)
-		m.unregisterSpinner(t)
-	}
+	// Charge the spin leg only if it is registered: a preempted
+	// spinner's leg was charged when it paused.
+	m.endSpinLeg(t, t.spinReg)
 	switch t.state {
 	case StateRunning:
 		c := m.cpus[t.cpu]
@@ -819,15 +818,21 @@ func (m *Machine) futexRemove(t *Thread) {
 // shutdown terminates all live threads deterministically (spawn order) and
 // flushes statistics.
 func (m *Machine) shutdown() {
-	// Flush accounting for threads still spinning (scoped spinners live
-	// on per-word watch lists, so walk all threads; accounting is
+	// Flush accounting for threads still spinning (accounting is
 	// per-thread and order-independent).
 	for _, t := range m.threads {
 		if t.spinReg {
 			m.accountSpin(t)
 		}
 	}
-	m.spinners = nil
+	m.stopThreads()
+	if m.cfg.RecordRunnable {
+		m.timeline.Record(m.clock, m.runnable)
+	}
+}
+
+// stopThreads terminates every live thread coroutine in spawn order.
+func (m *Machine) stopThreads() {
 	for _, t := range m.threads {
 		if t.done || t.stop == nil {
 			// Done threads unwound themselves; ghost threads restored by
@@ -836,11 +841,9 @@ func (m *Machine) shutdown() {
 		}
 		// stop makes the thread's suspended yield return false (or, for a
 		// never-dispatched thread, prevents the body from ever starting);
-		// it returns once the body has unwound.
+		// it returns once the body has unwound. A coroutine that a panic
+		// already ended is done inside iter.Pull, and its stop is a no-op.
 		t.stop()
-	}
-	if m.cfg.RecordRunnable {
-		m.timeline.Record(m.clock, m.runnable)
 	}
 }
 
@@ -1035,6 +1038,8 @@ func (m *Machine) forcePreempt(c *cpuCtx, t *Thread) {
 	case pendSpin:
 		m.pauseSpin(t)
 	default:
+		// Between-ops instants are synchronous; reaching here means an
+		// instruction is in flight without opNonPreempt. Be conservative.
 		t.needResched = true
 		return
 	}
@@ -1099,16 +1104,9 @@ func (m *Machine) dispatch(c *cpuCtx, t *Thread) {
 	if slice < m.cfg.Costs.MinSlice {
 		slice = m.cfg.Costs.MinSlice
 	}
-	if m.fi != nil {
-		if slice = m.fi.SliceGrant(t, slice); slice < 1 {
-			slice = 1
-		}
-	}
 	t.slicePenalty = 0
 	t.extGranted = false
-	t.sliceStart = m.clock
-	t.sliceEnd = m.clock + slice
-	t.sliceEv = m.eq.Schedule(t.sliceEnd, t.fnSlice)
+	m.grantSlice(t, slice)
 	switch t.pending {
 	case pendStep:
 		m.setCont(t)
@@ -1131,11 +1129,17 @@ func (m *Machine) detach(t *Thread) {
 
 // renewSlice grants t a fresh timeslice (used when there is nothing else
 // to run).
-func (m *Machine) renewSlice(c *cpuCtx, t *Thread) {
+func (m *Machine) renewSlice(t *Thread) {
 	if t.sliceEv != nil {
 		t.sliceEv.Cancel()
 	}
-	slice := m.cfg.Costs.Timeslice
+	m.grantSlice(t, m.cfg.Costs.Timeslice)
+}
+
+// grantSlice starts a timeslice of the given length for t, as perturbed
+// by the fault injector (clamped to at least 1 tick), and arms its
+// expiry timer.
+func (m *Machine) grantSlice(t *Thread, slice Time) {
 	if m.fi != nil {
 		if slice = m.fi.SliceGrant(t, slice); slice < 1 {
 			slice = 1
@@ -1170,29 +1174,10 @@ func (m *Machine) sliceFire(t *Thread) {
 		return
 	}
 	if m.runqLen() == 0 {
-		m.renewSlice(c, t)
+		m.renewSlice(t)
 		return
 	}
-	if t.opNonPreempt {
-		t.needResched = true
-		return
-	}
-	switch t.pending {
-	case pendCompute:
-		if t.opEv != nil {
-			t.pendTicks = t.opEv.At - m.clock
-			t.opEv.Cancel()
-			t.opEv = nil
-		}
-	case pendSpin:
-		m.pauseSpin(t)
-	default:
-		// Between-ops instants are synchronous; reaching here means an
-		// instruction is in flight without opNonPreempt. Be conservative.
-		t.needResched = true
-		return
-	}
-	m.preempt(c, t)
+	m.forcePreempt(c, t)
 }
 
 // preempt moves the running t to the tail of c's shard and switches c to
@@ -1259,7 +1244,7 @@ func (m *Machine) atBoundary(t *Thread) bool {
 			m.preempt(m.cpus[t.cpu], t)
 			return false
 		}
-		m.renewSlice(m.cpus[t.cpu], t)
+		m.renewSlice(t)
 	}
 	return true
 }

@@ -205,32 +205,58 @@ func TestFutexFIFOWake(t *testing.T) {
 	}
 }
 
-func TestSpinWhileReleasedByStore(t *testing.T) {
-	m := small(2)
-	w := m.NewWord("flag", 1)
-	var spun bool
-	m.Spawn("spinner", func(p *Proc) {
-		p.SpinWhile(func() bool { return w.V() == 1 })
-		spun = true
-	})
-	m.Spawn("releaser", func(p *Proc) {
-		p.Compute(30_000)
-		p.Store(w, 0)
-	})
-	m.Run(10_000_000)
-	if !spun {
-		t.Fatal("spinner never released")
+// runPanic runs m and returns the value it panicked with (nil if none).
+func runPanic(m *Machine, until Time) (r any) {
+	defer func() { r = recover() }()
+	m.Run(until)
+	return nil
+}
+
+func TestSpinOnReleasedByStore(t *testing.T) {
+	// Nils in a watch set are ignored; a set with no word to watch
+	// panics, and the panic reaches Run's caller.
+	for _, tc := range []struct {
+		name   string
+		watch  func(w *Word) []*Word
+		panics bool
+	}{
+		{"word", func(w *Word) []*Word { return []*Word{w} }, false},
+		{"word-after-nil", func(w *Word) []*Word { return []*Word{nil, w} }, false},
+		{"all-nil", func(*Word) []*Word { return []*Word{nil, nil} }, true},
+		{"empty", func(*Word) []*Word { return nil }, true},
+	} {
+		m := small(2)
+		w := m.NewWord("flag", 1)
+		watch := tc.watch(w)
+		var spun bool
+		m.Spawn("spinner", func(p *Proc) {
+			p.SpinOn(func() bool { return w.V() == 1 }, watch...)
+			spun = true
+		})
+		m.Spawn("releaser", func(p *Proc) {
+			p.Compute(30_000)
+			p.Store(w, 0)
+		})
+		r := runPanic(m, 10_000_000)
+		switch {
+		case tc.panics && r == nil:
+			t.Errorf("%s: SpinOn with no word to watch did not panic", tc.name)
+		case !tc.panics && r != nil:
+			t.Errorf("%s: Run panicked: %v", tc.name, r)
+		case !tc.panics && !spun:
+			t.Errorf("%s: spinner never released", tc.name)
+		}
 	}
 }
 
-func TestSpinWhileMaxTimeout(t *testing.T) {
+func TestSpinOnMaxTimeout(t *testing.T) {
 	m := small(1)
 	w := m.NewWord("flag", 1)
 	var ok bool
 	var elapsed Time
 	m.Spawn("spinner", func(p *Proc) {
 		start := p.Now()
-		ok = p.SpinWhileMax(func() bool { return w.V() == 1 }, 5000)
+		ok = p.SpinOnMax(func() bool { return w.V() == 1 }, 5000, w)
 		elapsed = p.Now() - start
 	})
 	m.Run(1_000_000)
@@ -239,6 +265,16 @@ func TestSpinWhileMaxTimeout(t *testing.T) {
 	}
 	if elapsed < 5000 || elapsed > 6000 {
 		t.Fatalf("timeout after %d ticks, want ~5000", elapsed)
+	}
+
+	// An all-nil watch set panics even with a zero budget, which would
+	// otherwise return without spinning.
+	m = small(1)
+	m.Spawn("spinner", func(p *Proc) {
+		p.SpinOnMax(func() bool { return true }, 0, nil)
+	})
+	if runPanic(m, 1_000_000) == nil {
+		t.Fatal("SpinOnMax with an all-nil watch set did not panic")
 	}
 }
 
@@ -250,7 +286,7 @@ func TestSpinnerSurvivesPreemption(t *testing.T) {
 	w := m.NewWord("flag", 1)
 	var spun bool
 	m.Spawn("spinner", func(p *Proc) {
-		p.SpinWhile(func() bool { return w.V() == 1 })
+		p.SpinOn(func() bool { return w.V() == 1 }, w)
 		spun = true
 	})
 	m.Spawn("releaser", func(p *Proc) {
@@ -269,7 +305,7 @@ func TestSpinItersAccounted(t *testing.T) {
 	var th *Thread
 	m.Spawn("spinner", func(p *Proc) {
 		th = p.Thread()
-		p.SpinWhile(func() bool { return w.V() == 1 })
+		p.SpinOn(func() bool { return w.V() == 1 }, w)
 	})
 	m.Spawn("releaser", func(p *Proc) {
 		p.Compute(80_000)
@@ -428,13 +464,13 @@ func TestCacheCosts(t *testing.T) {
 		p.Store(w, 2) // exclusive store: cheap
 		local = p.Now() - t0
 		p.Store(done, 1)
-		p.SpinWhile(func() bool { return done.V() != 2 })
+		p.SpinOn(func() bool { return done.V() != 2 }, done)
 		t0 = p.Now()
 		p.Load(w) // line stolen by b: remote
 		afterRemote = p.Now() - t0
 	})
 	m.Spawn("b", func(p *Proc) {
-		p.SpinWhile(func() bool { return done.V() != 1 })
+		p.SpinOn(func() bool { return done.V() != 1 }, done)
 		p.Store(w, 3)
 		p.Store(done, 2)
 	})

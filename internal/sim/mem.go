@@ -31,7 +31,7 @@ const (
 	// sched_switch hook; TID is -2 (the kernel pseudo-context).
 	MemKernel
 	// MemSpinStart marks a thread registering as a live spinner; Watch
-	// carries the declared watch set (all nil for an unscoped spin).
+	// carries the declared watch set.
 	MemSpinStart
 	// MemSpinExit marks the end of a spin op: the condition was observed
 	// false, or the budget expired (Arg = 1).

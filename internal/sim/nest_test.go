@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -183,7 +184,9 @@ func TestNestedHandoff(t *testing.T) {
 	for _, where := range []string{"body", "callback"} {
 		t.Run("panic-"+where, func(t *testing.T) {
 			// Four threads round-robin; the panic is thrown with at least
-			// three threads stacked and must reach Run's caller unchanged.
+			// three threads stacked and must reach Run's caller unchanged,
+			// with every thread goroutine gone.
+			base := runtime.NumGoroutine()
 			m := small(4)
 			want := fmt.Errorf("deep %s panic", where)
 			for range 4 {
@@ -210,9 +213,50 @@ func TestNestedHandoff(t *testing.T) {
 				if r := recover(); r != want {
 					t.Errorf("Run panicked with %v, want %v", r, want)
 				}
+				if n := runtime.NumGoroutine(); n != base {
+					t.Errorf("%d goroutines after the recovered panic, want %d", n, base)
+				}
 			}()
 			m.Run(10_000_000)
 		})
+	}
+}
+
+// TestPanicStopsThreads: when a thread body panics, Run and RunPhase
+// stop every other live thread before the panic reaches their caller, so
+// no coroutine is left parked in its yield. Four threads share two
+// contexts, so when thread 0 panics after ten compute legs the others
+// are parked mid-body, queued or never dispatched.
+func TestPanicStopsThreads(t *testing.T) {
+	for _, phase := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		m := small(2)
+		want := errors.New("thread 0 panics")
+		for i := range 4 {
+			m.Spawn("w", func(p *Proc) {
+				for legs := 0; ; legs++ {
+					if i == 0 && legs == 10 {
+						panic(want)
+					}
+					p.Compute(100)
+				}
+			})
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("phase=%v: panicked with %v, want %v", phase, r, want)
+				}
+			}()
+			if phase {
+				m.RunPhase(10_000_000)
+			} else {
+				m.Run(10_000_000)
+			}
+		}()
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("phase=%v: %d goroutines after the recovered panic, want %d", phase, n, base)
+		}
 	}
 }
 

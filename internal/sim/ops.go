@@ -219,30 +219,22 @@ func (m *Machine) resumeSpin(t *Thread) {
 	}
 }
 
-// registerSpinner adds t to the watch lists of its declared words, or to
-// the machine's unscoped list when the spin op declared none. Every
-// registration takes the next global sequence number so merged iteration
-// (checkSpinners) reproduces the visit order of a single flat list.
+// registerSpinner appends t to the watch lists of its declared words.
+// Each list stays in registration order, the order checkSpinners
+// re-evaluates its spinners in.
 func (m *Machine) registerSpinner(t *Thread) {
-	t.spinSeq = m.spinSeq
-	m.spinSeq++
 	t.spinReg = true
-	scoped := false
 	for _, w := range t.spinWatch {
 		if w != nil {
-			scoped = true
 			w.watchers = append(w.watchers, int32(t.id)) //flexlint:allow hotalloc unregisterSpinner deletes in place, so the list keeps its capacity across spin legs
 		}
-	}
-	if !scoped {
-		m.spinners = append(m.spinners, t) //flexlint:allow hotalloc unregisterSpinner deletes in place, so the list keeps its capacity across spin legs
 	}
 	if m.mem != nil {
 		m.memSpin(MemSpinStart, t, 0)
 	}
 }
 
-// unregisterSpinner removes t from whichever lists registerSpinner put it
+// unregisterSpinner removes t from the watch lists registerSpinner put it
 // on. No-op if t is not currently registered (e.g. the budget-exhausted
 // final-check wait, which never registers).
 func (m *Machine) unregisterSpinner(t *Thread) {
@@ -250,12 +242,10 @@ func (m *Machine) unregisterSpinner(t *Thread) {
 		return
 	}
 	t.spinReg = false
-	scoped := false
 	for _, w := range t.spinWatch {
 		if w == nil {
 			continue
 		}
-		scoped = true
 		for i, s := range w.watchers {
 			if s == int32(t.id) {
 				w.watchers = append(w.watchers[:i], w.watchers[i+1:]...) //flexlint:allow hotalloc in-place slice delete; never grows
@@ -263,42 +253,17 @@ func (m *Machine) unregisterSpinner(t *Thread) {
 			}
 		}
 	}
-	if scoped {
-		return
-	}
-	for i, s := range m.spinners {
-		if s == t {
-			m.spinners = append(m.spinners[:i], m.spinners[i+1:]...) //flexlint:allow hotalloc in-place slice delete; never grows
-			return
-		}
-	}
 }
 
-// checkSpinners re-evaluates the spin conditions that can have been
-// changed by a store to w: the spinners watching w plus every unscoped
-// spinner (whose conditions may read any word). Spinners whose condition
-// turned false observe it after the detection latency.
-//
-// The two lists are merged by ascending registration sequence, so
-// spinners are visited in exactly the order a flat scan of all live
-// spinners would have used. Scoped spinners on other words are skipped
-// entirely — by the SpinOn contract their conditions cannot have changed,
-// so the flat scan would have evaluated them to true and drawn no jitter;
-// skipping them leaves the machine's random stream and event order
-// untouched.
+// checkSpinners re-evaluates the spin conditions that a store to w can
+// have changed: those of the spinners watching w, in registration order.
+// Spinners whose condition turned false observe it after the detection
+// latency. Spinners on other words are skipped entirely: by the SpinOn
+// contract their conditions cannot have changed, so evaluating them
+// would find them true and draw no jitter.
 func (m *Machine) checkSpinners(w *Word) {
-	ws := w.watchers
-	gs := m.spinners
-	i, j := 0, 0
-	for i < len(ws) || j < len(gs) {
-		var t *Thread
-		if j >= len(gs) || (i < len(ws) && m.threads[ws[i]].spinSeq < gs[j].spinSeq) {
-			t = m.threads[ws[i]]
-			i++
-		} else {
-			t = gs[j]
-			j++
-		}
+	for _, id := range w.watchers {
+		t := m.threads[id]
 		if t.spinExitEv == nil && !t.spinCond() {
 			t.spinExitEv = m.eq.Schedule(m.clock+m.cfg.Costs.SpinDetect+m.jitter(), t.fnSpinExit)
 		}
@@ -330,16 +295,7 @@ func (m *Machine) spinTimeoutFire(t *Thread) {
 
 // completeSpin finalizes the spin op.
 func (m *Machine) completeSpin(t *Thread, timeout bool) {
-	m.accountSpin(t)
-	m.unregisterSpinner(t)
-	if t.spinExitEv != nil {
-		t.spinExitEv.Cancel()
-		t.spinExitEv = nil
-	}
-	if t.spinTimeEv != nil {
-		t.spinTimeEv.Cancel()
-		t.spinTimeEv = nil
-	}
+	m.endSpinLeg(t, true)
 	if m.mem != nil {
 		var arg int32
 		if timeout {
@@ -354,7 +310,20 @@ func (m *Machine) completeSpin(t *Thread, timeout bool) {
 // pauseSpin interrupts a spin because of preemption: deregister, account
 // the on-CPU leg against the budget, and arrange resumption.
 func (m *Machine) pauseSpin(t *Thread) {
-	m.accountSpin(t)
+	m.endSpinLeg(t, true)
+	if t.spinMax > 0 {
+		t.spinBudget -= m.clock - t.spinStart
+	}
+	t.pending = pendSpin
+}
+
+// endSpinLeg ends t's on-CPU spin leg: it charges the leg to SpinIters
+// when account is set, leaves the watch lists and cancels both spin
+// timers.
+func (m *Machine) endSpinLeg(t *Thread, account bool) {
+	if account {
+		m.accountSpin(t)
+	}
 	m.unregisterSpinner(t)
 	if t.spinExitEv != nil {
 		t.spinExitEv.Cancel()
@@ -364,10 +333,6 @@ func (m *Machine) pauseSpin(t *Thread) {
 		t.spinTimeEv.Cancel()
 		t.spinTimeEv = nil
 	}
-	if t.spinMax > 0 {
-		t.spinBudget -= m.clock - t.spinStart
-	}
-	t.pending = pendSpin
 }
 
 // accountSpin attributes the elapsed on-CPU spin leg to SpinIters.

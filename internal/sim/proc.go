@@ -231,40 +231,30 @@ func (p *Proc) Add(w *Word, delta int64) uint64 {
 	return p.do(opReq{kind: opAdd, w: w, a: uint64(delta)}).val
 }
 
-// SpinWhile spins while cond() reports true. The machine advances virtual
+// SpinOn spins while cond() reports true. The machine advances virtual
 // time without enumerating iterations; the thread occupies its hardware
 // context, its timeslice keeps expiring, and iterations are accounted into
 // SpinIters. Returns once cond() is observed false.
-func (p *Proc) SpinWhile(cond func() bool) {
-	p.spin(cond, 0, [3]*Word{})
-}
-
-// SpinWhileMax is SpinWhile with an on-CPU budget of max ticks. It returns
-// true if cond became false, false on timeout. Time spent preempted does
-// not consume budget (spin-then-park timeouts count spinning work).
-func (p *Proc) SpinWhileMax(cond func() bool, max Time) bool {
-	if max <= 0 {
-		return !cond()
-	}
-	return !p.spin(cond, max, [3]*Word{}).timeout
-}
-
-// SpinOn is SpinWhile with a declared watch set: cond must depend only on
-// the values of the given Words (at most three distinct, nils ignored).
-// The machine then re-evaluates the spinner only on stores to a watched
-// word instead of on every store in the system — the spin-wait coalescing
-// fast path. Declaring a watch set that does not cover every word cond
-// reads is a correctness bug: the spinner can miss its wakeup.
+//
+// ws is the spin's watch set: cond must depend only on the values of the
+// given Words (at least one and at most three distinct, nils ignored).
+// The machine re-evaluates the spinner only on stores to a watched word,
+// not on every store in the system. Declaring a watch set that does not
+// cover every word cond reads is a correctness bug: the spinner can miss
+// its wakeup. A watch set with no non-nil word panics.
 func (p *Proc) SpinOn(cond func() bool, ws ...*Word) {
 	p.spin(cond, 0, watchSet(ws))
 }
 
-// SpinOnMax is SpinWhileMax with a declared watch set (see SpinOn).
+// SpinOnMax is SpinOn with an on-CPU budget of max ticks. It returns
+// true if cond became false, false on timeout. Time spent preempted does
+// not consume budget (spin-then-park timeouts count spinning work).
 func (p *Proc) SpinOnMax(cond func() bool, max Time, ws ...*Word) bool {
+	watch := watchSet(ws)
 	if max <= 0 {
 		return !cond()
 	}
-	return !p.spin(cond, max, watchSet(ws)).timeout
+	return !p.spin(cond, max, watch).timeout
 }
 
 // spin stages the spin operands on the thread (they are read by the
@@ -277,8 +267,9 @@ func (p *Proc) spin(cond func() bool, max Time, watch [3]*Word) opRes {
 	return p.do(opReq{kind: opSpin})
 }
 
-// watchSet packs a watch list into the fixed-size opReq field, dropping
-// nils and duplicates.
+// watchSet packs a watch list into the thread's fixed-size watch set,
+// dropping nils and duplicates. It panics unless one to three distinct
+// words remain.
 func watchSet(ws []*Word) [3]*Word {
 	var out [3]*Word
 	n := 0
@@ -301,6 +292,9 @@ func watchSet(ws []*Word) [3]*Word {
 		}
 		out[n] = w
 		n++
+	}
+	if n == 0 {
+		panic("sim: SpinOn needs at least one non-nil word to watch")
 	}
 	return out
 }

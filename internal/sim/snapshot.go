@@ -73,7 +73,6 @@ type Snapshot struct {
 	cfg      Config
 	clock    Time
 	rngState uint64
-	spinSeq  uint64
 
 	nextWord    int32
 	wordName    []string
@@ -122,7 +121,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		cfg:         m.cfg,
 		clock:       m.clock,
 		rngState:    m.rng.State(),
-		spinSeq:     m.spinSeq,
 		nextWord:    m.nextWord,
 		wordName:    make([]string, len(m.words)),
 		wordLine:    make([]int32, len(m.words)),
@@ -251,7 +249,6 @@ func (s *Snapshot) Clone(alloc func(m *Machine)) *Machine {
 		}
 		m.threads = append(m.threads, t)
 	}
-	m.spinSeq = s.spinSeq
 	m.rng.SetState(s.rngState)
 	m.TotalSwitches = s.switches
 	m.TotalPreemptions = s.preemptions

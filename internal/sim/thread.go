@@ -133,16 +133,15 @@ type Thread struct {
 	// a small fixed-cost copy; Proc.spin stages them before submitting.
 	spinCond func() bool
 	spinMax  Time // submitted spin budget (0 = unbounded)
-	// spinWatch is the declared watch set (SpinOn): cond depends only on
-	// these words, so only stores to them re-evaluate the spinner. All
-	// nil means unscoped (SpinWhile): re-evaluated on every store.
+	// spinWatch is the declared watch set (SpinOn), its non-nil words
+	// first: cond depends only on these words, so only stores to them
+	// re-evaluate the spinner.
 	spinWatch  [3]*Word
 	spinBudget Time // remaining spin ticks before timeout (0 = unbounded)
 	spinStart  Time // when the current on-CPU spin leg began
 	spinExitEv *vtime.Event
 	spinTimeEv *vtime.Event
-	spinReg    bool   // currently on a watch list (or the unscoped list)
-	spinSeq    uint64 // global registration sequence of the live spin leg
+	spinReg    bool // currently on its watched words' watch lists
 
 	// Pre-bound event callbacks, allocated once at Spawn. Steady-state
 	// stepping schedules completions through these instead of fresh

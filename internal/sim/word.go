@@ -91,10 +91,9 @@ type Word struct {
 	id     int32   // dense per-machine allocation index (see Word.ID)
 	name   string
 
-	// watchers are the live scoped spinners (Proc.SpinOn) polling this
-	// word, by thread id, in registration order. A store to the word
-	// re-evaluates only these plus the machine's unscoped spinners; see
-	// checkSpinners.
+	// watchers are the live spinners (Proc.SpinOn) polling this word, by
+	// thread id, in registration order. A store to the word re-evaluates
+	// only these; see checkSpinners.
 	watchers []int32
 }
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Trip proof for the flexlint suite: CI must not just see flexlint pass
 # on a clean tree, it must see each pass actually catch an injected
-# violation. For every interprocedural pass this script drops one
-# minimal bad file into the module, requires flexlint to exit nonzero
-# naming that pass, removes the injection, and finally requires the
-# tree to be clean again. A silently broken pass (wrong root set, edge
-# kind regression, suppressed reporting) fails here, not in review.
+# violation. For every pass this script drops minimal bad files into
+# the module, one at a time, requires flexlint to exit nonzero naming
+# that pass, removes the injection, and finally requires the tree to be
+# clean again. lockpair and traceprotocol trip both on a straight-line
+# path and inside a loop, the two halves of the statement walker they
+# share. A silently broken pass (wrong root set, edge kind regression,
+# loop handling, suppressed reporting) fails here, not in review.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,6 +132,71 @@ func ztripPair(l *MCS, p *sim.Proc, skip bool) {
 		return
 	}
 	l.Unlock(p)
+}
+GO
+
+# traceprotocol, loops: a Lock that emits its acquire event inside the
+# CAS retry loop, so every failed attempt emits another.
+trip traceprotocol <<'GO'
+package locks
+
+import "repro/internal/sim"
+
+type ztripRetry struct {
+	w   *sim.Word
+	lid int32
+}
+
+func (l *ztripRetry) Lock(p *sim.Proc) {
+	for {
+		p.LockEvent(sim.TraceAcquire, l.lid)
+		if p.CAS(l.w, 0, 1) == 0 {
+			return
+		}
+	}
+}
+
+func (l *ztripRetry) Unlock(p *sim.Proc) {
+	p.Store(l.w, 0)
+	p.LockEvent(sim.TraceRelease, l.lid)
+}
+GO
+
+# lockpair, loops: a loop that takes an MCS lock on every iteration.
+trip lockpair <<'GO'
+package locks
+
+import "repro/internal/sim"
+
+func ztripLoop(l *MCS, p *sim.Proc, n int) {
+	for i := 0; i < n; i++ {
+		l.Lock(p)
+	}
+}
+GO
+
+# spinloop: a hand-rolled poll of a word instead of SpinOn.
+trip spinloop <<'GO'
+package locks
+
+import "repro/internal/sim"
+
+func ztripSpin(p *sim.Proc, w *sim.Word) {
+	for p.Load(w) != 0 {
+	}
+}
+GO
+
+# determinism: an unaudited map range in lock code.
+trip determinism <<'GO'
+package locks
+
+func ztripMap(m map[int32]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
 }
 GO
 
