@@ -20,8 +20,7 @@
 // defaults finish each figure in minutes on a laptop.
 //
 // -list, -sweepsmoke, -all and -experiment select the mode; a flag the
-// mode ignores (say -experiment next to -all, or -warm with -window)
-// exits 2.
+// mode ignores (say -experiment next to -all) exits 2.
 package main
 
 import (
@@ -48,7 +47,6 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "sweep cells run on this many OS threads (0 = GOMAXPROCS); per-cell results are identical at any setting")
 		window     = flag.Int64("window", 0, "flight-recorder sampling window in virtual ticks (0 = off); series land in the -report file")
 		report     = flag.String("report", "", "write a machine-readable run report (JSON) to this file")
-		warm       = flag.Bool("warm", false, "sharedmem sweeps clone a per-shape warm snapshot instead of cold-starting every seed (not with -window)")
 		sweepsmoke = flag.Int("sweepsmoke", 0, "measure sweep-engine throughput over this many repetitions of the canonical cell set and exit (CI gate; metrics land in -report)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -101,7 +99,6 @@ func main() {
 		Parallel: *parallel,
 		Window:   sim.Time(*window),
 		Report:   rep,
-		Warm:     *warm,
 	}
 	expName := *exp
 	switch {

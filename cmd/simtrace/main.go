@@ -80,7 +80,6 @@ func main() {
 	cfg := sim.Intel()
 	cfg.NumCPUs = *cpus
 	cfg.Seed = *seed
-	cfg.RecordRunnable = true
 	env, err := harness.NewEnv(harness.EnvOptions{Config: cfg, Alg: *alg, Observe: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simtrace:", err)

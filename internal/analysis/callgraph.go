@@ -314,15 +314,6 @@ func (p *Program) ResolveCall(pkg *Package, call *ast.CallExpr) *FuncNode {
 // LitNode returns the node for a function literal.
 func (p *Program) LitNode(lit *ast.FuncLit) *FuncNode { return p.byLit[lit] }
 
-// FuncFor returns the node for a declared function (Origin-normalized,
-// so instantiated generic methods resolve to their declaration).
-func (p *Program) FuncFor(obj *types.Func) *FuncNode {
-	if obj == nil {
-		return nil
-	}
-	return p.byObj[obj.Origin()]
-}
-
 // collectEdges records n's outgoing edges and classifies the literals
 // it creates (spin conditions, spawn bodies, plain binds).
 func (p *Program) collectEdges(n *FuncNode) {

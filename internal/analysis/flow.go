@@ -13,8 +13,9 @@ package analysis
 // statement, and every continue) are checked against that entry rather
 // than iterated to a fixed point; labeled branches bind to the nearest
 // enclosing loop (continue) or breakable statement (break); goto ends
-// the path; and panic, os.Exit and log.Fatal/Panic end it without an
-// exit.
+// the path; panic, os.Exit and log.Fatal/Panic end it without an exit;
+// and a select comm statement's calls reach only its own clause, though
+// Go evaluates its channel and send operands on entry to the select.
 
 import (
 	"go/ast"
@@ -171,14 +172,14 @@ func (w *flowWalker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if s.Tag != nil {
 			w.scan(s.Tag, st)
 		}
-		return w.clauses(s.Body, st, hasDefaultClause(s.Body))
+		return w.clauses(s.Body, st)
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			st, _ = w.stmt(s.Init, st)
 		}
-		return w.clauses(s.Body, st, hasDefaultClause(s.Body))
+		return w.clauses(s.Body, st)
 	case *ast.SelectStmt:
-		return w.clauses(s.Body, st, false)
+		return w.clauses(s.Body, st)
 	case *ast.LabeledStmt:
 		return w.stmt(s.Stmt, st)
 	}
@@ -209,31 +210,47 @@ func (w *flowWalker[S]) loop(body *ast.BlockStmt, post ast.Stmt, st S, canSkip b
 // clauses interprets a switch, type switch or select: each clause runs
 // from the entry state, and the state after merges the surviving
 // clauses, the breaks and — without a default clause — the entry state.
-func (w *flowWalker[S]) clauses(body *ast.BlockStmt, st S, hasDefault bool) (S, bool) {
+// Case expressions are evaluated in order until one matches, so each
+// one's calls apply to the entry state itself: they reach its clause,
+// every later clause and the no-match path, which is why the default
+// clause runs last. A comm clause's body starts from the state after
+// its comm statement.
+func (w *flowWalker[S]) clauses(body *ast.BlockStmt, st S) (S, bool) {
 	ctx := &flowCtx[S]{entry: w.p.clone(st)}
 	w.ctxs = append(w.ctxs, ctx)
 	var outs []S
+	var dflt *ast.CaseClause
 	for _, clause := range body.List {
+		var start S
 		var stmts []ast.Stmt
 		switch c := clause.(type) {
 		case *ast.CaseClause:
+			if c.List == nil {
+				dflt = c
+				continue
+			}
 			for _, e := range c.List {
-				w.scan(e, st)
+				w.scan(e, ctx.entry)
 			}
-			stmts = c.Body
+			start, stmts = w.p.clone(ctx.entry), c.Body
 		case *ast.CommClause:
+			start, stmts = w.p.clone(ctx.entry), c.Body
 			if c.Comm != nil {
-				st, _ = w.stmt(c.Comm, st)
+				start, _ = w.stmt(c.Comm, start)
 			}
-			stmts = c.Body
 		}
-		if out, done := w.block(stmts, w.p.clone(ctx.entry)); !done {
+		if out, done := w.block(stmts, start); !done {
+			outs = append(outs, out)
+		}
+	}
+	if dflt != nil {
+		if out, done := w.block(dflt.Body, w.p.clone(ctx.entry)); !done {
 			outs = append(outs, out)
 		}
 	}
 	outs = append(outs, ctx.breaks...)
 	w.ctxs = w.ctxs[:len(w.ctxs)-1]
-	if !hasDefault {
+	if dflt == nil {
 		outs = append(outs, ctx.entry)
 	}
 	return w.join(st, outs)
@@ -301,16 +318,6 @@ func isTerminalCall(pkg *Package, e ast.Expr) bool {
 					return true
 				}
 			}
-		}
-	}
-	return false
-}
-
-// hasDefaultClause reports whether a switch body has a default case.
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
-			return true
 		}
 	}
 	return false

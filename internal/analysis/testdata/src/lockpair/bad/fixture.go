@@ -53,3 +53,40 @@ func unbalancedRelease(p *sim.Proc, mu *mutex, w *sim.Word) {
 		return // want "exit paths disagree on mu.Unlock"
 	}
 }
+
+// lockedKey takes mu and returns a switch key.
+func lockedKey(p *sim.Proc, mu *mutex) int {
+	mu.Lock(p)
+	return 1
+}
+
+// leakyCaseExpr takes the lock in a case expression, which runs
+// whether or not its clause is chosen.
+func leakyCaseExpr(m *sim.Machine, mu *mutex, k int) {
+	m.Spawn("w", func(p *sim.Proc) {
+		switch k {
+		case lockedKey(p, mu): // want "mu.Lock is still held when the thread body exits"
+		}
+	})
+}
+
+// leakyDefault leaks on the default path only. Written first, the
+// default clause still runs after every case expression.
+func leakyDefault(m *sim.Machine, mu *mutex, k int) {
+	m.Spawn("w", func(p *sim.Proc) {
+		switch k {
+		default:
+		case lockedKey(p, mu): // want "mu.Lock is still held when the thread body exits"
+			mu.Unlock(p)
+		}
+	})
+}
+
+// leakyCommClause takes the lock while computing a value to send.
+func leakyCommClause(m *sim.Machine, mu *mutex, ch chan int) {
+	m.Spawn("w", func(p *sim.Proc) {
+		select {
+		case ch <- lockedKey(p, mu): // want "mu.Lock is still held when the thread body exits"
+		}
+	})
+}

@@ -99,3 +99,26 @@ func (l *helped) Unlock(p *sim.Proc) {
 	p.StoreRel(l.w, 0)
 	p.LockEvent(sim.TraceRelease, l.w.ID())
 }
+
+// cased emits from a call in a case expression as well as after the
+// switch — two total, whichever clause runs.
+type cased struct{ w *sim.Word }
+
+func (l *cased) acquired(p *sim.Proc) bool {
+	p.LockEvent(sim.TraceAcquire, l.w.ID())
+	return true
+}
+
+func (l *cased) Lock(p *sim.Proc) {
+	p.SpinOn(func() bool { return l.w.V() == 0 }, l.w)
+	p.Store(l.w, 1)
+	switch {
+	case l.acquired(p):
+	}
+	p.LockEvent(sim.TraceAcquire, l.w.ID())
+} // want "emits 2 acquire-class trace events"
+
+func (l *cased) Unlock(p *sim.Proc) {
+	p.StoreRel(l.w, 0)
+	p.LockEvent(sim.TraceRelease, l.w.ID())
+}

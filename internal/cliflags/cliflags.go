@@ -30,8 +30,8 @@ var modes = map[string]map[string][]string{
 	"flexbench": {
 		"list":       {"list"},
 		"sweepsmoke": append([]string{"sweepsmoke", "parallel", "report"}, prof...),
-		"experiment": append([]string{"experiment", "scale", "duration", "seeds", "algs", "metrics", "parallel", "window", "report", "warm"}, prof...),
-		"all":        append([]string{"all", "scale", "duration", "seeds", "algs", "metrics", "parallel", "window", "report", "warm"}, prof...),
+		"experiment": append([]string{"experiment", "scale", "duration", "seeds", "algs", "metrics", "parallel", "window", "report"}, prof...),
+		"all":        append([]string{"all", "scale", "duration", "seeds", "algs", "metrics", "parallel", "window", "report"}, prof...),
 	},
 	"loadbench": {
 		// -quick fixes the patterns, rates, algorithms and duration.
@@ -49,7 +49,6 @@ var modes = map[string]map[string][]string{
 // are set.
 var moot = map[string]map[string]string{
 	"faultbench": {"seeds": "quick"}, // -quick runs one seed
-	"flexbench":  {"warm": "window"}, // the flight recorder cannot ride a snapshot
 }
 
 // span is a numeric flag's valid range: above lo and up to hi when

@@ -37,8 +37,6 @@ func TestCheckFlags(t *testing.T) {
 		{"flexbench", "sweepsmoke", []string{"sweepsmoke", "experiment", "scale"}, "-experiment"},
 		{"flexbench", "sweepsmoke", []string{"sweepsmoke", "scale"}, "-scale"},
 		{"flexbench", "experiment", []string{"experiment", "scale", "duration", "seeds", "algs", "metrics", "parallel", "window", "report", "memprofile"}, ""},
-		{"flexbench", "experiment", []string{"experiment", "warm", "seeds"}, ""},
-		{"flexbench", "experiment", []string{"experiment", "warm", "window"}, "-warm"},
 		{"flexbench", "experiment", []string{"experiment", "sweepsmoke"}, "-sweepsmoke"}, // -sweepsmoke 0 selects nothing
 		{"flexbench", "all", []string{"all", "scale", "report"}, ""},
 		{"flexbench", "all", []string{"all", "experiment"}, "-experiment"},

@@ -60,17 +60,3 @@ func (r *Rand) Float64() float64 {
 func (r *Rand) Split() *Rand {
 	return NewRand(r.Uint64() | 1)
 }
-
-// State returns the generator's exact stream position, for machine
-// snapshots. Restoring it with SetState resumes the identical stream.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState rewinds (or fast-forwards) the generator to a position
-// previously captured with State. A zero state is rejected like a zero
-// seed — it is xorshift's fixed point and can never be a live position.
-func (r *Rand) SetState(s uint64) {
-	if s == 0 {
-		panic("dist: SetState with zero state")
-	}
-	r.state = s
-}

@@ -322,15 +322,6 @@ func PlanByName(name string) (Plan, bool) {
 	return Plan{}, false
 }
 
-// PlanNames returns the preset names in sweep order.
-func PlanNames() []string {
-	var out []string
-	for _, np := range Plans() {
-		out = append(out, np.Name)
-	}
-	return out
-}
-
 // FromBits derives a bounded plan from 64 fuzz-provided bits — the
 // bridge from go's native fuzzing (which mutates scalars) to the plan
 // space. Magnitudes are capped so every derived plan terminates in

@@ -35,64 +35,3 @@ func BenchmarkSweepParallel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSnapshotClone isolates what the warm-sweep path saves per
-// seed: "cold" pays env construction plus the warm phase on a fresh
-// machine every iteration; "clone" pays Prewarm once outside the timed
-// loop and only materializes a clone per iteration. Neither runs the
-// measured workload — the benchmark is the setup cost alone, which is
-// exactly the part a snapshot amortizes across seeds.
-func BenchmarkSnapshotClone(b *testing.B) {
-	c := detCell("mcs")
-	warm := WarmSpec{Threads: 4, Duration: 1_000_000}
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := prewarmEnv(c, warm); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("clone", func(b *testing.B) {
-		wm, err := Prewarm(c, warm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wm.clone(uint64(i + 1))
-		}
-	})
-}
-
-// BenchmarkWarmVsColdCell compares one warmed sweep cell end to end —
-// setup plus the measured workload. "cold" is what a warmed sweep
-// costs without snapshots: construction and the warm phase re-simulated
-// for every seed; "clone" replays construction against the captured
-// snapshot instead. The workload half is identical (byte-identical
-// digests, per TestSnapshotEquivalence), so the gap is pure setup
-// amortization.
-func BenchmarkWarmVsColdCell(b *testing.B) {
-	c := detCell("mcs")
-	warm := WarmSpec{Threads: 4, Duration: 1_000_000}
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := warmColdRef(c, warm, uint64(i+1), 100); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("clone", func(b *testing.B) {
-		wm, err := Prewarm(c, warm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wm.RunSharedMem(uint64(i+1), 100)
-		}
-	})
-}

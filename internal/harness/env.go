@@ -9,7 +9,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -66,11 +65,6 @@ type Env struct {
 	nLocks int
 	maxed  bool
 	fgOpts []core.LockOption
-	// workerBase is the index of the first workload worker thread in
-	// Machine.Threads(). Zero on cold-started machines; on clones from a
-	// warm snapshot it skips the warm phase's ghost threads so Collect
-	// still identifies workers by position.
-	workerBase int
 	// queueDepth is the open-loop engine's request-queue gauge, set by
 	// its workload so the flight recorder can sample it.
 	queueDepth func() int64
@@ -89,32 +83,19 @@ type EnvOptions struct {
 	Observe bool
 }
 
-// envConfig applies the algorithm-driven cost-table adjustments to the
-// machine configuration (they must be in place before sim.New).
-func envConfig(o EnvOptions) sim.Config {
+// NewEnv builds a machine configured for the chosen algorithm: the
+// algorithm's cost-table adjustments, then the lock registry, monitor,
+// runtime and observers.
+func NewEnv(o EnvOptions) (*Env, error) {
 	cfg := o.Config
 	if o.Alg == "spin-ext" || o.Alg == "flexguard-ext" {
 		cfg.Costs.SliceExt = sliceExtGrant
 	}
-	if o.Alg == "flexguard" || o.Alg == "flexguard-ext" {
+	isFG := o.Alg == "flexguard" || o.Alg == "flexguard-ext"
+	if isFG {
 		cfg.Costs.HookCost = monitorHookCost
 	}
-	return cfg
-}
-
-// NewEnv builds a machine configured for the chosen algorithm.
-func NewEnv(o EnvOptions) (*Env, error) {
-	return buildEnv(sim.New(envConfig(o)), o)
-}
-
-// buildEnv wires the environment's Go-heap state — lock registry,
-// monitor, runtime, observers — onto an existing machine. It is the
-// construction closure replayed by sim.Snapshot.Clone, so everything it
-// builds must be a pure function of (machine, options): word
-// allocations made here are adopted against the snapshot by allocation
-// order.
-func buildEnv(m *sim.Machine, o EnvOptions) (*Env, error) {
-	isFG := o.Alg == "flexguard" || o.Alg == "flexguard-ext"
+	m := sim.New(cfg)
 	e := &Env{M: m, Shared: locks.NewShared(m), Alg: o.Alg}
 	if o.Observe {
 		e.Obs = obs.Observe(m)
@@ -264,13 +245,7 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 	var latSum, latCount int64
 	ops := make([]int64, 0, workers)
 	var samples []float64
-	ths := e.M.Threads()
-	if e.workerBase < len(ths) {
-		ths = ths[e.workerBase:]
-	} else {
-		ths = nil
-	}
-	for i, th := range ths {
+	for i, th := range e.M.Threads() {
 		if i >= workers {
 			break
 		}
@@ -353,11 +328,4 @@ func MachineConfig(name string) (sim.Config, error) {
 	default:
 		return sim.Config{}, fmt.Errorf("harness: unknown machine %q", name)
 	}
-}
-
-// SortedCopy returns values sorted ascending (printing helper).
-func SortedCopy(v []int) []int {
-	out := append([]int(nil), v...)
-	sort.Ints(out)
-	return out
 }

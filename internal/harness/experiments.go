@@ -46,13 +46,6 @@ type ExpOptions struct {
 	// conventionally the experiment ID. It doubles as the pprof
 	// "experiment" label on sweep cells.
 	ReportPrefix string
-	// Warm runs sharedmem sweeps from per-shape warm snapshots
-	// (flexbench -warm): each (alg, threads) cell pays env construction
-	// and a warm phase once, then clones the snapshot per seed.
-	// Snapshot-equivalent to cold runs except that the measured phase
-	// starts at the warm-boundary clock on a dirtied cache. Ignored when
-	// Window is set (the flight recorder cannot ride a snapshot).
-	Warm bool
 }
 
 // expLabel picks the pprof experiment label: the report prefix when one
@@ -245,27 +238,16 @@ func fig2(machine string, normalize bool, o ExpOptions, w io.Writer) error {
 	if normalize {
 		unit = "CS execution time normalized to the blocking lock"
 	}
-	warm := o.Warm && o.Window == 0
 	label := func(r, c int) string { return fmt.Sprintf("%s/t%d", o.Algs[r], threads[c]) }
 	grid, err := runGrid(o.Parallel, len(o.Algs), len(threads), o.expLabel("fig2"), label, func(r, c int) (Result, error) {
 		cc := RunCfg{
 			Config: cfg, Alg: o.Algs[r], Threads: threads[c],
 			Duration: o.Duration, Observe: o.Metrics, Window: o.Window,
 		}
-		run := func(seed uint64) (Result, error) {
+		res, err := averageRuns(o, func(seed uint64) (Result, error) {
 			cc.Seed = seed
 			return RunSharedMem(cc, 100)
-		}
-		if warm {
-			// One construction + warm phase per cell shape; each seed
-			// clones the snapshot instead of cold-starting a machine.
-			wm, err := Prewarm(cc, WarmSpec{})
-			if err != nil {
-				return Result{}, err
-			}
-			run = func(seed uint64) (Result, error) { return wm.RunSharedMem(seed, 100), nil }
-		}
-		res, err := averageRuns(o, run)
+		})
 		if err != nil {
 			return res, fmt.Errorf("%s @%d threads: %w", o.Algs[r], threads[c], err)
 		}
@@ -342,7 +324,7 @@ func runApp(machine string, concurrent bool, work workload) func(ExpOptions, io.
 			}
 			r, err := averageRuns(o, func(seed uint64) (Result, error) {
 				c.Seed = seed
-				return noEnv(runCold(c, work))
+				return noEnv(runClosed(c, work))
 			})
 			if err != nil {
 				return r, fmt.Errorf("%s @%d: %w", o.Algs[row], sweep[col], err)

@@ -155,7 +155,7 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 
 	co := fuzzCheck(c.Check, horizon)
 	out, err := stages{
-		env:   newEnv(EnvOptions{Config: cfg, Alg: alg}),
+		env:   EnvOptions{Config: cfg, Alg: alg},
 		check: co, races: c.Races, plan: c.Plan, trace: true, window: c.Window,
 		work: sharedmemWork(0, mu), threads: threads,
 		// Any thread parked at the drain is a deadlock.

@@ -125,7 +125,7 @@ func RunOpenLoop(c OpenLoopCfg) (OpenLoopResult, error) {
 	}
 	horizon := dur + dur/2
 	out, err := stages{
-		env:   newEnv(EnvOptions{Config: cfg, Alg: c.Alg}),
+		env:   EnvOptions{Config: cfg, Alg: c.Alg},
 		trace: c.Trace, window: c.Window, work: work,
 		deadline: dur, horizon: horizon, hangBefore: horizon,
 	}.run()

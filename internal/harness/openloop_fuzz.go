@@ -96,7 +96,7 @@ func FuzzOpenLoop(c OpenLoopFuzzCfg) (OpenLoopFuzzResult, error) {
 	}
 	co := fuzzCheck(c.Check, horizon)
 	out, err := stages{
-		env:   newEnv(EnvOptions{Config: cfg, Alg: alg}),
+		env:   EnvOptions{Config: cfg, Alg: alg},
 		check: co, plan: c.Plan, work: work,
 		// Any thread parked at the drain is a deadlock.
 		deadline: horizon, horizon: grace, hangBefore: grace + 1,

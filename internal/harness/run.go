@@ -60,7 +60,7 @@ type workload func(e *Env, threads int, deadline sim.Time) (validate func(crashe
 // finish observers → validate. Entry points fill it from their config
 // and map the staged outcome onto their result type.
 type stages struct {
-	env func() (*Env, error) // NewEnv, or a warm-snapshot clone
+	env EnvOptions
 
 	// Observers. All but the flight recorder attach before the build,
 	// in this order: checker, race auditor, fault plan, tracer.
@@ -76,10 +76,9 @@ type stages struct {
 	// capped stops a closed-loop run after the build when the algorithm
 	// exceeded its lock-count cap (u-SCL), as the paper's runs crash.
 	capped bool
-	// deadline, horizon and hangBefore are relative to the machine clock
-	// at the build: zero on cold machines, the snapshot boundary on warm
-	// clones. Threads still parked when the machine drained are a
-	// deadlock only if it drained before hangBefore.
+	// deadline, horizon and hangBefore are machine times. Threads still
+	// parked when the machine drained are a deadlock only if it drained
+	// before hangBefore.
 	deadline, horizon, hangBefore sim.Time
 }
 
@@ -102,7 +101,7 @@ type staged struct {
 // run takes the stages in order. It fails only when the env cannot be
 // built; a failed workload check lands in the outcome's err.
 func (s stages) run() (*staged, error) {
-	e, err := s.env()
+	e, err := NewEnv(s.env)
 	if err != nil {
 		return nil, err
 	}
@@ -130,8 +129,7 @@ func (s stages) run() (*staged, error) {
 		e.Tr = e.M.AttachTracer(256)
 	}
 
-	base := e.M.Now()
-	validate := s.work(e, s.threads, base+s.deadline)
+	validate := s.work(e, s.threads, s.deadline)
 	out := &staged{e: e}
 	if s.capped && e.Crashed() {
 		return out, nil // nothing runs
@@ -145,10 +143,10 @@ func (s stages) run() (*staged, error) {
 		})
 	}
 	// After the workload: Collect identifies workers by spawn index.
-	e.SpawnSpinners(s.spinners, base+s.deadline)
+	e.SpawnSpinners(s.spinners, s.deadline)
 
-	out.q = e.M.Run(base + s.horizon)
-	if out.q < base+s.hangBefore && e.M.Deadlocked() {
+	out.q = e.M.Run(s.horizon)
+	if out.q < s.hangBefore && e.M.Deadlocked() {
 		out.deadlocked, out.dump = true, e.M.DeadlockReport()
 	}
 	if ck != nil {
@@ -187,11 +185,6 @@ func (s *staged) verdicts(format string) []check.Violation {
 	})
 }
 
-// newEnv is the cold env stage.
-func newEnv(o EnvOptions) func() (*Env, error) {
-	return func() (*Env, error) { return NewEnv(o) }
-}
-
 // defaultSeed maps seed 0 to 42, the closed- and open-loop default
 // (Fuzz alone passes seed 0 through).
 func defaultSeed(seed uint64) uint64 {
@@ -209,10 +202,14 @@ func withHeadroom(cfg sim.Config, need int) sim.Config {
 	return cfg
 }
 
-// runOptions resolves a RunCfg into the env construction options and
-// the workload duration (shared with the warm-snapshot path in
-// snapshot.go).
-func runOptions(c RunCfg) (EnvOptions, sim.Time) {
+// runClosed runs a closed-loop workload on a freshly built machine
+// through the staged path: the workers stop at the run's duration
+// (default 20M ticks) and the machine runs on to 5/4 of it so in-flight
+// operations complete. Threads still parked when the machine drained
+// are a hang only if the drain happened before the workload deadline:
+// waiters stranded at shutdown (e.g. barrier peers whose partners
+// exited on deadline) are a benign end-of-run artifact.
+func runClosed(c RunCfg, w workload) (*Env, Result, error) {
 	cfg := withHeadroom(c.Config, c.Threads+c.Spinners+8)
 	cfg.Seed = defaultSeed(c.Seed)
 	cfg.RecordRunnable = c.RecordRunnable
@@ -220,24 +217,15 @@ func runOptions(c RunCfg) (EnvOptions, sim.Time) {
 	if dur == 0 {
 		dur = 20_000_000
 	}
-	return EnvOptions{
-		Config:          cfg,
-		Alg:             c.Alg,
-		PerLock:         c.PerLock,
-		BlockingMCSExit: c.BlockingMCSExit,
-		Observe:         c.Observe,
-	}, dur
-}
-
-// runClosed runs a closed-loop workload through the staged path: the
-// workers stop at dur and the machine runs on to 5/4 of it so in-flight
-// operations complete. Threads still parked when the machine drained
-// are a hang only if the drain happened before the workload deadline:
-// waiters stranded at shutdown (e.g. barrier peers whose partners
-// exited on deadline) are a benign end-of-run artifact.
-func runClosed(c RunCfg, dur sim.Time, env func() (*Env, error), w workload) (*Env, Result, error) {
 	out, err := stages{
-		env: env, races: c.Races, trace: c.Trace, window: c.Window,
+		env: EnvOptions{
+			Config:          cfg,
+			Alg:             c.Alg,
+			PerLock:         c.PerLock,
+			BlockingMCSExit: c.BlockingMCSExit,
+			Observe:         c.Observe,
+		},
+		races: c.Races, trace: c.Trace, window: c.Window,
 		work: w, threads: c.Threads, spinners: c.Spinners, capped: true,
 		deadline: dur, horizon: dur + dur/4, hangBefore: dur,
 	}.run()
@@ -256,13 +244,7 @@ func runClosed(c RunCfg, dur sim.Time, env func() (*Env, error), w workload) (*E
 	return out.e, r, out.err
 }
 
-// runCold runs a closed-loop workload on a freshly built machine.
-func runCold(c RunCfg, w workload) (*Env, Result, error) {
-	o, dur := runOptions(c)
-	return runClosed(c, dur, newEnv(o), w)
-}
-
-// noEnv drops the env from runCold's outcome.
+// noEnv drops the env from runClosed's outcome.
 func noEnv(_ *Env, r Result, err error) (Result, error) { return r, err }
 
 // sharedmemWork is the shared-memory-access microbenchmark; mu, when
@@ -345,28 +327,28 @@ func RunSharedMem(c RunCfg, think sim.Time) (Result, error) {
 // RunSharedMemEnv is RunSharedMem but returns the env for inspection
 // (Figure 5a timeline, mode-transition counts).
 func RunSharedMemEnv(c RunCfg, think sim.Time) (*Env, Result, error) {
-	return runCold(c, sharedmemWork(think, nil))
+	return runClosed(c, sharedmemWork(think, nil))
 }
 
 // RunHashTable runs the hash-table microbenchmark (Figs 3a–d).
-func RunHashTable(c RunCfg) (Result, error) { return noEnv(runCold(c, hashtableWork)) }
+func RunHashTable(c RunCfg) (Result, error) { return noEnv(runClosed(c, hashtableWork)) }
 
 // RunDBIndex runs the PiBench-style database index (Figs 3e–h).
-func RunDBIndex(c RunCfg) (Result, error) { return noEnv(runCold(c, dbindexWork)) }
+func RunDBIndex(c RunCfg) (Result, error) { return noEnv(runClosed(c, dbindexWork)) }
 
 // RunDedup runs the Dedup pipeline (Figs 3i–l).
-func RunDedup(c RunCfg) (Result, error) { return noEnv(runCold(c, dedupWork)) }
+func RunDedup(c RunCfg) (Result, error) { return noEnv(runClosed(c, dedupWork)) }
 
 // RunRaytrace runs the Raytrace workload (Figs 3m–p).
-func RunRaytrace(c RunCfg) (Result, error) { return noEnv(runCold(c, raytraceWork)) }
+func RunRaytrace(c RunCfg) (Result, error) { return noEnv(runClosed(c, raytraceWork)) }
 
 // RunStreamcluster runs the Streamcluster workload (Figs 3q–t).
-func RunStreamcluster(c RunCfg) (Result, error) { return noEnv(runCold(c, streamclusterWork)) }
+func RunStreamcluster(c RunCfg) (Result, error) { return noEnv(runClosed(c, streamclusterWork)) }
 
 // RunKV runs the LevelDB-style store (Fig 4). kind selects
 // readrandom/fillrandom.
 func RunKV(c RunCfg, kind kvstore.WorkloadKind) (Result, error) {
-	return noEnv(runCold(c, kvWork(kind)))
+	return noEnv(runClosed(c, kvWork(kind)))
 }
 
 // RunHackbench runs the §5.4 overhead experiment and returns the runtimes

@@ -25,17 +25,14 @@ func SweepSmokeCell(alg string) RunCfg {
 
 // SweepSmoke measures sweep-engine throughput for the CI report gate:
 // reps repetitions of one canonical cell per algorithm fanned through
-// the worker pool, plus the snapshot path's setup cost ratio. Metrics
-// land in rep under "sweep/smoke" so `flexreport -gate` can compare
-// them against the committed baseline:
+// the worker pool. Metrics land in rep under "sweep/smoke" so
+// `flexreport -gate` can compare them against the committed baseline:
 //
-//	cells_per_sec    cold sweep cells completed per wall-clock second
+//	cells_per_sec    sweep cells completed per wall-clock second
 //	sim_ev_per_sec   aggregate simulated events per wall-clock second
-//	clone_speedup    cold per-seed setup cost / snapshot-clone cost
 //
-// The throughput numbers are wall-clock and host-dependent — the gate
-// threshold absorbs runner variance; clone_speedup is a within-run
-// ratio and far more stable.
+// Both are wall-clock and host-dependent; the gate threshold absorbs
+// runner variance.
 func SweepSmoke(reps, workers int, rep *Report, w io.Writer) error {
 	algs := AllAlgorithms
 	var events int64
@@ -54,58 +51,14 @@ func SweepSmoke(reps, workers int, rep *Report, w io.Writer) error {
 	}
 	elapsed := time.Since(start).Seconds()
 	cells := float64(reps * len(algs))
-
-	speedup, err := cloneSpeedup()
-	if err != nil {
-		return err
-	}
 	m := map[string]float64{
 		"cells_per_sec":  cells / elapsed,
 		"sim_ev_per_sec": float64(events) / elapsed,
-		"clone_speedup":  speedup,
 	}
 	if rep != nil {
 		rep.AddMetrics("sweep/smoke", m)
 	}
-	fmt.Fprintf(w, "sweep smoke: %.1f cells/s, %.3g sim-ev/s, clone %.1fx cheaper than cold setup (%d reps × %d algs, %d workers)\n",
-		m["cells_per_sec"], m["sim_ev_per_sec"], speedup, reps, len(algs), Workers(workers))
+	fmt.Fprintf(w, "sweep smoke: %.1f cells/s, %.3g sim-ev/s (%d reps × %d algs, %d workers)\n",
+		m["cells_per_sec"], m["sim_ev_per_sec"], reps, len(algs), Workers(workers))
 	return nil
-}
-
-// cloneSpeedup times per-seed setup cost cold (env construction + warm
-// phase on a fresh machine) against the snapshot path (clone of a
-// prebuilt snapshot), the ratio BenchmarkSnapshotClone tracks.
-func cloneSpeedup() (float64, error) {
-	const iters = 256
-	c := SweepSmokeCell("mcs")
-	warm := WarmSpec{Threads: 4, Duration: 1_000_000}
-	wm, err := Prewarm(c, warm)
-	if err != nil {
-		return 0, err
-	}
-	// Untimed warmup so allocator effects hit neither side.
-	if _, _, err := prewarmEnv(c, warm); err != nil {
-		return 0, err
-	}
-	wm.clone(1)
-
-	//flexlint:allow determinism wall-clock cost measurement; feeds no digest
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, _, err := prewarmEnv(c, warm); err != nil {
-			return 0, err
-		}
-	}
-	cold := time.Since(t0)
-
-	//flexlint:allow determinism wall-clock cost measurement; feeds no digest
-	t1 := time.Now()
-	for i := 0; i < iters; i++ {
-		wm.clone(uint64(i + 1))
-	}
-	clone := time.Since(t1)
-	if clone <= 0 {
-		clone = 1
-	}
-	return float64(cold) / float64(clone), nil
 }

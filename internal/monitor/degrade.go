@@ -54,9 +54,6 @@ func (mo *Monitor) Degrade(d *Degradation) { mo.deg = d }
 // spin-mode decisions must not rely on it.
 func (mo *Monitor) StaleWord() *sim.Word { return mo.stale }
 
-// Stale reports whether the health check has tripped.
-func (mo *Monitor) Stale() bool { return mo.stale.V() != 0 }
-
 // EnableHealthCheck arms the monitor self-check. lag is the maximum
 // tolerated gap between tracepoint firings and processed events; stuck
 // is how many consecutive switches NPCS may sit nonzero and unchanged

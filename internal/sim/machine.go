@@ -131,21 +131,13 @@ type Machine struct {
 	// Word state, structure-of-arrays (see word.go): per-line owner and
 	// sharer bitmaps indexed by dense line id, and the chunked value
 	// arena indexed by dense word id. words registers every allocated
-	// handle in id order (snapshot/clone walks it).
+	// handle in id order (see Words).
 	lineOwner   []int32
 	lineSharers []uint64 // lineStride words per line
 	lineStride  int32
 	valChunks   [][]uint64
 	words       []*Word
 	wordSlab    []Word // unused handles of the current slab (see handle)
-
-	// Adoption state, set by Clone: allocations with id < adoptWords are
-	// replaying the snapshotted prefix and adopt the snapshot's slot and
-	// line (adoptLine/adoptName indexed by word id) instead of
-	// allocating fresh state.
-	adoptWords int
-	adoptLine  []int32
-	adoptName  []string
 
 	// horizon is the current Run deadline; firing is the event whose
 	// callback is executing. Both drive the fast-forward path: horizon
@@ -157,10 +149,9 @@ type Machine struct {
 
 	// Event-loop state. The loop runs on whichever goroutine holds the
 	// turn (see drive), so none of it may live in a goroutine's frame:
-	// phase marks a RunPhase, sample is RunSampled's probe, and stopped
-	// ends the run. stopped stays set until the next Run or RunPhase, so
-	// a body unwinding at shutdown never fires an event.
-	phase   bool
+	// sample is RunSampled's probe, and stopped ends the run. stopped
+	// stays set once the run ends, so a body unwinding at shutdown never
+	// fires an event.
 	sample  func(n, strong int)
 	stopped bool
 
@@ -169,7 +160,6 @@ type Machine struct {
 	runnable int64
 	timeline stats.Timeline
 
-	running  bool
 	finished bool
 	drained  bool // event queue emptied before the Run horizon
 
@@ -450,7 +440,8 @@ func (m *Machine) run(until Time, sample func(n, strong int)) Time {
 	if m.finished {
 		panic("sim: Run called twice")
 	}
-	m.start(until, false, sample)
+	m.horizon = until
+	m.sample = sample
 	m.driveRun()
 	quiesced := m.clock
 	if m.clock < until {
@@ -458,58 +449,8 @@ func (m *Machine) run(until Time, sample func(n, strong int)) Time {
 		m.clock = until
 	}
 	m.shutdown()
-	m.running = false
 	m.finished = true
 	return quiesced
-}
-
-// RunPhase processes events until virtual time `until` like Run, but
-// leaves the machine alive: no thread is terminated, and more threads
-// may be spawned and Run (or another RunPhase) called afterwards. A
-// phase must quiesce on its own — every strong event fires before the
-// phase horizon — because the boundary is a potential snapshot point
-// (see Machine.Snapshot); a phase that still has pending work at its
-// horizon panics instead of silently discarding it. Whatever weak
-// instrumentation events remain at the boundary are discarded, exactly
-// as Run discards them at shutdown, so the next phase starts from an
-// empty queue (canceled events never linger: Cancel removes them at
-// once). Returns the quiesce time and leaves the clock at until.
-func (m *Machine) RunPhase(until Time) Time {
-	if m.finished {
-		panic("sim: RunPhase after Run finished")
-	}
-	m.start(until, true, nil)
-	m.driveRun()
-	quiesced := m.clock
-	if m.clock < until {
-		m.clock = until
-	}
-	m.eq.Reset()
-	m.running = false
-	return quiesced
-}
-
-// Reseed repositions the machine's root random stream at a phase
-// boundary. Snapshot-based sweeps use it to give each per-seed cell an
-// identical stream regardless of how the warm phase (or the clone's
-// construction replay) advanced the generator: both the continuing
-// machine and a clone call Reseed with the cell seed before spawning
-// the measured workload, making the two paths draw identically.
-func (m *Machine) Reseed(seed uint64) {
-	if m.running {
-		panic("sim: Reseed while running")
-	}
-	m.rng = dist.NewRand(seed)
-}
-
-// start arms the event loop for a Run or RunPhase up to until.
-func (m *Machine) start(until Time, phase bool, sample func(n, strong int)) {
-	m.running = true
-	m.horizon = until
-	m.phase = phase
-	m.sample = sample
-	m.drained = false
-	m.stopped = false
 }
 
 // driveRun runs the event loop from Run's goroutine. A panic in a thread
@@ -552,11 +493,11 @@ func (m *Machine) driveRun() {
 // sharedmem ladder took 85% of the single-loop time unbounded against
 // 87% capped at 4 or 8, with spin-ext's 45–65 thread herds no slower.
 //
-// A run that stops unwinds the whole stack, so when Run or RunPhase
-// returns every live thread is parked in its own yield, as shutdown,
-// Snapshot and Clone expect. The decisions read only machine state, and
-// every goroutine fires events through the same fire, so where the loop
-// runs never moves an event, a random draw or a resume.
+// A run that stops unwinds the whole stack, so when Run returns every
+// live thread is parked in its own yield, as shutdown expects. The
+// decisions read only machine state, and every goroutine fires events
+// through the same fire, so where the loop runs never moves an event, a
+// random draw or a resume.
 func (m *Machine) drive(self *Thread) {
 	for {
 		t := m.cont
@@ -622,9 +563,6 @@ func (m *Machine) fire() {
 		return
 	}
 	if ev.At >= m.horizon {
-		if m.phase {
-			panic(fmt.Sprintf("sim: RunPhase horizon %d reached with work pending at %d; a phase must quiesce", m.horizon, ev.At))
-		}
 		m.clock = m.horizon
 		m.stopped = true
 		return
@@ -834,10 +772,8 @@ func (m *Machine) shutdown() {
 // stopThreads terminates every live thread coroutine in spawn order.
 func (m *Machine) stopThreads() {
 	for _, t := range m.threads {
-		if t.done || t.stop == nil {
-			// Done threads unwound themselves; ghost threads restored by
-			// Snapshot.Clone never had a coroutine to begin with.
-			continue
+		if t.done {
+			continue // the body returned and unwound itself
 		}
 		// stop makes the thread's suspended yield return false (or, for a
 		// never-dispatched thread, prevents the body from ever starting);

@@ -67,7 +67,7 @@ func checkUnwound(t *testing.T, m *Machine, base int) {
 }
 
 // TestNestedHandoff drives the coroutine stack through its edge cases:
-// exits, kills, phase ends and panics while threads are stacked.
+// exits, kills and panics while threads are stacked.
 func TestNestedHandoff(t *testing.T) {
 	t.Run("exit", func(t *testing.T) {
 		// Three threads on three contexts resume round-robin. The one that
@@ -145,42 +145,6 @@ func TestNestedHandoff(t *testing.T) {
 		checkUnwound(t, m, base)
 	})
 
-	t.Run("phase", func(t *testing.T) {
-		// Two threads ping-pong, then park: the phase drains with the
-		// stack built, unwinds, and the next phase resumes both from Run's
-		// goroutine.
-		base := runtime.NumGoroutine()
-		m := small(2)
-		w := m.NewWord("gate", 0)
-		ops := make([]int, 2)
-		parkDepth := 0
-		for i := range ops {
-			m.Spawn("w", func(p *Proc) {
-				for ; ops[i] < 50; ops[i]++ {
-					p.Compute(100)
-				}
-				parkDepth = max(parkDepth, depth(m))
-				p.FutexWait(w, 0)
-				for ; ops[i] < 100; ops[i]++ {
-					p.Compute(100)
-				}
-			})
-		}
-		m.RunPhase(1_000_000)
-		if parkDepth < 2 {
-			t.Errorf("threads parked at stack depth %d, want 2", parkDepth)
-		}
-		if d := depth(m); d != 0 {
-			t.Fatalf("%d threads still on the coroutine stack at the phase end", d)
-		}
-		m.ScheduleWork(m.Now(), func() { m.KernelFutexWake(w, 2, -1) })
-		m.Run(3_000_000)
-		if ops[0] != 100 || ops[1] != 100 {
-			t.Errorf("ops = %v, want [100 100]", ops)
-		}
-		checkUnwound(t, m, base)
-	})
-
 	for _, where := range []string{"body", "callback"} {
 		t.Run("panic-"+where, func(t *testing.T) {
 			// Four threads round-robin; the panic is thrown with at least
@@ -222,41 +186,35 @@ func TestNestedHandoff(t *testing.T) {
 	}
 }
 
-// TestPanicStopsThreads: when a thread body panics, Run and RunPhase
-// stop every other live thread before the panic reaches their caller, so
-// no coroutine is left parked in its yield. Four threads share two
-// contexts, so when thread 0 panics after ten compute legs the others
-// are parked mid-body, queued or never dispatched.
+// TestPanicStopsThreads: when a thread body panics, Run stops every
+// other live thread before the panic reaches its caller, so no coroutine
+// is left parked in its yield. Four threads share two contexts, so when
+// thread 0 panics after ten compute legs the others are parked mid-body,
+// queued or never dispatched.
 func TestPanicStopsThreads(t *testing.T) {
-	for _, phase := range []bool{false, true} {
-		base := runtime.NumGoroutine()
-		m := small(2)
-		want := errors.New("thread 0 panics")
-		for i := range 4 {
-			m.Spawn("w", func(p *Proc) {
-				for legs := 0; ; legs++ {
-					if i == 0 && legs == 10 {
-						panic(want)
-					}
-					p.Compute(100)
+	base := runtime.NumGoroutine()
+	m := small(2)
+	want := errors.New("thread 0 panics")
+	for i := range 4 {
+		m.Spawn("w", func(p *Proc) {
+			for legs := 0; ; legs++ {
+				if i == 0 && legs == 10 {
+					panic(want)
 				}
-			})
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != want {
-					t.Errorf("phase=%v: panicked with %v, want %v", phase, r, want)
-				}
-			}()
-			if phase {
-				m.RunPhase(10_000_000)
-			} else {
-				m.Run(10_000_000)
+				p.Compute(100)
+			}
+		})
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != want {
+				t.Errorf("panicked with %v, want %v", r, want)
 			}
 		}()
-		if n := runtime.NumGoroutine(); n != base {
-			t.Errorf("phase=%v: %d goroutines after the recovered panic, want %d", phase, n, base)
-		}
+		m.Run(10_000_000)
+	}()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Errorf("%d goroutines after the recovered panic, want %d", n, base)
 	}
 }
 

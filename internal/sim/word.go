@@ -13,7 +13,7 @@ const (
 // the owner array and the sharer bitmaps are the hottest state in the
 // cost model (every load/store/RMW reads and writes them), and packing
 // them keeps the step loop off pointer-chased cache lines and out of
-// the GC scan set. It also makes machine snapshots a bulk array copy.
+// the GC scan set.
 
 // valChunk is the word-value arena chunk size. Values are allocated in
 // fixed-size chunks so existing *uint64 slots never move on growth.
@@ -121,11 +121,6 @@ func (m *Machine) newSlot(id int32, init uint64) *uint64 {
 	return p
 }
 
-// slot returns the existing value slot for word id.
-func (m *Machine) slot(id int32) *uint64 {
-	return &m.valChunks[int(id)/valChunk][int(id)%valChunk]
-}
-
 // handle places w in the next free slot of the machine's word slab and
 // returns the stable handle.
 func (m *Machine) handle(w Word) *Word {
@@ -138,50 +133,29 @@ func (m *Machine) handle(w Word) *Word {
 	return h
 }
 
-// adopt resolves word id against the snapshot being replayed: the value
-// slot and line id come from the snapshot (the warmed state), and the
-// name is asserted so a construction replay that diverges from the
-// snapshotted machine fails loudly instead of silently mismapping words.
-func (m *Machine) adopt(id int32, name string) *Word {
-	if name != m.adoptName[id] {
-		panic("sim: snapshot replay diverged: word " + name + " allocated where " + m.adoptName[id] + " was snapshotted")
-	}
-	return m.handle(Word{p: m.slot(id), lineID: m.adoptLine[id], name: name, id: id})
-}
-
-// NewWord allocates a Word on its own cache line. On a cloned machine,
-// allocations replaying the snapshotted prefix adopt the snapshot's
-// value and coherence state instead (see Machine.Clone).
+// NewWord allocates a Word on its own cache line.
 func (m *Machine) NewWord(name string, init uint64) *Word {
 	id := m.nextWord
 	m.nextWord++
-	var w *Word
-	if int(id) < m.adoptWords {
-		w = m.adopt(id, name)
-	} else {
-		w = m.handle(Word{p: m.newSlot(id, init), lineID: m.newLine(), name: name, id: id})
-	}
+	w := m.handle(Word{p: m.newSlot(id, init), lineID: m.newLine(), name: name, id: id})
 	m.words = append(m.words, w)
 	return w
 }
 
 // NewWords allocates n Words that share a single cache line (for modeling
 // false/true sharing, e.g. the two cache lines touched by the
-// shared-memory-access microbenchmark's critical section).
+// shared-memory-access microbenchmark's critical section). The line is
+// allocated with the first word, so n == 0 allocates none.
 func (m *Machine) NewWords(name string, n int) []*Word {
 	line := int32(-1)
 	ws := make([]*Word, n)
 	for i := range ws {
 		id := m.nextWord
 		m.nextWord++
-		if int(id) < m.adoptWords {
-			ws[i] = m.adopt(id, name)
-		} else {
-			if line < 0 {
-				line = m.newLine()
-			}
-			ws[i] = m.handle(Word{p: m.newSlot(id, 0), lineID: line, name: name, id: id})
+		if line < 0 {
+			line = m.newLine()
 		}
+		ws[i] = m.handle(Word{p: m.newSlot(id, 0), lineID: line, name: name, id: id})
 		m.words = append(m.words, ws[i])
 	}
 	return ws

@@ -107,9 +107,7 @@ type Engine struct {
 	live, idle, spawned, peakWorkers int
 
 	// start is the machine clock at Build. Deadline and the reported
-	// StalledAt/ClosedAt are windows relative to it, so the engine works
-	// identically on a fresh machine and on a warm-started clone whose
-	// clock begins at a snapshot boundary.
+	// StalledAt/ClosedAt are windows relative to it.
 	start        sim.Time
 	lastProgress sim.Time
 	closed       bool

@@ -231,16 +231,6 @@ func (q *Queue) Recycle(e *Event) {
 	q.free = append(q.free, e) //flexlint:allow hotalloc free list capped at maxFree; capacity is reused
 }
 
-// Reset discards every remaining event, returning them to the free
-// list. The simulator calls it at a phase boundary (Machine.RunPhase),
-// where the strong events have drained and whatever remains is weak
-// (instrumentation) events that must not leak into the next phase.
-func (q *Queue) Reset() {
-	for e := q.Pop(); e != nil; e = q.Pop() {
-		q.Recycle(e)
-	}
-}
-
 // PeekTime returns the firing time of the earliest event. ok is false if
 // the queue is empty.
 func (q *Queue) PeekTime() (t Time, ok bool) {

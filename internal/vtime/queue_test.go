@@ -660,15 +660,9 @@ func (r *refQueue) peek() {
 	}
 }
 
-func (r *refQueue) reset() {
-	r.q.Reset()
-	r.pending = r.pending[:0]
-	r.check("reset")
-}
-
 // TestQueueMatchesSortedReference is the differential test of the
-// two-tier queue: random schedule / weak-schedule / cancel / pop / peek /
-// reset sequences over every time class of refQueue.at run against the
+// two-tier queue: random schedule / weak-schedule / cancel / pop / peek
+// sequences over every time class of refQueue.at run against the
 // naive reference, and the queue's full state is checked after every
 // step. The mix covers cancel-after-fire, double cancel, and a canceled
 // event that the very next Schedule reuses.
@@ -685,10 +679,8 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 				r.cancel(rng.Intn(len(r.pending)), rng.Intn(3), r.at(rng.Intn(6), rng.Intn(256)))
 			case op < 85:
 				r.pop(rng.Intn(4) == 0)
-			case op < 97:
-				r.peek()
 			default:
-				r.reset()
+				r.peek()
 			}
 		}
 	}
@@ -734,10 +726,8 @@ func FuzzQueue(f *testing.F) {
 				}
 			case op < 13:
 				r.pop(n%4 == 0)
-			case op < 15:
-				r.peek()
 			default:
-				r.reset()
+				r.peek()
 			}
 		}
 	})

@@ -49,7 +49,6 @@ type Tree struct {
 	fanout    int
 	leafSpan  int
 	NodeCount int
-	depth     int
 	writes    []uint64
 }
 
@@ -115,19 +114,7 @@ func (t *Tree) build(m *sim.Machine, o Options, lo, span int) *node {
 		}
 		n.children = append(n.children, t.build(m, o, lo+off, s))
 	}
-	if d := t.heightOf(n); d > t.depth {
-		t.depth = d
-	}
 	return n
-}
-
-func (t *Tree) heightOf(n *node) int {
-	h := 1
-	for len(n.children) > 0 {
-		n = n.children[0]
-		h++
-	}
-	return h
 }
 
 // access performs one lock-coupled traversal to key's leaf and reads or
@@ -199,6 +186,3 @@ func (t *Tree) Validate() error {
 	}
 	return nil
 }
-
-// Depth returns the tree height.
-func (t *Tree) Depth() int { return t.depth }

@@ -6,8 +6,9 @@
 # that pass, removes the injection, and finally requires the tree to be
 # clean again. lockpair and traceprotocol trip both on a straight-line
 # path and inside a loop, the two halves of the statement walker they
-# share. A silently broken pass (wrong root set, edge kind regression,
-# loop handling, suppressed reporting) fails here, not in review.
+# share, and lockpair also on a call in a switch case expression. A
+# silently broken pass (wrong root set, edge kind regression, loop
+# handling, suppressed reporting) fails here, not in review.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -172,6 +173,28 @@ func ztripLoop(l *MCS, p *sim.Proc, n int) {
 	for i := 0; i < n; i++ {
 		l.Lock(p)
 	}
+}
+GO
+
+# lockpair, case expressions: a thread body that takes an MCS lock in a
+# call in a switch case expression, which runs on every path through
+# the switch, and never releases it.
+trip lockpair <<'GO'
+package locks
+
+import "repro/internal/sim"
+
+func ztripCaseKey(l *MCS, p *sim.Proc) int {
+	l.Lock(p)
+	return 1
+}
+
+func ztripCase(m *sim.Machine, l *MCS, k int) {
+	m.Spawn("ztrip", func(p *sim.Proc) {
+		switch k {
+		case ztripCaseKey(l, p):
+		}
+	})
 }
 GO
 
