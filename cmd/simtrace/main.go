@@ -7,10 +7,10 @@
 //
 //	simtrace -alg flexguard -cpus 8 -threads 16 -duration 5000000
 //	simtrace -alg flexguard -perfetto trace.json   # open in ui.perfetto.dev
-//	simtrace -mutant tas-noatomic -record run.jsonl
-//	simtrace -races run.jsonl                      # replay through the race auditor
+//	simtrace -mutant tas-noatomic -races           # audit the run for data races
 //
-// -races simulates nothing, so a simulation flag next to it exits 2.
+// With -races the run exits 1 on any race, after every other artifact
+// is written.
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/check"
 	"repro/internal/cliflags"
 	"repro/internal/fault"
 	"repro/internal/harness"
@@ -39,30 +40,13 @@ func main() {
 		rawTrace = flag.Int("rawtrace", 0, "also dump this many raw scheduler trace events")
 		perfetto = flag.String("perfetto", "", "write the run's event trace as Perfetto/Chrome trace_event JSON to this file")
 		capacity = flag.Int("capacity", 1<<20, "ring-buffer capacity for the -perfetto trace (newest events kept)")
-		record   = flag.String("record", "", "write the run's mem+lock event streams as JSONL to this file (replayable with -races)")
-		races    = flag.String("races", "", "replay a -record trace file through the race auditor and print the verdicts (no simulation)")
+		races    = flag.Bool("races", false, "audit the run with the virtual-time race auditor and print its verdicts")
 		mutant   = flag.String("mutant", "", "swap the lock for a fault mutant (see internal/fault), with its provoking plan applied")
 		window   = flag.Int64("window", 0, "flight-recorder sampling window in virtual ticks (0 = off); with -perfetto, series render as counter tracks")
 		report   = flag.String("report", "", "write a machine-readable run report (JSON) to this file")
 	)
 	flag.Parse()
-	mode := "run"
-	if *races != "" {
-		mode = "replay"
-	}
-	cliflags.Check("simtrace", mode)
-
-	if *races != "" {
-		n, err := replayRaces(*races, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simtrace:", err)
-			os.Exit(1)
-		}
-		if n > 0 {
-			os.Exit(1)
-		}
-		return
-	}
+	cliflags.Check("simtrace", "run")
 
 	var mu *fault.Mutant
 	if *mutant != "" {
@@ -86,11 +70,9 @@ func main() {
 		os.Exit(1)
 	}
 	m := env.M
-	var rec *recorder
-	if *record != "" {
-		rec = &recorder{}
-		m.SetMemObserver(rec)
-		m.AddLockObserver(rec)
+	var auditor *check.RaceAuditor
+	if *races {
+		auditor = check.AttachRace(m, check.RaceOptions{})
 	}
 	var ts *timeseries.Sampler
 	if *window > 0 {
@@ -201,23 +183,6 @@ func main() {
 		fmt.Printf("\nwrote %s (%d events, %d evicted from the ring); open in ui.perfetto.dev\n",
 			*perfetto, len(tracer.Events()), tracer.Dropped)
 	}
-	if rec != nil {
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simtrace:", err)
-			os.Exit(1)
-		}
-		if err := rec.write(f, m, quiesced); err != nil {
-			fmt.Fprintln(os.Stderr, "simtrace:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "simtrace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nrecorded %d events to %s; audit with: simtrace -races %s\n",
-			len(rec.lines), *record, *record)
-	}
 	if *report != "" {
 		rep := harness.NewReport("simtrace", cfg, *seed, sim.Time(*window))
 		r := env.Collect(*threads, sim.Time(*duration))
@@ -229,6 +194,9 @@ func main() {
 		}
 		fmt.Printf("wrote report %s\n", *report)
 	}
+	if auditor != nil {
+		printRaces(auditor, quiesced)
+	}
 	// A drain before the deadline with threads still parked is a hang;
 	// waiters stranded at shutdown are a benign end-of-run artifact.
 	// Reported after the trace is written so the evidence survives.
@@ -236,4 +204,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simtrace: DEADLOCK\n%s", m.DeadlockReport())
 		os.Exit(1)
 	}
+	if auditor != nil && auditor.Total > 0 {
+		os.Exit(1)
+	}
+}
+
+// printRaces runs the auditor's end-of-run scan and prints each verdict
+// with both access sites and their virtual timestamps.
+func printRaces(a *check.RaceAuditor, quiesced sim.Time) {
+	races := a.Finish(quiesced)
+	fmt.Printf("\nrace audit:\n")
+	for i, r := range races {
+		fmt.Printf("race %d: %s\n", i+1, r)
+		if r.Other >= 0 {
+			fmt.Printf("  access pair: thread %d at t=%d  vs  thread %d at t=%d\n",
+				r.Thread, r.ThreadAt, r.Other, r.OtherAt)
+		} else {
+			fmt.Printf("  access: thread %d waiting since t=%d, no signaling write ever arrived\n",
+				r.Thread, r.ThreadAt)
+		}
+	}
+	if a.Total > int64(len(races)) {
+		fmt.Printf("(%d further race(s) beyond the storage cap)\n", a.Total-int64(len(races)))
+	}
+	fmt.Printf("total: %d race(s)\n", a.Total)
 }

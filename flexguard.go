@@ -71,7 +71,8 @@ type SimConfig struct {
 }
 
 // NewSimulation builds a simulated machine with the FlexGuard Preemption
-// Monitor attached.
+// Monitor attached, exactly as the figures build every flexguard cell
+// (the monitor's per-switch hook cost included).
 func NewSimulation(c SimConfig) (*Simulation, error) {
 	var cfg sim.Config
 	if c.Profile != "" {
@@ -94,14 +95,11 @@ func NewSimulation(c SimConfig) (*Simulation, error) {
 		cfg.Seed = 1
 	}
 	cfg.RecordRunnable = c.RecordRunnable
-	m := sim.New(cfg)
-	mon := monitor.Attach(m)
-	return &Simulation{
-		M:      m,
-		Mon:    mon,
-		RT:     core.NewRuntime(m, mon),
-		shared: locks.NewShared(m),
-	}, nil
+	env, err := harness.NewEnv(harness.EnvOptions{Config: cfg, Alg: "flexguard"})
+	if err != nil {
+		return nil, err
+	}
+	return &Simulation{M: env.M, Mon: env.Mon, RT: env.RT, shared: env.Shared}, nil
 }
 
 // NewLock creates a FlexGuard lock on the simulation.

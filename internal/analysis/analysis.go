@@ -496,19 +496,6 @@ func (s *Suite) Allows() []AllowRecord {
 	return s.allows.records()
 }
 
-// Check runs every applicable per-package analyzer over one package
-// (module passes need a Suite and are skipped here).
-func Check(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, a := range Analyzers() {
-		if a.Run == nil || !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		out = append(out, RunAnalyzer(a, pkg)...)
-	}
-	return out
-}
-
 // ---- shared type helpers ----
 
 // isSimNamed reports whether t (after pointer indirection) is the named

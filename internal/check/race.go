@@ -38,9 +38,9 @@ package check
 //   because the buggy unlock's access set is a strict subset of the
 //   correct one.
 //
-// The auditor consumes serializable MemAccess records, so it runs
-// attached to a live machine (AttachRace) or offline over a recorded
-// trace (simtrace -races).
+// The auditor runs attached to a live machine (AttachRace): every
+// campaign that audits races, and simtrace -races, attaches it to the
+// run it is simulating.
 
 import (
 	"fmt"
@@ -123,11 +123,10 @@ func (o *RaceOptions) fill() {
 	}
 }
 
-// MemAccess is the machine-independent form of one Word-access event:
-// sim.MemEvent with words flattened to their dense IDs, so a recorded
-// stream replays through the auditor without the machine that produced
-// it.
-type MemAccess struct {
+// memAccess is one Word-access event with words flattened to their
+// dense IDs: MemEvent translates the machine's event into one, and the
+// unit tests feed hand-built streams of them.
+type memAccess struct {
 	At       sim.Time
 	Kind     sim.MemKind
 	TID      int32
@@ -248,19 +247,18 @@ type raceLock struct {
 }
 
 // RaceAuditor consumes the Word-access and lock-event streams and
-// reports virtual-time data races. Attach to a live machine with
-// AttachRace, or feed a recorded stream to Apply/LockEvent and call
-// Finish. All state is rebuilt purely from events; results are
-// deterministic (races are appended in stream order, end-of-run scans
-// iterate in id order).
+// reports virtual-time data races. Attach it to a machine with
+// AttachRace before Run and call Finish after. All state is rebuilt
+// purely from events; results are deterministic (races are appended in
+// stream order, end-of-run scans iterate in id order).
 //
 // State lives in dense slices indexed by id — threads by slot(tid),
 // words by Word.ID, locks by the RegisterLockName id — grown the first
 // time an id appears, so the per-event paths neither hash nor allocate.
 // Ids must therefore be the machine's dense ones: tid >= -2 and word
-// and lock ids >= 0 (replay tools validate recorded ids first).
+// and lock ids >= 0.
 type RaceAuditor struct {
-	m *sim.Machine // nil in replay mode
+	m *sim.Machine // nil when the unit tests drive it directly
 	o RaceOptions
 
 	threads  []raceThread
@@ -270,7 +268,7 @@ type RaceAuditor struct {
 
 	// acc and watch are the reusable record MemEvent translates the
 	// machine's event into.
-	acc   MemAccess
+	acc   memAccess
 	watch [len(sim.MemEvent{}.Watch)]int32
 
 	races []Race
@@ -279,8 +277,9 @@ type RaceAuditor struct {
 	finished bool
 }
 
-// NewRaceAuditor builds a detached auditor for offline replay.
-func NewRaceAuditor(o RaceOptions) *RaceAuditor {
+// newRaceAuditor builds an auditor attached to no machine; AttachRace
+// attaches it.
+func newRaceAuditor(o RaceOptions) *RaceAuditor {
 	o.fill()
 	return &RaceAuditor{o: o, lockName: func(int32) string { return "" }}
 }
@@ -288,7 +287,7 @@ func NewRaceAuditor(o RaceOptions) *RaceAuditor {
 // AttachRace installs an auditor on m: it becomes the machine's
 // MemObserver and an additional LockObserver. Call before Run.
 func AttachRace(m *sim.Machine, o RaceOptions) *RaceAuditor {
-	a := NewRaceAuditor(o)
+	a := newRaceAuditor(o)
 	a.m = m
 	a.lockName = m.LockName
 	m.SetMemObserver(a)
@@ -296,18 +295,12 @@ func AttachRace(m *sim.Machine, o RaceOptions) *RaceAuditor {
 	return a
 }
 
-// SetLockNames installs a lock-name resolver for replay mode (attached
-// auditors resolve through the machine).
-func (a *RaceAuditor) SetLockNames(names map[int32]string) {
-	a.lockName = func(id int32) string { return names[id] }
-}
-
 // Races returns the stored races (the full set after Finish).
 func (a *RaceAuditor) Races() []Race { return a.races }
 
 // MemEvent implements sim.MemObserver: the machine's event is
-// translated into the auditor's reusable record and applied through
-// the same path as Apply, without copying the event or allocating.
+// translated into the auditor's reusable record and applied, without
+// copying the event or allocating.
 func (a *RaceAuditor) MemEvent(ev *sim.MemEvent) {
 	acc := &a.acc
 	acc.At, acc.Kind, acc.TID, acc.Word, acc.Name = ev.At, ev.Kind, ev.TID, -1, ""
@@ -360,13 +353,11 @@ func (a *RaceAuditor) lock(id int32) *raceLock {
 // holds reports whether slot s holds l.
 func (l *raceLock) holds(s int) bool { return s < len(l.held) && l.held[s] }
 
-// Apply feeds one Word-access record through the detector. Its ids must
+// apply feeds one Word-access record through the detector. Its ids must
 // be the machine's dense ones (see RaceAuditor), and a spin-start or
 // spin-exit record must carry a non-empty watch set: every spin
 // declares the words it waits on, and a spin exit acquires only theirs.
-func (a *RaceAuditor) Apply(acc MemAccess) { a.apply(&acc) }
-
-func (a *RaceAuditor) apply(acc *MemAccess) {
+func (a *RaceAuditor) apply(acc *memAccess) {
 	switch acc.Kind {
 	case sim.MemLoad:
 		w := a.word(acc.Word, acc.Name)
@@ -414,7 +405,7 @@ func (a *RaceAuditor) apply(acc *MemAccess) {
 
 // release publishes the writer's clock into the word, recording the
 // epoch of a value-modifying write.
-func (a *RaceAuditor) release(acc *MemAccess, c *vclock, w *raceWord) {
+func (a *RaceAuditor) release(acc *memAccess, c *vclock, w *raceWord) {
 	s := slot(acc.TID)
 	c.tick(s)
 	w.rel.join(*c)
@@ -429,7 +420,7 @@ func (a *RaceAuditor) release(acc *MemAccess, c *vclock, w *raceWord) {
 
 // checkStore flags a plain value-changing store whose word carries a
 // value-modifying write by another thread not ordered before the store.
-func (a *RaceAuditor) checkStore(acc *MemAccess, c *vclock, w *raceWord) {
+func (a *RaceAuditor) checkStore(acc *memAccess, c *vclock, w *raceWord) {
 	self := slot(acc.TID)
 	victim := -1
 	var victimAt sim.Time
@@ -455,7 +446,7 @@ func (a *RaceAuditor) checkStore(acc *MemAccess, c *vclock, w *raceWord) {
 // write at victimAt.
 //
 //flexlint:coldpath
-func (a *RaceAuditor) overwrite(acc *MemAccess, w *raceWord, victim int, victimAt sim.Time) {
+func (a *RaceAuditor) overwrite(acc *memAccess, w *raceWord, victim int, victimAt sim.Time) {
 	lock := a.thread(acc.TID).lastLock
 	a.flag(Race{
 		Kind: RaceOverwrite, At: acc.At, Word: acc.Word, WordName: w.name,

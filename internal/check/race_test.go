@@ -1,7 +1,7 @@
 package check
 
 // Unit tests for the race auditor's happens-before semantics over
-// hand-built MemAccess streams: each test is one minimal interleaving
+// hand-built memAccess streams: each test is one minimal interleaving
 // exercising a single rule (overwrite detection, the reads-from and
 // futex-wake edges that suppress it, the same-value exemption, the
 // missed-signal end-of-run scan and its gates).
@@ -15,35 +15,35 @@ import (
 	"repro/internal/sim"
 )
 
-// rmw/store/load/wake/spin build one MemAccess each.
-func rmw(at sim.Time, tid, word int32, old, new uint64) MemAccess {
-	return MemAccess{At: at, Kind: sim.MemRMW, TID: tid, Word: word, Old: old, New: new, Wrote: true}
+// rmw/store/load/wake/spin build one memAccess each.
+func rmw(at sim.Time, tid, word int32, old, new uint64) memAccess {
+	return memAccess{At: at, Kind: sim.MemRMW, TID: tid, Word: word, Old: old, New: new, Wrote: true}
 }
 
-func store(at sim.Time, tid, word int32, old, new uint64) MemAccess {
-	return MemAccess{At: at, Kind: sim.MemStore, TID: tid, Word: word, Old: old, New: new, Wrote: true}
+func store(at sim.Time, tid, word int32, old, new uint64) memAccess {
+	return memAccess{At: at, Kind: sim.MemStore, TID: tid, Word: word, Old: old, New: new, Wrote: true}
 }
 
-func load(at sim.Time, tid, word int32, v uint64) MemAccess {
-	return MemAccess{At: at, Kind: sim.MemLoad, TID: tid, Word: word, Old: v, New: v}
+func load(at sim.Time, tid, word int32, v uint64) memAccess {
+	return memAccess{At: at, Kind: sim.MemLoad, TID: tid, Word: word, Old: v, New: v}
 }
 
-func wake(at sim.Time, waker, word, wakee int32) MemAccess {
-	return MemAccess{At: at, Kind: sim.MemFutexWake, TID: waker, Word: word, Arg: wakee}
+func wake(at sim.Time, waker, word, wakee int32) memAccess {
+	return memAccess{At: at, Kind: sim.MemFutexWake, TID: waker, Word: word, Arg: wakee}
 }
 
-func spinStart(at sim.Time, tid int32, watch ...int32) MemAccess {
-	return MemAccess{At: at, Kind: sim.MemSpinStart, TID: tid, Word: -1, Watch: watch}
+func spinStart(at sim.Time, tid int32, watch ...int32) memAccess {
+	return memAccess{At: at, Kind: sim.MemSpinStart, TID: tid, Word: -1, Watch: watch}
 }
 
-func feed(a *RaceAuditor, accs ...MemAccess) {
+func feed(a *RaceAuditor, accs ...memAccess) {
 	for _, acc := range accs {
-		a.Apply(acc)
+		a.apply(&acc)
 	}
 }
 
 func TestRaceOverwriteFlagged(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	// Thread 1 claims word 0 atomically; thread 2 plain-stores over the
 	// claim without ever having observed it.
 	feed(a,
@@ -67,7 +67,7 @@ func TestRaceOverwriteFlagged(t *testing.T) {
 // synchronization edge under sequential consistency — the store after it
 // is ordered and must not be flagged.
 func TestRaceReadsFromSuppresses(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	feed(a,
 		rmw(10, 1, 0, 0, 1),
 		load(15, 2, 0, 1),
@@ -82,7 +82,7 @@ func TestRaceReadsFromSuppresses(t *testing.T) {
 // nothing (a TAS loser's re-assertion of 1), and a same-value write must
 // not count as a racy victim either (the winner's unlock is clean).
 func TestRaceSameValueExempt(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	feed(a,
 		rmw(10, 1, 0, 0, 1),   // thread 1 claims
 		store(20, 2, 0, 1, 1), // thread 2's stale claim writes 1 over 1: exempt
@@ -97,12 +97,12 @@ func TestRaceSameValueExempt(t *testing.T) {
 // synchronization — never a racy overwrite — and acquires the word's
 // clock, ordering the thread's later plain stores.
 func TestRaceRelStoreExempt(t *testing.T) {
-	relStore := func(at sim.Time, tid, word int32, old, new uint64) MemAccess {
+	relStore := func(at sim.Time, tid, word int32, old, new uint64) memAccess {
 		acc := store(at, tid, word, old, new)
 		acc.Rel = true
 		return acc
 	}
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	feed(a,
 		rmw(10, 1, 0, 0, 1),
 		relStore(20, 2, 0, 1, 2), // crosses t1's claim: tolerated by annotation
@@ -116,7 +116,7 @@ func TestRaceRelStoreExempt(t *testing.T) {
 // TestRaceFutexWakeEdge: a FUTEX_WAKE orders the waker's writes before
 // the wakee's; without the wake the same store races.
 func TestRaceFutexWakeEdge(t *testing.T) {
-	withEdge := NewRaceAuditor(RaceOptions{})
+	withEdge := newRaceAuditor(RaceOptions{})
 	feed(withEdge,
 		rmw(10, 1, 5, 0, 1),
 		wake(20, 1, 5, 2),
@@ -126,7 +126,7 @@ func TestRaceFutexWakeEdge(t *testing.T) {
 		t.Fatalf("futex-wake edge ignored: %v", races)
 	}
 
-	without := NewRaceAuditor(RaceOptions{})
+	without := newRaceAuditor(RaceOptions{})
 	feed(without,
 		rmw(10, 1, 5, 0, 1),
 		store(30, 2, 5, 1, 0),
@@ -139,11 +139,11 @@ func TestRaceFutexWakeEdge(t *testing.T) {
 // TestRaceSpinExitEdge: leaving a scoped spin acquires the watched
 // words' release clocks — the claim after a spin-wait is ordered.
 func TestRaceSpinExitEdge(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	feed(a,
 		rmw(10, 1, 0, 0, 1),
 		spinStart(12, 2, 0),
-		MemAccess{At: 25, Kind: sim.MemSpinExit, TID: 2, Word: -1, Watch: []int32{0}},
+		memAccess{At: 25, Kind: sim.MemSpinExit, TID: 2, Word: -1, Watch: []int32{0}},
 		store(30, 2, 0, 1, 0),
 	)
 	if races := a.Finish(1_000); len(races) != 0 {
@@ -154,9 +154,9 @@ func TestRaceSpinExitEdge(t *testing.T) {
 // TestRaceKernelWriteVictim: an unobserved kernel-side write (slot 0,
 // pseudo-tid -2) is a victim like any other.
 func TestRaceKernelWriteVictim(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	feed(a,
-		MemAccess{At: 10, Kind: sim.MemKernel, TID: -2, Word: 3, Old: 0, New: 7, Wrote: true},
+		memAccess{At: 10, Kind: sim.MemKernel, TID: -2, Word: 3, Old: 0, New: 7, Wrote: true},
 		store(20, 1, 3, 7, 0),
 	)
 	races := a.Finish(1_000)
@@ -168,7 +168,7 @@ func TestRaceKernelWriteVictim(t *testing.T) {
 // TestRaceDedup: one synchronization gap is reported once, not once per
 // subsequent store by the same thread.
 func TestRaceDedup(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	feed(a,
 		rmw(10, 1, 0, 0, 1),
 		store(20, 2, 0, 1, 0),
@@ -190,7 +190,7 @@ func missedSignalSetup(a *RaceAuditor) {
 }
 
 func TestRaceMissedSignal(t *testing.T) {
-	a := NewRaceAuditor(RaceOptions{})
+	a := newRaceAuditor(RaceOptions{})
 	missedSignalSetup(a)
 	races := a.Finish(5_000_000)
 	if len(races) != 1 {
@@ -209,7 +209,7 @@ func TestRaceMissedSignalGates(t *testing.T) {
 	t.Run("pending-write", func(t *testing.T) {
 		// An unobserved modifying write to the watched word is a signal
 		// still in flight: no verdict.
-		a := NewRaceAuditor(RaceOptions{})
+		a := newRaceAuditor(RaceOptions{})
 		missedSignalSetup(a)
 		feed(a, rmw(200, 6, 7, 1, 0))
 		if races := a.Finish(5_000_000); len(races) != 0 {
@@ -217,7 +217,7 @@ func TestRaceMissedSignalGates(t *testing.T) {
 		}
 	})
 	t.Run("live-holder", func(t *testing.T) {
-		a := NewRaceAuditor(RaceOptions{})
+		a := newRaceAuditor(RaceOptions{})
 		missedSignalSetup(a)
 		a.LockEvent(200, sim.TraceAcquire, 0, 9, 0)
 		if races := a.Finish(5_000_000); len(races) != 0 {
@@ -227,7 +227,7 @@ func TestRaceMissedSignalGates(t *testing.T) {
 	t.Run("within-stall-bound", func(t *testing.T) {
 		// A spinner that has only just started waiting may be a handover
 		// in flight at the horizon.
-		a := NewRaceAuditor(RaceOptions{})
+		a := newRaceAuditor(RaceOptions{})
 		missedSignalSetup(a)
 		if races := a.Finish(600_000); len(races) != 0 {
 			t.Fatalf("flagged inside the stall bound: %v", races)
@@ -236,7 +236,7 @@ func TestRaceMissedSignalGates(t *testing.T) {
 	t.Run("workload-spin", func(t *testing.T) {
 		// A spin with no lock association is a workload-level wait
 		// (barrier, pipeline stage), outside the auditor's claim.
-		a := NewRaceAuditor(RaceOptions{})
+		a := newRaceAuditor(RaceOptions{})
 		feed(a, spinStart(100, 5, 7))
 		if races := a.Finish(5_000_000); len(races) != 0 {
 			t.Fatalf("flagged a workload spin: %v", races)
@@ -248,7 +248,7 @@ func TestRaceMissedSignalGates(t *testing.T) {
 // registry counter tracks it.
 func TestRaceRegistryAndCap(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewRaceAuditor(RaceOptions{MaxRaces: 1, Registry: reg})
+	a := newRaceAuditor(RaceOptions{MaxRaces: 1, Registry: reg})
 	feed(a,
 		rmw(10, 1, 0, 0, 1),
 		store(20, 2, 0, 1, 0),
@@ -267,8 +267,9 @@ func TestRaceRegistryAndCap(t *testing.T) {
 // TestRaceDeterminism: the same stream yields byte-identical verdicts.
 func TestRaceDeterminism(t *testing.T) {
 	run := func() string {
-		a := NewRaceAuditor(RaceOptions{})
-		a.SetLockNames(map[int32]string{0: "shm"})
+		a := newRaceAuditor(RaceOptions{})
+		names := map[int32]string{0: "shm"}
+		a.lockName = func(id int32) string { return names[id] }
 		missedSignalSetup(a)
 		feed(a,
 			rmw(10, 1, 0, 0, 1),
@@ -282,7 +283,7 @@ func TestRaceDeterminism(t *testing.T) {
 	}
 	x, y := run(), run()
 	if x != y {
-		t.Fatalf("verdicts differ across identical replays:\n%s\nvs\n%s", x, y)
+		t.Fatalf("verdicts differ across identical streams:\n%s\nvs\n%s", x, y)
 	}
 	if !strings.Contains(x, "[shm]") {
 		t.Fatalf("lock name not resolved in %q", x)

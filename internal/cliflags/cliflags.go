@@ -39,9 +39,7 @@ var modes = map[string]map[string][]string{
 		"grid":  {"patterns", "rates", "algs", "machine", "cpus", "duration", "seed", "queue", "locks", "service", "parallel", "window", "report"},
 	},
 	"simtrace": {
-		// -races replays a recorded file; nothing is simulated.
-		"replay": {"races"},
-		"run":    {"alg", "cpus", "threads", "duration", "events", "seed", "rawtrace", "perfetto", "capacity", "record", "mutant", "window", "report"},
+		"run": {"alg", "cpus", "threads", "duration", "events", "seed", "rawtrace", "perfetto", "capacity", "races", "mutant", "window", "report"},
 	},
 }
 

@@ -47,10 +47,7 @@ func TestCheckFlags(t *testing.T) {
 		{"loadbench", "quick", []string{"quick", "rates", "algs"}, "-rates"},
 		{"loadbench", "quick", []string{"quick", "duration"}, "-duration"},
 
-		{"simtrace", "run", []string{"alg", "cpus", "threads", "duration", "events", "seed", "window", "report", "record", "mutant"}, ""},
-		{"simtrace", "run", []string{"races"}, "-races"}, // -races "" replays nothing
-		{"simtrace", "replay", []string{"races"}, ""},
-		{"simtrace", "replay", []string{"races", "cpus"}, "-cpus"},
+		{"simtrace", "run", []string{"alg", "cpus", "threads", "duration", "events", "seed", "window", "report", "races", "mutant"}, ""},
 	}
 	for _, c := range cases {
 		err := check(c.cmd, c.mode, c.set)

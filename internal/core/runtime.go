@@ -125,9 +125,6 @@ func NewRuntime(m *sim.Machine, mon *monitor.Monitor) *Runtime {
 	return rt
 }
 
-// Monitor returns the attached Preemption Monitor.
-func (rt *Runtime) Monitor() *monitor.Monitor { return rt.mon }
-
 // node returns (allocating on first use) thread id's global queue node.
 //
 //flexlint:coldpath

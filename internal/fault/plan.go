@@ -64,10 +64,6 @@ type Plan struct {
 	CrashParkedProb  float64  // crash a waiter just parked on a futex
 	CrashParkedAfter sim.Time // delay before a parked crash fires (default 5000 when zero)
 	CrashMax         int      // kill budget per run
-
-	// Horizon, when nonzero, overrides the run's virtual-time horizon —
-	// shrinking shortens it.
-	Horizon sim.Time
 }
 
 // IsZero reports whether the plan perturbs nothing.
@@ -148,9 +144,6 @@ func (p Plan) String() string {
 	}
 	if p.CrashMax > 0 {
 		add("crash-max", strconv.Itoa(p.CrashMax))
-	}
-	if p.Horizon > 0 {
-		add("horizon", strconv.FormatInt(int64(p.Horizon), 10))
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -239,10 +232,6 @@ func ParsePlan(s string) (Plan, error) {
 			var n int64
 			n, err = pi()
 			p.CrashMax = int(n)
-		case "horizon":
-			var n int64
-			n, err = pi()
-			p.Horizon = sim.Time(n)
 		default:
 			return Plan{}, fmt.Errorf("fault: unknown plan key %q", k)
 		}

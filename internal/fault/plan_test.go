@@ -75,7 +75,7 @@ func inRange(p Plan) bool {
 		}
 	}
 	return p.WakeDelay >= 0 && p.SpuriousWakeAfter >= 0 && p.NPCSDelay >= 0 &&
-		p.DetachAfter >= 0 && p.CrashParkedAfter >= 0 && p.CrashMax >= 0 && p.Horizon >= 0
+		p.DetachAfter >= 0 && p.CrashParkedAfter >= 0 && p.CrashMax >= 0
 }
 
 // FuzzParsePlan: parsing never panics, an accepted spec is in range, and

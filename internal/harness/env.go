@@ -183,7 +183,7 @@ type Result struct {
 	TraceEvents int64
 
 	// Policy-transition counts from the Preemption Monitor (flexguard
-	// variants; zero otherwise). PolicySwitches is their sum.
+	// variants; zero otherwise).
 	PolicySpinToBlock int64
 	PolicyBlockToSpin int64
 
@@ -210,11 +210,6 @@ type Result struct {
 	// Fully deterministic, so the determinism suite compares it by
 	// DeepEqual along with every other field.
 	Series *timeseries.Series
-}
-
-// PolicySwitches returns the total number of monitor policy flips.
-func (r *Result) PolicySwitches() int64 {
-	return r.PolicySpinToBlock + r.PolicyBlockToSpin
 }
 
 // WriteLockMetrics writes the per-lock telemetry table (requires a run

@@ -129,11 +129,8 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 	if mu != nil && threads < 2 {
 		threads = 2 // a mutant needs contention to misbehave
 	}
-	switch {
-	case c.Horizon > 0:
+	if c.Horizon > 0 {
 		horizon = c.Horizon
-	case c.Plan.Horizon > 0:
-		horizon = c.Plan.Horizon
 	}
 
 	cfg := withHeadroom(sim.Small(cpus), threads+8)

@@ -352,36 +352,27 @@ func RunKV(c RunCfg, kind kvstore.WorkloadKind) (Result, error) {
 }
 
 // RunHackbench runs the §5.4 overhead experiment and returns the runtimes
-// with the monitor detached and attached.
+// with the monitor detached and attached: the times the machine
+// quiesced, when the last message was delivered.
 func RunHackbench(cfg sim.Config, seed uint64, o hackbench.Options) (off, on sim.Time, err error) {
-	run := func(withMonitor bool) (sim.Time, error) {
-		c := cfg
-		c.Seed = seed
-		c.Costs.HookCost = monitorHookCost
-		alg := "blocking"
-		if withMonitor {
-			alg = "flexguard" // attaches the monitor; hackbench uses no locks
-		}
-		e, err := NewEnv(EnvOptions{Config: c, Alg: alg})
+	cfg.Seed = seed
+	run := func(alg string) (sim.Time, error) {
+		out, err := stages{
+			env: EnvOptions{Config: cfg, Alg: alg},
+			work: func(e *Env, _ int, _ sim.Time) func(int64) error {
+				return noCrashes(hackbench.Build(e.M, o).Validate)
+			},
+			horizon: 1 << 40, // generous: the run quiesces once every message is delivered
+		}.run()
 		if err != nil {
 			return 0, err
 		}
-		res := hackbench.Run(e.M, o)
-		if res.Received != uint64(res.Messages) {
-			return 0, errLostMessages
-		}
-		return res.Runtime, nil
+		return out.q, out.err
 	}
-	if off, err = run(false); err != nil {
+	if off, err = run("blocking"); err != nil {
 		return
 	}
-	on, err = run(true)
+	// flexguard attaches the monitor; hackbench takes no locks.
+	on, err = run("flexguard")
 	return
 }
-
-// errLostMessages reports an incomplete hackbench run.
-var errLostMessages = errHackbench("hackbench: messages lost")
-
-type errHackbench string
-
-func (e errHackbench) Error() string { return string(e) }

@@ -41,9 +41,6 @@ func NewShared(m *sim.Machine) *Shared {
 	return &Shared{m: m, shuffleNodes: make([]*shuffleNode, m.Config().MaxThreads)}
 }
 
-// Machine returns the machine this shared state belongs to.
-func (s *Shared) Machine() *sim.Machine { return s.m }
-
 // Robust returns the machine's robust-futex registry, creating it (and
 // registering its kill hook) on first use.
 func (s *Shared) Robust() *RobustRegistry {
@@ -66,10 +63,6 @@ type Info struct {
 	// crash on the paper's high-lock-count benchmarks; the harness uses
 	// this cap to reproduce the "missing lines" in Figures 3e–l.
 	MaxLocks int
-	// PerThreadPerLockNode marks queue locks that allocate one node per
-	// thread per lock (MCS, CLH, MCS-TP, Malthusian), which the paper
-	// identifies as a cache liability at high lock counts.
-	PerThreadPerLockNode bool
 }
 
 // Registry lists the baseline algorithms (FlexGuard variants are
@@ -82,14 +75,14 @@ func Registry() []Info {
 		{Name: "tatas", New: func(s *Shared, n string) Lock { return NewTATAS(s.m, n) }},
 		{Name: "ticket", New: func(s *Shared, n string) Lock { return NewTicket(s.m, n) }},
 		{Name: "backoff", New: func(s *Shared, n string) Lock { return NewBackoff(s.m, n) }},
-		{Name: "mcs", New: func(s *Shared, n string) Lock { return NewMCS(s.m, n) }, PerThreadPerLockNode: true},
-		{Name: "clh", New: func(s *Shared, n string) Lock { return NewCLH(s.m, n) }, PerThreadPerLockNode: true},
+		{Name: "mcs", New: func(s *Shared, n string) Lock { return NewMCS(s.m, n) }},
+		{Name: "clh", New: func(s *Shared, n string) Lock { return NewCLH(s.m, n) }},
 		{Name: "mcstp", New: func(s *Shared, n string) Lock {
 			l := NewMCSTP(s.m, n)
 			l.abandons = &s.Abandons
 			return l
-		}, PerThreadPerLockNode: true},
-		{Name: "malthusian", New: func(s *Shared, n string) Lock { return NewMalthusian(s.m, n) }, PerThreadPerLockNode: true},
+		}},
+		{Name: "malthusian", New: func(s *Shared, n string) Lock { return NewMalthusian(s.m, n) }},
 		{Name: "shuffle", New: func(s *Shared, n string) Lock { return NewShuffle(s, n) }},
 		{Name: "uscl", New: func(s *Shared, n string) Lock { return NewUSCL(s.m, n) }, MaxLocks: 4096},
 		{Name: "spin-ext", New: func(s *Shared, n string) Lock { return NewSpinExt(s.m, n) }},
@@ -106,7 +99,7 @@ func RobustVariants() []Info {
 		}},
 		{Name: "robust/mcs", New: func(s *Shared, n string) Lock {
 			return NewRobustMCS(s.m, s.Robust(), n)
-		}, PerThreadPerLockNode: true},
+		}},
 	}
 }
 

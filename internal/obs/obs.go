@@ -1,6 +1,6 @@
-// Package obs is the unified telemetry layer: a zero-allocation metrics
-// registry (counters, gauges, fixed-bucket log2 histograms) usable from
-// lock hot paths, a lock-event observer that turns the simulator's
+// Package obs is the unified telemetry layer: zero-allocation metrics
+// (a named-counter registry and fixed-bucket log2 histograms) usable
+// from lock hot paths, a lock-event observer that turns the simulator's
 // expanded trace stream into per-lock hold-time and handover-latency
 // histograms plus spin/block transition counts, and exporters — a
 // Perfetto/Chrome trace_event JSON writer and a plain-text per-lock

@@ -81,19 +81,13 @@ type CounterTrack struct {
 	Points []CounterPoint
 }
 
-// WritePerfetto exports events as trace_event JSON. names resolves lock
-// ids (pass the *sim.Machine; nil falls back to "lock<id>"). Events
-// must be in time order, as produced by Tracer.Events(). Output is
-// deterministic: same events, same bytes.
-func WritePerfetto(w io.Writer, names lockNamer, events []sim.TraceEvent) error {
-	return WritePerfettoTrace(w, names, events, nil)
-}
-
-// WritePerfettoTrace is WritePerfetto plus counter tracks: each track
-// renders as a "C" counter series under synthetic pid 2 "telemetry", in
-// the order given (which must be deterministic — the flight recorder's
-// track order is fixed). With no counters the output is byte-identical
-// to WritePerfetto.
+// WritePerfettoTrace exports events as trace_event JSON. names resolves
+// lock ids (pass the *sim.Machine; nil falls back to "lock<id>").
+// Events must be in time order, as produced by Tracer.Events(). Each
+// counter track renders as a "C" counter series under synthetic pid 2
+// "telemetry", in the order given (which must be deterministic — the
+// flight recorder's track order is fixed); with no counters there is no
+// pid 2. Output is deterministic: same events, same bytes.
 func WritePerfettoTrace(w io.Writer, names lockNamer, events []sim.TraceEvent, counters []CounterTrack) error {
 	bw := bufio.NewWriter(w)
 

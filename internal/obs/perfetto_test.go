@@ -40,8 +40,8 @@ func renderPerfetto(t *testing.T) []byte {
 	t.Helper()
 	m, tr := goldenRun()
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, m, tr.Events()); err != nil {
-		t.Fatalf("WritePerfetto: %v", err)
+	if err := WritePerfettoTrace(&buf, m, tr.Events(), nil); err != nil {
+		t.Fatalf("WritePerfettoTrace: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -143,7 +143,7 @@ func TestPerfettoUnmatchedRelease(t *testing.T) {
 		{At: 2200, Kind: sim.TraceRelease, Prev: 0, Next: -1, Lock: 0},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, nil, events); err != nil {
+	if err := WritePerfettoTrace(&buf, nil, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

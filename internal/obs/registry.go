@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -24,30 +21,14 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Registry is a named collection of counters, gauges and histograms.
-// Creation (the Counter/Gauge/Histogram lookups) takes a mutex and may
-// allocate; instruments themselves are allocation-free to update, so the
-// pattern is: resolve instruments once at setup, record freely on the
-// hot path. A zero Registry is ready to use.
+// Registry is a named collection of counters. Creation (the Counter
+// lookup) takes a mutex and may allocate; counters themselves are
+// allocation-free to update, so the pattern is: resolve counters once
+// at setup, record freely on the hot path. A zero Registry is ready to
+// use.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
 }
 
 // NewRegistry returns an empty registry.
@@ -66,86 +47,4 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.histograms == nil {
-		r.histograms = make(map[string]*Histogram)
-	}
-	h := r.histograms[name]
-	if h == nil {
-		h = NewHistogram()
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Snapshot returns every instrument's current value: counters and gauges
-// as plain int64, histograms as HistogramSnapshot.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n, c := range r.counters { //flexlint:allow determinism map build is order-independent
-		out[n] = c.Value()
-	}
-	for n, g := range r.gauges { //flexlint:allow determinism map build is order-independent
-		out[n] = g.Value()
-	}
-	for n, h := range r.histograms { //flexlint:allow determinism map build is order-independent
-		out[n] = h.Snapshot()
-	}
-	return out
-}
-
-// WriteText writes a plain-text listing of every instrument, sorted by
-// name for stable output.
-func (r *Registry) WriteText(w io.Writer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	kind := make(map[string]byte)
-	for n := range r.counters { //flexlint:allow determinism names collected then sorted
-		names = append(names, n)
-		kind[n] = 'c'
-	}
-	for n := range r.gauges { //flexlint:allow determinism names collected then sorted
-		names = append(names, n)
-		kind[n] = 'g'
-	}
-	for n := range r.histograms { //flexlint:allow determinism names collected then sorted
-		names = append(names, n)
-		kind[n] = 'h'
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		switch kind[n] {
-		case 'c':
-			fmt.Fprintf(w, "counter %-40s %d\n", n, r.counters[n].Value())
-		case 'g':
-			fmt.Fprintf(w, "gauge   %-40s %d\n", n, r.gauges[n].Value())
-		case 'h':
-			s := r.histograms[n].Snapshot()
-			fmt.Fprintf(w, "hist    %-40s count=%d mean=%.1f p50=%d p99=%d max=%d\n",
-				n, s.Count, s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -14,23 +13,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Counter("acquires") != c || c.Value() != 3 {
 		t.Fatalf("counter not shared by name: %d", c.Value())
 	}
-	g := r.Gauge("npcs")
-	g.Set(5)
-	g.Add(-2)
-	if r.Gauge("npcs") != g || g.Value() != 3 {
-		t.Fatalf("gauge not shared by name: %d", g.Value())
-	}
-	h := r.Histogram("hold")
-	h.Record(7)
-	if r.Histogram("hold") != h || h.Count() != 1 {
-		t.Fatalf("histogram not shared by name: %d", h.Count())
-	}
-	snap := r.Snapshot()
-	if snap["acquires"] != int64(3) || snap["npcs"] != int64(3) {
-		t.Fatalf("snapshot wrong: %v", snap)
-	}
-	if hs, ok := snap["hold"].(HistogramSnapshot); !ok || hs.Count != 1 {
-		t.Fatalf("snapshot histogram wrong: %v", snap["hold"])
+	if r.Counter("other") == c {
+		t.Fatal("distinct names share a counter")
 	}
 }
 
@@ -43,35 +27,11 @@ func TestRegistryConcurrentResolve(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 1000; k++ {
 				r.Counter("shared").Inc()
-				r.Histogram("h").Record(int64(k))
 			}
 		}()
 	}
 	wg.Wait()
 	if v := r.Counter("shared").Value(); v != 8000 {
 		t.Fatalf("concurrent increments lost: %d", v)
-	}
-	if n := r.Histogram("h").Count(); n != 8000 {
-		t.Fatalf("concurrent records lost: %d", n)
-	}
-}
-
-func TestRegistryWriteText(t *testing.T) {
-	var r Registry
-	r.Counter("b.count").Add(2)
-	r.Gauge("a.level").Set(-1)
-	r.Histogram("c.lat").Record(100)
-	var sb strings.Builder
-	r.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{"counter", "gauge", "hist", "b.count", "a.level", "c.lat"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("WriteText missing %q:\n%s", want, out)
-		}
-	}
-	// Sorted by name: a.level before b.count before c.lat.
-	if strings.Index(out, "a.level") > strings.Index(out, "b.count") ||
-		strings.Index(out, "b.count") > strings.Index(out, "c.lat") {
-		t.Fatalf("WriteText not sorted:\n%s", out)
 	}
 }

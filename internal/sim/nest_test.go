@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // gid returns the id of the calling goroutine.
@@ -49,6 +50,32 @@ func depth(m *Machine) int {
 	return n
 }
 
+// goroutineBase returns the goroutine count once it has stopped
+// changing: a goroutine an earlier test started may still be exiting.
+func goroutineBase() int {
+	n := runtime.NumGoroutine()
+	for stable, deadline := 0, time.Now().Add(5*time.Second); stable < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if c := runtime.NumGoroutine(); c != n {
+			n, stable = c, 0
+		} else {
+			stable++
+		}
+	}
+	return n
+}
+
+// goroutinesBackTo polls until the goroutine count returns to base or a
+// deadline passes, and returns the last count: an exited thread's
+// goroutine may take a moment to go, a leaked one never does.
+func goroutinesBackTo(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n != base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
 // checkUnwound fails unless m's coroutine stack is empty, the handoffs
 // cost fewer switches than a loop on Run's goroutine alone would (two
 // per resume), and every thread goroutine has exited since the count
@@ -61,7 +88,7 @@ func checkUnwound(t *testing.T, m *Machine, base int) {
 	if m.coroSwitches >= 2*m.resumes {
 		t.Errorf("%d switches for %d resumes, want fewer than two per resume", m.coroSwitches, m.resumes)
 	}
-	if n := runtime.NumGoroutine(); n != base {
+	if n := goroutinesBackTo(base); n != base {
 		t.Errorf("%d goroutines after Run, want %d", n, base)
 	}
 }
@@ -73,7 +100,7 @@ func TestNestedHandoff(t *testing.T) {
 		// Three threads on three contexts resume round-robin. The one that
 		// stops early exits with the other two stacked below it, and they
 		// run on to the end.
-		base := runtime.NumGoroutine()
+		base := goroutineBase()
 		m := small(3)
 		ops := make([]int, 3)
 		exitDepth := -1
@@ -107,7 +134,7 @@ func TestNestedHandoff(t *testing.T) {
 		// The victim runs short inline legs beside a long one and is
 		// crashed at an inline boundary: it dies holding the turn, and its
 		// goroutine fires the next event before handing the turn on.
-		base := runtime.NumGoroutine()
+		base := goroutineBase()
 		m := small(2)
 		longDone := 0
 		m.Spawn("long", func(p *Proc) {
@@ -150,7 +177,7 @@ func TestNestedHandoff(t *testing.T) {
 			// Four threads round-robin; the panic is thrown with at least
 			// three threads stacked and must reach Run's caller unchanged,
 			// with every thread goroutine gone.
-			base := runtime.NumGoroutine()
+			base := goroutineBase()
 			m := small(4)
 			want := fmt.Errorf("deep %s panic", where)
 			for range 4 {
@@ -177,7 +204,7 @@ func TestNestedHandoff(t *testing.T) {
 				if r := recover(); r != want {
 					t.Errorf("Run panicked with %v, want %v", r, want)
 				}
-				if n := runtime.NumGoroutine(); n != base {
+				if n := goroutinesBackTo(base); n != base {
 					t.Errorf("%d goroutines after the recovered panic, want %d", n, base)
 				}
 			}()
@@ -192,7 +219,7 @@ func TestNestedHandoff(t *testing.T) {
 // thread 0 panics after ten compute legs the others are parked mid-body,
 // queued or never dispatched.
 func TestPanicStopsThreads(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutineBase()
 	m := small(2)
 	want := errors.New("thread 0 panics")
 	for i := range 4 {
@@ -213,7 +240,7 @@ func TestPanicStopsThreads(t *testing.T) {
 		}()
 		m.Run(10_000_000)
 	}()
-	if n := runtime.NumGoroutine(); n != base {
+	if n := goroutinesBackTo(base); n != base {
 		t.Errorf("%d goroutines after the recovered panic, want %d", n, base)
 	}
 }

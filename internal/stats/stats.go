@@ -95,20 +95,3 @@ func FairnessFactor(opsPerThread []int64) float64 {
 	}
 	return float64(top) / float64(total)
 }
-
-// GeoMean returns the geometric mean of positive values; non-positive
-// values are skipped. Returns 0 if no positive values exist.
-func GeoMean(values []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, v := range values {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}

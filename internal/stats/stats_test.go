@@ -155,18 +155,6 @@ func TestFairnessFactorProperty(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); !almostEqual(g, 2, 1e-9) {
-		t.Fatalf("geomean(1,4) = %g want 2", g)
-	}
-	if g := GeoMean([]float64{0, -3}); g != 0 {
-		t.Fatalf("geomean of non-positive = %g want 0", g)
-	}
-	if g := GeoMean([]float64{0, 9, 1}); !almostEqual(g, 3, 1e-9) {
-		t.Fatalf("geomean skipping zeros = %g want 3", g)
-	}
-}
-
 func TestTimelineBasics(t *testing.T) {
 	var tl Timeline
 	tl.Record(0, 1)

@@ -62,18 +62,17 @@ type Options struct {
 	PipeCap int
 }
 
-// Result reports the run.
-type Result struct {
+// Workload is a built hackbench instance: its senders and receivers are
+// spawned, and the caller runs the machine until it quiesces, at the
+// time the last message was delivered.
+type Workload struct {
 	Threads  int
 	Messages int
-	Received uint64
-	// Runtime is the virtual time at which all messages were delivered.
-	Runtime sim.Time
+	received *sim.Word
 }
 
-// Run builds the pipes, spawns all senders and receivers on m, runs the
-// machine and returns the completion time.
-func Run(m *sim.Machine, o Options) Result {
+// Build builds the pipes and spawns all senders and receivers on m.
+func Build(m *sim.Machine, o Options) *Workload {
 	if o.Groups == 0 {
 		o.Groups = 8
 	}
@@ -120,12 +119,13 @@ func Run(m *sim.Machine, o Options) Result {
 			})
 		}
 	}
-	// Horizon: generous; the run quiesces when all messages are delivered.
-	quiesce := m.Run(1 << 40)
-	return Result{
-		Threads:  2 * nPipes,
-		Messages: nPipes * o.Messages,
-		Received: received.V(),
-		Runtime:  quiesce,
+	return &Workload{Threads: 2 * nPipes, Messages: nPipes * o.Messages, received: received}
+}
+
+// Validate reports an error unless every message was delivered.
+func (w *Workload) Validate() error {
+	if n := w.received.V(); n != uint64(w.Messages) {
+		return fmt.Errorf("hackbench: %d of %d messages delivered", n, w.Messages)
 	}
+	return nil
 }
