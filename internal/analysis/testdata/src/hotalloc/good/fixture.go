@@ -34,7 +34,7 @@ func setup(m *sim.Machine) []*sim.Word {
 	words := m.NewWords("cells", 64)
 	index := make(map[string]*sim.Word, len(words))
 	for _, w := range words {
-		index[w.Name()] = w
+		index[m.WordName(w.ID())] = w
 	}
 	return words
 }

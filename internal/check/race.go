@@ -131,7 +131,6 @@ type memAccess struct {
 	Kind     sim.MemKind
 	TID      int32
 	Word     int32 // -1 for spin events
-	Name     string
 	Old, New uint64
 	Wrote    bool
 	Arg      int32
@@ -197,7 +196,10 @@ func (v *vclock) join(o vclock) {
 
 // raceWord is the auditor's per-word view.
 type raceWord struct {
-	name string
+	// named marks a word that an access record (a load, store, RMW or
+	// kernel write) touched. A verdict names only a touched word
+	// (wordName), so a word that was only ever watched prints as "word N".
+	named bool
 	// rel is the word's release clock: the join of every writer's clock
 	// at its write. Loads, successful RMWs and spin exits acquire it.
 	rel vclock
@@ -303,10 +305,10 @@ func (a *RaceAuditor) Races() []Race { return a.races }
 // copying the event or allocating.
 func (a *RaceAuditor) MemEvent(ev *sim.MemEvent) {
 	acc := &a.acc
-	acc.At, acc.Kind, acc.TID, acc.Word, acc.Name = ev.At, ev.Kind, ev.TID, -1, ""
+	acc.At, acc.Kind, acc.TID, acc.Word = ev.At, ev.Kind, ev.TID, -1
 	acc.Old, acc.New, acc.Wrote, acc.Arg, acc.Rel = ev.Old, ev.New, ev.Wrote, ev.Arg, ev.Rel
 	if ev.W != nil {
-		acc.Word, acc.Name = ev.W.ID(), ev.W.Name()
+		acc.Word = ev.W.ID()
 	}
 	n := 0
 	for _, w := range ev.Watch {
@@ -329,17 +331,30 @@ func (a *RaceAuditor) thread(tid int32) *raceThread {
 	return &a.threads[s]
 }
 
-// word returns word id's state, growing the table on first sight and
-// naming the word from the first access that carries a name.
-func (a *RaceAuditor) word(id int32, name string) *raceWord {
+// word returns word id's state, growing the table on first sight.
+func (a *RaceAuditor) word(id int32) *raceWord {
 	if int(id) >= len(a.words) {
 		a.words = grow(a.words, int(id)+1, raceWord{})
 	}
-	w := &a.words[id]
-	if w.name == "" {
-		w.name = name
-	}
+	return &a.words[id]
+}
+
+// accessed returns the state of the word an access record touches,
+// marking it named (see raceWord).
+func (a *RaceAuditor) accessed(acc *memAccess) *raceWord {
+	w := a.word(acc.Word)
+	w.named = true
 	return w
+}
+
+// wordName names word id in a verdict through the machine's name table.
+// A word no access record touched, or one seen with no machine attached,
+// stays unnamed.
+func (a *RaceAuditor) wordName(id int32) string {
+	if a.m == nil || !a.word(id).named {
+		return ""
+	}
+	return a.m.WordName(id)
 }
 
 // lock returns lock id's state, growing the table on first sight.
@@ -360,18 +375,18 @@ func (l *raceLock) holds(s int) bool { return s < len(l.held) && l.held[s] }
 func (a *RaceAuditor) apply(acc *memAccess) {
 	switch acc.Kind {
 	case sim.MemLoad:
-		w := a.word(acc.Word, acc.Name)
+		w := a.accessed(acc)
 		a.thread(acc.TID).clock.join(w.rel)
 	case sim.MemRMW, sim.MemKernel:
 		c := &a.thread(acc.TID).clock
-		w := a.word(acc.Word, acc.Name)
+		w := a.accessed(acc)
 		c.join(w.rel)
 		if acc.Wrote {
 			a.release(acc, c, w)
 		}
 	case sim.MemStore:
 		c := &a.thread(acc.TID).clock
-		w := a.word(acc.Word, acc.Name)
+		w := a.accessed(acc)
 		if acc.Rel {
 			// A release-annotated store is synchronization, not a plain
 			// write: like an RMW it joins the word's clock and is never a
@@ -392,7 +407,7 @@ func (a *RaceAuditor) apply(acc *memAccess) {
 	case sim.MemSpinExit:
 		t := a.thread(acc.TID)
 		for _, id := range acc.Watch {
-			t.clock.join(a.word(id, "").rel)
+			t.clock.join(a.word(id).rel)
 		}
 		t.spinning = false
 	case sim.MemFutexWake:
@@ -436,7 +451,7 @@ func (a *RaceAuditor) checkStore(acc *memAccess, c *vclock, w *raceWord) {
 	if victim < 0 {
 		return
 	}
-	a.overwrite(acc, w, victim, victimAt)
+	a.overwrite(acc, victim, victimAt)
 	// Treat the racing writes as observed so one sync gap is reported
 	// once, not once per subsequent store.
 	c.join(w.mod)
@@ -446,10 +461,10 @@ func (a *RaceAuditor) checkStore(acc *memAccess, c *vclock, w *raceWord) {
 // write at victimAt.
 //
 //flexlint:coldpath
-func (a *RaceAuditor) overwrite(acc *memAccess, w *raceWord, victim int, victimAt sim.Time) {
+func (a *RaceAuditor) overwrite(acc *memAccess, victim int, victimAt sim.Time) {
 	lock := a.thread(acc.TID).lastLock
 	a.flag(Race{
-		Kind: RaceOverwrite, At: acc.At, Word: acc.Word, WordName: w.name,
+		Kind: RaceOverwrite, At: acc.At, Word: acc.Word,
 		Thread: acc.TID, ThreadAt: acc.At,
 		Other: slotTID(victim), OtherAt: victimAt,
 		Lock: lock, LockName: a.lockName(lock),
@@ -458,7 +473,7 @@ func (a *RaceAuditor) overwrite(acc *memAccess, w *raceWord, victim int, victimA
 	})
 }
 
-// flag records one race.
+// flag records one race, naming its word if it is stored.
 //
 //flexlint:coldpath
 func (a *RaceAuditor) flag(r Race) {
@@ -467,6 +482,7 @@ func (a *RaceAuditor) flag(r Race) {
 		a.o.Registry.Counter("check.race." + string(r.Kind)).Inc()
 	}
 	if len(a.races) < a.o.MaxRaces {
+		r.WordName = a.wordName(r.Word)
 		a.races = append(a.races, r)
 	}
 	if a.o.EmitEvents && a.m != nil {
@@ -544,7 +560,7 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 		var lastWriter int32 = -1
 		var lastAt sim.Time
 		for _, id := range t.watch {
-			w := a.word(id, "")
+			w := a.word(id)
 			for sl, epoch := range w.mod {
 				if epoch == 0 {
 					continue
@@ -566,7 +582,7 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 			primary = t.watch[0]
 		}
 		a.flag(Race{
-			Kind: RaceMissedSignal, At: quiesced, Word: primary, WordName: a.word(primary, "").name,
+			Kind: RaceMissedSignal, At: quiesced, Word: primary,
 			Thread: slotTID(s), ThreadAt: t.since,
 			Other: lastWriter, OtherAt: lastAt,
 			Lock: lock, LockName: a.lockName(lock),

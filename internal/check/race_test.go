@@ -205,6 +205,27 @@ func TestRaceMissedSignal(t *testing.T) {
 	}
 }
 
+// TestRaceWordNames: a verdict names its word by id through the
+// machine's name table; a word no access record touched (one only ever
+// watched) stays unnamed and prints by id.
+func TestRaceWordNames(t *testing.T) {
+	m := sim.New(sim.Small(1))
+	m.NewWord("a", 0)
+	w := m.NewWordAt("dd.s", 3, ".count", 0)
+	watched := m.NewWord("flag", 0)
+	a := AttachRace(m, RaceOptions{})
+	feed(a, rmw(10, 1, w.ID(), 0, 1), store(20, 2, w.ID(), 1, 0))
+	a.LockEvent(100, sim.TraceSpinStart, 0, 5, 0)
+	feed(a, spinStart(100, 5, watched.ID()))
+	r := a.Finish(5_000_000)
+	if len(r) != 2 || r[0].WordName != "dd.s3.count" || r[1].WordName != "" {
+		t.Fatalf("machine-named verdicts: %+v", r)
+	}
+	if got := r[1].String(); !strings.Contains(got, fmt.Sprintf(" word %d ", watched.ID())) {
+		t.Fatalf("an unaccessed word must print by id: %q", got)
+	}
+}
+
 func TestRaceMissedSignalGates(t *testing.T) {
 	t.Run("pending-write", func(t *testing.T) {
 		// An unobserved modifying write to the watched word is a signal

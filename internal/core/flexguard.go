@@ -22,7 +22,6 @@ type FlexGuard struct {
 	// paper evaluated and reverted (§3.2.1, "Optimizing MCS exit") — kept
 	// as an ablation to reproduce that it brings no gains.
 	blockingExit bool
-	name         string
 	lid          int32
 }
 
@@ -50,17 +49,17 @@ func WithBlockingMCSExit() LockOption {
 // mode the lock allocates and reacts to its own preemption counter;
 // otherwise it reads the system-wide one.
 func (rt *Runtime) NewLock(name string, opts ...LockOption) *FlexGuard {
+	lid := rt.m.RegisterLockName(name)
 	l := &FlexGuard{
 		rt:    rt,
-		val:   rt.m.NewWord(name+".val", Unlocked),
-		tail:  rt.m.NewWord(name+".tail", 0),
+		val:   rt.m.NewLockWord(lid, ".val", Unlocked),
+		tail:  rt.m.NewLockWord(lid, ".tail", 0),
 		npcs:  rt.mon.NPCS(),
 		stale: rt.mon.StaleWord(),
-		name:  name,
-		lid:   rt.m.RegisterLockName(name),
+		lid:   lid,
 	}
 	if rt.mon.PerLock() {
-		l.npcs = rt.m.NewWord(name+".npcs", 0)
+		l.npcs = rt.m.NewLockWord(lid, ".npcs", 0)
 	}
 	for _, o := range opts {
 		o(l)
@@ -69,7 +68,7 @@ func (rt *Runtime) NewLock(name string, opts ...LockOption) *FlexGuard {
 }
 
 // String implements fmt.Stringer.
-func (l *FlexGuard) String() string { return fmt.Sprintf("flexguard(%s)", l.name) }
+func (l *FlexGuard) String() string { return fmt.Sprintf("flexguard(%s)", l.rt.m.LockName(l.lid)) }
 
 // Graceful degradation: every busy-wait decision couples the NPCS read
 // with the monitor's health flag. A stale monitor (dropped events,

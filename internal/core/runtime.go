@@ -135,8 +135,8 @@ func (rt *Runtime) node(id int) *QNode {
 	n := rt.nodes[id]
 	if n == nil {
 		n = &QNode{
-			next:    rt.m.NewWord(fmt.Sprintf("qnode%d.next", id), 0),
-			waiting: rt.m.NewWord(fmt.Sprintf("qnode%d.waiting", id), 0),
+			next:    rt.m.NewWordAt("qnode", id, ".next", 0),
+			waiting: rt.m.NewWordAt("qnode", id, ".waiting", 0),
 		}
 		rt.nodes[id] = n
 	}

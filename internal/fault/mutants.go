@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"fmt"
-
 	"repro/internal/locks"
 	"repro/internal/sim"
 )
@@ -38,7 +36,8 @@ func Mutants() []Mutant {
 			Doc:    "test-and-set without the winning CAS: check-then-act race admits two holders",
 			Breaks: "mutual-exclusion",
 			New: func(m *sim.Machine, _ *sim.Word, name string) locks.Lock {
-				return &tasNoAtomic{v: m.NewWord(name+".v", 0), lid: m.RegisterLockName(name)}
+				lid := m.RegisterLockName(name)
+				return &tasNoAtomic{v: m.NewLockWord(lid, ".v", 0), lid: lid}
 			},
 		},
 		{
@@ -58,11 +57,8 @@ func Mutants() []Mutant {
 			// blocking path — the release-side bug then strands them all.
 			Plan: Plan{StuckEnabled: true, StuckNPCS: 1},
 			New: func(m *sim.Machine, npcs *sim.Word, name string) locks.Lock {
-				return &fgNoWake{
-					val:  m.NewWord(name+".val", 0),
-					npcs: npcs,
-					lid:  m.RegisterLockName(name),
-				}
+				lid := m.RegisterLockName(name)
+				return &fgNoWake{val: m.NewLockWord(lid, ".val", 0), npcs: npcs, lid: lid}
 			},
 		},
 		{
@@ -133,9 +129,8 @@ func (l *tasNoAtomic) Unlock(p *sim.Proc) {
 // message is dropped and the successor spins forever.
 type mcsNoHandover struct {
 	m     *sim.Machine
-	name  string
 	tail  *sim.Word
-	nodes map[int]*mutNode
+	nodes map[int]*mutNode // allocated with the first node
 	lid   int32
 }
 
@@ -145,13 +140,8 @@ type mutNode struct {
 }
 
 func newMCSNoHandover(m *sim.Machine, name string) *mcsNoHandover {
-	return &mcsNoHandover{
-		m:     m,
-		name:  name,
-		tail:  m.NewWord(name+".tail", 0),
-		nodes: make(map[int]*mutNode),
-		lid:   m.RegisterLockName(name),
-	}
+	lid := m.RegisterLockName(name)
+	return &mcsNoHandover{m: m, tail: m.NewLockWord(lid, ".tail", 0), lid: lid}
 }
 
 // node returns (allocating on first use) thread id's queue node.
@@ -160,9 +150,12 @@ func newMCSNoHandover(m *sim.Machine, name string) *mcsNoHandover {
 func (l *mcsNoHandover) node(id int) *mutNode {
 	n := l.nodes[id]
 	if n == nil {
+		if l.nodes == nil {
+			l.nodes = make(map[int]*mutNode)
+		}
 		n = &mutNode{
-			next:   l.m.NewWord(fmt.Sprintf("%s.n%d.next", l.name, id), 0),
-			locked: l.m.NewWord(fmt.Sprintf("%s.n%d.locked", l.name, id), 0),
+			next:   l.m.NewLockWordAt(l.lid, ".n", id, ".next", 0),
+			locked: l.m.NewLockWordAt(l.lid, ".n", id, ".locked", 0),
 		}
 		l.nodes[id] = n
 	}

@@ -15,7 +15,8 @@ type Blocking struct {
 
 // NewBlocking returns a pure blocking lock.
 func NewBlocking(m *sim.Machine, name string) *Blocking {
-	return &Blocking{v: m.NewWord(name+".blk", 0), lid: m.RegisterLockName(name)}
+	lid := m.RegisterLockName(name)
+	return &Blocking{v: m.NewLockWord(lid, ".blk", 0), lid: lid}
 }
 
 // Lock implements Lock.
@@ -53,7 +54,8 @@ const posixSpin = 100
 
 // NewPosix returns a POSIX-style mutex.
 func NewPosix(m *sim.Machine, name string) *Posix {
-	return &Posix{v: m.NewWord(name+".posix", 0), lid: m.RegisterLockName(name)}
+	lid := m.RegisterLockName(name)
+	return &Posix{v: m.NewLockWord(lid, ".posix", 0), lid: lid}
 }
 
 // Lock implements Lock.
@@ -100,7 +102,8 @@ type Backoff struct {
 
 // NewBackoff returns a blocking-backoff lock.
 func NewBackoff(m *sim.Machine, name string) *Backoff {
-	return &Backoff{v: m.NewWord(name+".bo", 0), lid: m.RegisterLockName(name)}
+	lid := m.RegisterLockName(name)
+	return &Backoff{v: m.NewLockWord(lid, ".bo", 0), lid: lid}
 }
 
 // Lock implements Lock.

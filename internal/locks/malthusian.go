@@ -1,10 +1,6 @@
 package locks
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Malthusian waiter states (node.locked word).
 const (
@@ -35,9 +31,8 @@ type mNode struct {
 // Passive waiters are re-inserted only when the active queue drains.
 type Malthusian struct {
 	m     *sim.Machine
-	name  string
 	tail  *sim.Word
-	nodes map[int]*mNode
+	nodes map[int]*mNode // allocated with the first node
 	lid   int32
 	// passive is the culled-thread LIFO. It is only touched by the current
 	// lock holder during unlock, so the lock itself serializes access.
@@ -55,13 +50,8 @@ const malthusianPromote = 64
 
 // NewMalthusian returns a Malthusian lock.
 func NewMalthusian(m *sim.Machine, name string) *Malthusian {
-	return &Malthusian{
-		m:     m,
-		name:  name,
-		tail:  m.NewWord(name+".tail", 0),
-		nodes: make(map[int]*mNode),
-		lid:   m.RegisterLockName(name),
-	}
+	lid := m.RegisterLockName(name)
+	return &Malthusian{m: m, tail: m.NewLockWord(lid, ".tail", 0), lid: lid}
 }
 
 // node returns (allocating on first use) thread id's queue node.
@@ -70,9 +60,12 @@ func NewMalthusian(m *sim.Machine, name string) *Malthusian {
 func (l *Malthusian) node(id int) *mNode {
 	n := l.nodes[id]
 	if n == nil {
+		if l.nodes == nil {
+			l.nodes = make(map[int]*mNode)
+		}
 		n = &mNode{
-			locked: l.m.NewWord(fmt.Sprintf("%s.n%d.locked", l.name, id), 0),
-			next:   l.m.NewWord(fmt.Sprintf("%s.n%d.next", l.name, id), 0),
+			locked: l.m.NewLockWordAt(l.lid, ".n", id, ".locked", 0),
+			next:   l.m.NewLockWordAt(l.lid, ".n", id, ".next", 0),
 		}
 		l.nodes[id] = n
 	}

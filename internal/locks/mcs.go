@@ -1,10 +1,6 @@
 package locks
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // mcsNode is one waiter's queue node (one per thread per lock — the memory
 // behavior the paper contrasts with the Shuffle lock's global node).
@@ -18,21 +14,15 @@ type mcsNode struct {
 // two cache lines.
 type MCS struct {
 	m     *sim.Machine
-	name  string
 	tail  *sim.Word
-	nodes map[int]*mcsNode
+	nodes map[int]*mcsNode // allocated with the first node
 	lid   int32
 }
 
 // NewMCS returns an MCS lock.
 func NewMCS(m *sim.Machine, name string) *MCS {
-	return &MCS{
-		m:     m,
-		name:  name,
-		tail:  m.NewWord(name+".tail", 0),
-		nodes: make(map[int]*mcsNode),
-		lid:   m.RegisterLockName(name),
-	}
+	lid := m.RegisterLockName(name)
+	return &MCS{m: m, tail: m.NewLockWord(lid, ".tail", 0), lid: lid}
 }
 
 // node returns (allocating on first use) thread id's queue node.
@@ -41,9 +31,12 @@ func NewMCS(m *sim.Machine, name string) *MCS {
 func (l *MCS) node(id int) *mcsNode {
 	n := l.nodes[id]
 	if n == nil {
+		if l.nodes == nil {
+			l.nodes = make(map[int]*mcsNode)
+		}
 		n = &mcsNode{
-			next:   l.m.NewWord(fmt.Sprintf("%s.n%d.next", l.name, id), 0),
-			locked: l.m.NewWord(fmt.Sprintf("%s.n%d.locked", l.name, id), 0),
+			next:   l.m.NewLockWordAt(l.lid, ".n", id, ".next", 0),
+			locked: l.m.NewLockWordAt(l.lid, ".n", id, ".locked", 0),
 		}
 		l.nodes[id] = n
 	}
@@ -90,7 +83,6 @@ type clhNode struct {
 // queue where each waiter spins on its predecessor's node.
 type CLH struct {
 	m    *sim.Machine
-	name string
 	lid  int32
 	tail *sim.Word // encoded node index + 1
 	// nodes is the node pool; mine maps a thread to the node it will
@@ -105,11 +97,10 @@ type CLH struct {
 
 // NewCLH returns a CLH lock.
 func NewCLH(m *sim.Machine, name string) *CLH {
-	l := &CLH{m: m, name: name}
+	l := &CLH{m: m, lid: m.RegisterLockName(name)}
 	// Node 0 is the initial dummy (released).
-	l.nodes = []*clhNode{{succMustWait: m.NewWord(name+".clh0", 0)}}
-	l.tail = m.NewWord(name+".tail", 1) // points at the dummy
-	l.lid = m.RegisterLockName(name)
+	l.nodes = []*clhNode{{succMustWait: m.NewLockWordAt(l.lid, ".clh", 0, "", 0)}}
+	l.tail = m.NewLockWord(l.lid, ".tail", 1) // points at the dummy
 	return l
 }
 
@@ -129,7 +120,7 @@ func (l *CLH) slot(id int) {
 func (l *CLH) newNode() int {
 	idx := len(l.nodes)
 	l.nodes = append(l.nodes, &clhNode{
-		succMustWait: l.m.NewWord(fmt.Sprintf("%s.clh%d", l.name, idx), 0),
+		succMustWait: l.m.NewLockWordAt(l.lid, ".clh", idx, "", 0),
 	})
 	return idx
 }

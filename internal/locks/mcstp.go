@@ -1,10 +1,6 @@
 package locks
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // MCS-TP waiter states.
 const (
@@ -36,10 +32,9 @@ type tpNode struct {
 // stale holder timestamp yield to help the holder get rescheduled.
 type MCSTP struct {
 	m          *sim.Machine
-	name       string
 	tail       *sim.Word
-	holderTime *sim.Word // holder-published acquisition timestamp (0 = free)
-	nodes      map[int]*tpNode
+	holderTime *sim.Word       // holder-published acquisition timestamp (0 = free)
+	nodes      map[int]*tpNode // allocated with the first node
 	lid        int32
 
 	// abandons, when set, counts holder-side waiter removals (tpRemoved)
@@ -58,13 +53,12 @@ func (l *MCSTP) countAbandon() {
 
 // NewMCSTP returns an MCS-TP lock.
 func NewMCSTP(m *sim.Machine, name string) *MCSTP {
+	lid := m.RegisterLockName(name)
 	return &MCSTP{
 		m:          m,
-		name:       name,
-		tail:       m.NewWord(name+".tail", 0),
-		holderTime: m.NewWord(name+".htime", 0),
-		nodes:      make(map[int]*tpNode),
-		lid:        m.RegisterLockName(name),
+		tail:       m.NewLockWord(lid, ".tail", 0),
+		holderTime: m.NewLockWord(lid, ".htime", 0),
+		lid:        lid,
 	}
 }
 
@@ -74,10 +68,13 @@ func NewMCSTP(m *sim.Machine, name string) *MCSTP {
 func (l *MCSTP) node(id int) *tpNode {
 	n := l.nodes[id]
 	if n == nil {
+		if l.nodes == nil {
+			l.nodes = make(map[int]*tpNode)
+		}
 		n = &tpNode{
-			status: l.m.NewWord(fmt.Sprintf("%s.n%d.status", l.name, id), 0),
-			next:   l.m.NewWord(fmt.Sprintf("%s.n%d.next", l.name, id), 0),
-			time:   l.m.NewWord(fmt.Sprintf("%s.n%d.time", l.name, id), 0),
+			status: l.m.NewLockWordAt(l.lid, ".n", id, ".status", 0),
+			next:   l.m.NewLockWordAt(l.lid, ".n", id, ".next", 0),
+			time:   l.m.NewLockWordAt(l.lid, ".n", id, ".time", 0),
 		}
 		l.nodes[id] = n
 	}

@@ -1,10 +1,6 @@
 package locks
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file models the kernel's robust-futex machinery for the
 // simulator. Robust locks register themselves at construction and a
@@ -81,7 +77,8 @@ type RobustBlocking struct {
 // builds the lock without kernel recovery (the no-recovery mutant the
 // crash self-test uses): a crashed owner then orphans the lock.
 func NewRobustBlocking(m *sim.Machine, reg *RobustRegistry, name string) *RobustBlocking {
-	l := &RobustBlocking{v: m.NewWord(name+".rblk", 0), m: m, lid: m.RegisterLockName(name)}
+	lid := m.RegisterLockName(name)
+	l := &RobustBlocking{v: m.NewLockWord(lid, ".rblk", 0), m: m, lid: lid}
 	if reg != nil {
 		reg.register(l)
 	}
@@ -199,21 +196,15 @@ type rmNode struct {
 // recovered by resetting the tail when no successor has enqueued.
 type RobustMCS struct {
 	m     *sim.Machine
-	name  string
 	tail  *sim.Word
-	nodes map[int]*rmNode
+	nodes map[int]*rmNode // allocated with the first node
 	lid   int32
 }
 
 // NewRobustMCS returns a robust MCS lock (nil registry = no repair).
 func NewRobustMCS(m *sim.Machine, reg *RobustRegistry, name string) *RobustMCS {
-	l := &RobustMCS{
-		m:     m,
-		name:  name,
-		tail:  m.NewWord(name+".tail", 0),
-		nodes: make(map[int]*rmNode),
-		lid:   m.RegisterLockName(name),
-	}
+	lid := m.RegisterLockName(name)
+	l := &RobustMCS{m: m, tail: m.NewLockWord(lid, ".tail", 0), lid: lid}
 	if reg != nil {
 		reg.register(l)
 	}
@@ -226,9 +217,12 @@ func NewRobustMCS(m *sim.Machine, reg *RobustRegistry, name string) *RobustMCS {
 func (l *RobustMCS) node(id int) *rmNode {
 	n := l.nodes[id]
 	if n == nil {
+		if l.nodes == nil {
+			l.nodes = make(map[int]*rmNode)
+		}
 		n = &rmNode{
-			next:   l.m.NewWord(fmt.Sprintf("%s.n%d.next", l.name, id), 0),
-			status: l.m.NewWord(fmt.Sprintf("%s.n%d.status", l.name, id), rmGranted),
+			next:   l.m.NewLockWordAt(l.lid, ".n", id, ".next", 0),
+			status: l.m.NewLockWordAt(l.lid, ".n", id, ".status", rmGranted),
 		}
 		l.nodes[id] = n
 	}

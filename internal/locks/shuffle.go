@@ -1,10 +1,6 @@
 package locks
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Shuffle-lock waiter states (node.waiting) and top-lock states.
 const (
@@ -39,8 +35,8 @@ func (s *Shared) shuffleNode(id int) *shuffleNode {
 	n := s.shuffleNodes[id]
 	if n == nil {
 		n = &shuffleNode{
-			waiting: s.m.NewWord(fmt.Sprintf("shfl.n%d.waiting", id), 0),
-			next:    s.m.NewWord(fmt.Sprintf("shfl.n%d.next", id), 0),
+			waiting: s.m.NewWordAt("shfl.n", id, ".waiting", 0),
+			next:    s.m.NewWordAt("shfl.n", id, ".next", 0),
 		}
 		s.shuffleNodes[id] = n
 	}
@@ -64,11 +60,12 @@ type Shuffle struct {
 
 // NewShuffle returns a Shuffle lock.
 func NewShuffle(s *Shared, name string) *Shuffle {
+	lid := s.m.RegisterLockName(name)
 	return &Shuffle{
 		s:    s,
-		top:  s.m.NewWord(name+".top", topFree),
-		tail: s.m.NewWord(name+".tail", 0),
-		lid:  s.m.RegisterLockName(name),
+		top:  s.m.NewLockWord(lid, ".top", topFree),
+		tail: s.m.NewLockWord(lid, ".tail", 0),
+		lid:  lid,
 	}
 }
 

@@ -12,7 +12,8 @@ type TAS struct {
 
 // NewTAS returns a TAS lock.
 func NewTAS(m *sim.Machine, name string) *TAS {
-	return &TAS{v: m.NewWord(name+".tas", 0), lid: m.RegisterLockName(name)}
+	lid := m.RegisterLockName(name)
+	return &TAS{v: m.NewLockWord(lid, ".tas", 0), lid: lid}
 }
 
 // Lock implements Lock.
@@ -44,7 +45,8 @@ type TATAS struct {
 
 // NewTATAS returns a TATAS lock.
 func NewTATAS(m *sim.Machine, name string) *TATAS {
-	return &TATAS{v: m.NewWord(name+".tatas", 0), lid: m.RegisterLockName(name)}
+	lid := m.RegisterLockName(name)
+	return &TATAS{v: m.NewLockWord(lid, ".tatas", 0), lid: lid}
 }
 
 // Lock implements Lock.
@@ -75,10 +77,11 @@ type Ticket struct {
 
 // NewTicket returns a Ticket lock.
 func NewTicket(m *sim.Machine, name string) *Ticket {
+	lid := m.RegisterLockName(name)
 	return &Ticket{
-		next:  m.NewWord(name+".next", 0),
-		owner: m.NewWord(name+".owner", 0),
-		lid:   m.RegisterLockName(name),
+		next:  m.NewLockWord(lid, ".next", 0),
+		owner: m.NewLockWord(lid, ".owner", 0),
+		lid:   lid,
 	}
 }
 
@@ -109,7 +112,8 @@ type SpinExt struct {
 
 // NewSpinExt returns a timeslice-extension TATAS lock.
 func NewSpinExt(m *sim.Machine, name string) *SpinExt {
-	return &SpinExt{inner: TATAS{v: m.NewWord(name+".spinext", 0), lid: m.RegisterLockName(name)}}
+	lid := m.RegisterLockName(name)
+	return &SpinExt{inner: TATAS{v: m.NewLockWord(lid, ".spinext", 0), lid: lid}}
 }
 
 // Lock implements Lock.

@@ -53,13 +53,14 @@ type usclSlot struct {
 
 // NewUSCL returns a u-SCL lock.
 func NewUSCL(m *sim.Machine, name string) *USCL {
+	lid := m.RegisterLockName(name)
 	return &USCL{
 		m:          m,
-		lid:        m.RegisterLockName(name),
-		sliceNext:  m.NewWord(name+".snext", 0),
-		sliceOwner: m.NewWord(name+".sowner", 0),
-		sliceStart: m.NewWord(name+".sstart", 0),
-		inner:      m.NewWord(name+".inner", 0),
+		lid:        lid,
+		sliceNext:  m.NewLockWord(lid, ".snext", 0),
+		sliceOwner: m.NewLockWord(lid, ".sowner", 0),
+		sliceStart: m.NewLockWord(lid, ".sstart", 0),
+		inner:      m.NewLockWord(lid, ".inner", 0),
 	}
 }
 

@@ -121,7 +121,6 @@ type Machine struct {
 	hooks     []SchedSwitchHook
 	tracer    *Tracer
 	lockObs   []LockObserver
-	lockNames []string
 	fi        FaultInjector
 	ci        CrashInjector // crash-capable side of fi, nil when absent
 	killHooks []KillHook
@@ -129,15 +128,18 @@ type Machine struct {
 	nextWord  int32
 
 	// Word state, structure-of-arrays (see word.go): per-line owner and
-	// sharer bitmaps indexed by dense line id, and the chunked value
-	// arena indexed by dense word id. words registers every allocated
-	// handle in id order (see Words).
+	// sharer bitmaps indexed by dense line id, and the spinner lists of
+	// the words ever spun on, indexed by Word.watch (entry 0 unused).
 	lineOwner   []int32
 	lineSharers []uint64 // lineStride words per line
 	lineStride  int32
-	valChunks   [][]uint64
-	words       []*Word
 	wordSlab    []Word // unused handles of the current slab (see handle)
+	watchers    [][]int32
+
+	// Name tables (see names.go): word names as runs of naming calls, and
+	// one name per lock.
+	names     []nameRun
+	lockNames []string
 
 	// horizon is the current Run deadline; firing is the event whose
 	// callback is executing. Both drive the fast-forward path: horizon
@@ -259,29 +261,6 @@ func (m *Machine) SetFaultInjector(fi FaultInjector) {
 func (m *Machine) RegisterKillHook(h KillHook) {
 	m.killHooks = append(m.killHooks, h)
 }
-
-// RegisterLockName assigns the next dense lock id to name. Lock
-// implementations call it once at construction; the id tags every lock
-// event the instance emits.
-func (m *Machine) RegisterLockName(name string) int32 {
-	m.lockNames = append(m.lockNames, name)
-	return int32(len(m.lockNames) - 1)
-}
-
-// LockName resolves a lock id from RegisterLockName ("" if out of range,
-// e.g. the -1 id of system-wide events).
-func (m *Machine) LockName(id int32) string {
-	if id < 0 || int(id) >= len(m.lockNames) {
-		return ""
-	}
-	return m.lockNames[id]
-}
-
-// NumLocks returns how many lock ids have been registered.
-func (m *Machine) NumLocks() int { return len(m.lockNames) }
-
-// Words returns every allocated word in id order (ids are dense from 0).
-func (m *Machine) Words() []*Word { return m.words }
 
 // lockEvent fans one lock event out to the tracer and the observer. The
 // leading nil checks keep the disabled cost to a couple of predictable
@@ -638,7 +617,7 @@ func (m *Machine) DeadlockReport() string {
 	fmt.Fprintf(&b, "deadlock: event queue drained at t=%d with %d thread(s) still blocked\n", m.clock, len(bw))
 	for _, w := range bw {
 		fmt.Fprintf(&b, "  thread %d (%s) blocked on %q (value %d)\n",
-			w.Thread.id, w.Thread.name, w.Word.Name(), w.Word.V())
+			w.Thread.id, w.Thread.name, m.WordName(w.Word.id), w.Word.V())
 	}
 	return b.String()
 }

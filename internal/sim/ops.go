@@ -79,13 +79,13 @@ func (m *Machine) applyOpEffect(t *Thread) {
 	req := &t.req
 	switch req.kind {
 	case opLoad:
-		t.res = opRes{val: *req.w.p}
+		t.res = opRes{val: req.w.v}
 		if m.mem != nil {
-			m.memAccess(MemLoad, tid(t), req.w, *req.w.p, *req.w.p, false, false)
+			m.memAccess(MemLoad, tid(t), req.w, req.w.v, req.w.v, false, false)
 		}
 	case opStore:
-		old := *req.w.p
-		*req.w.p = req.a
+		old := req.w.v
+		req.w.v = req.a
 		t.res = opRes{}
 		if m.mem != nil {
 			m.memAccess(MemStore, tid(t), req.w, old, req.a, true, req.flags&flagRel != 0)
@@ -93,22 +93,22 @@ func (m *Machine) applyOpEffect(t *Thread) {
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
 	case opCAS:
-		old := *req.w.p
+		old := req.w.v
 		if old == req.a {
-			*req.w.p = req.b
+			req.w.v = req.b
 		}
 		t.res = opRes{val: old}
 		if req.flags&flagSetReg != 0 {
 			t.Reg = old
 		}
 		if m.mem != nil {
-			m.memAccess(MemRMW, tid(t), req.w, old, *req.w.p, old == req.a, false)
+			m.memAccess(MemRMW, tid(t), req.w, old, req.w.v, old == req.a, false)
 		}
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
 	case opXchg:
-		old := *req.w.p
-		*req.w.p = req.a
+		old := req.w.v
+		req.w.v = req.a
 		t.res = opRes{val: old}
 		if req.flags&flagSetReg != 0 {
 			t.Reg = old
@@ -119,11 +119,11 @@ func (m *Machine) applyOpEffect(t *Thread) {
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
 	case opAdd:
-		old := *req.w.p
-		*req.w.p = uint64(int64(*req.w.p) + int64(req.a))
-		t.res = opRes{val: *req.w.p}
+		old := req.w.v
+		req.w.v = uint64(int64(req.w.v) + int64(req.a))
+		t.res = opRes{val: req.w.v}
 		if m.mem != nil {
-			m.memAccess(MemRMW, tid(t), req.w, old, *req.w.p, true, false)
+			m.memAccess(MemRMW, tid(t), req.w, old, req.w.v, true, false)
 		}
 		m.applyRegionAfter(t, req)
 		m.checkSpinners(req.w)
@@ -226,12 +226,27 @@ func (m *Machine) registerSpinner(t *Thread) {
 	t.spinReg = true
 	for _, w := range t.spinWatch {
 		if w != nil {
-			w.watchers = append(w.watchers, int32(t.id)) //flexlint:allow hotalloc unregisterSpinner deletes in place, so the list keeps its capacity across spin legs
+			if w.watch == 0 {
+				m.newWatchList(w)
+			}
+			m.watchers[w.watch] = append(m.watchers[w.watch], int32(t.id)) //flexlint:allow hotalloc unregisterSpinner deletes in place, so the list keeps its capacity across spin legs
 		}
 	}
 	if m.mem != nil {
 		m.memSpin(MemSpinStart, t, 0)
 	}
+}
+
+// newWatchList gives w an empty list in the watch table on the first
+// spin that watches it. Index 0 is reserved for words never watched.
+//
+//flexlint:coldpath
+func (m *Machine) newWatchList(w *Word) {
+	if len(m.watchers) == 0 {
+		m.watchers = append(m.watchers, nil)
+	}
+	w.watch = int32(len(m.watchers))
+	m.watchers = append(m.watchers, nil)
 }
 
 // unregisterSpinner removes t from the watch lists registerSpinner put it
@@ -246,9 +261,10 @@ func (m *Machine) unregisterSpinner(t *Thread) {
 		if w == nil {
 			continue
 		}
-		for i, s := range w.watchers {
+		l := m.watchers[w.watch]
+		for i, s := range l {
 			if s == int32(t.id) {
-				w.watchers = append(w.watchers[:i], w.watchers[i+1:]...) //flexlint:allow hotalloc in-place slice delete; never grows
+				m.watchers[w.watch] = append(l[:i], l[i+1:]...) //flexlint:allow hotalloc in-place slice delete; never grows
 				break
 			}
 		}
@@ -260,9 +276,13 @@ func (m *Machine) unregisterSpinner(t *Thread) {
 // Spinners whose condition turned false observe it after the detection
 // latency. Spinners on other words are skipped entirely: by the SpinOn
 // contract their conditions cannot have changed, so evaluating them
-// would find them true and draw no jitter.
+// would find them true and draw no jitter. A word never spun on costs
+// one load and one branch.
 func (m *Machine) checkSpinners(w *Word) {
-	for _, id := range w.watchers {
+	if w.watch == 0 {
+		return
+	}
+	for _, id := range m.watchers[w.watch] {
 		t := m.threads[id]
 		if t.spinExitEv == nil && !t.spinCond() {
 			t.spinExitEv = m.eq.Schedule(m.clock+m.cfg.Costs.SpinDetect+m.jitter(), t.fnSpinExit)
@@ -355,9 +375,9 @@ func (m *Machine) futexWaitDone(t *Thread) {
 	if m.mem != nil {
 		// The futex's atomic value check reads the word whether the
 		// thread blocks or bails with EAGAIN.
-		m.memAccess(MemLoad, tid(t), req.w, *req.w.p, *req.w.p, false, false)
+		m.memAccess(MemLoad, tid(t), req.w, req.w.v, req.w.v, false, false)
 	}
-	if *req.w.p != req.a {
+	if req.w.v != req.a {
 		t.res = opRes{ok: false}
 		m.finishOp(t)
 		return

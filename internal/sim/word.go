@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // ownerNone marks a cache line not exclusively held by any context;
 // ownerKernel marks a line last written by kernel-side code (tracepoint
 // handlers), which invalidates all user-space copies.
@@ -15,25 +17,34 @@ const (
 // them keeps the step loop off pointer-chased cache lines and out of
 // the GC scan set.
 
-// valChunk is the word-value arena chunk size. Values are allocated in
-// fixed-size chunks so existing *uint64 slots never move on growth.
-const valChunk = 256
-
 // Word handles are handed out from slabs rather than allocated one by
 // one. A slab holds as many handles as the machine already has words,
 // clamped to [wordSlabMin, wordSlabMax], so slabs double from a small
 // first one: a machine with a few dozen words allocates a few small
 // slabs, and one with a hundred thousand allocates one per wordSlabMax
-// words.
+// words. A handle holds no pointer, so the slabs are never scanned by
+// the garbage collector.
 const (
 	wordSlabMin = 8
-	wordSlabMax = valChunk
+	wordSlabMax = 256
 )
+
+// roomFor returns s with room for n more elements, doubling its capacity
+// when short. append grows a large slice by about 1.25x, so a table that
+// a build fills one element at a time (the line arrays, the name tables)
+// would allocate about five times its final size.
+func roomFor[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), n, 16))
+}
 
 // newLine allocates a cache line and returns its dense id.
 func (m *Machine) newLine() int32 {
 	id := int32(len(m.lineOwner))
-	m.lineOwner = append(m.lineOwner, ownerNone)
+	m.lineOwner = append(roomFor(m.lineOwner, 1), ownerNone)
+	m.lineSharers = roomFor(m.lineSharers, int(m.lineStride))
 	for i := int32(0); i < m.lineStride; i++ {
 		m.lineSharers = append(m.lineSharers, 0)
 	}
@@ -80,83 +91,65 @@ func (m *Machine) onlySharerIs(line int32, cpu int) bool {
 // conditions and kernel-side (tracepoint) code; thread code pays costs by
 // going through Proc.Load/Store/CAS/Xchg/Add.
 //
-// A Word is a handle: its value lives in the machine's chunked value
-// arena (w.p points at the slot, stable for the Word's lifetime) and
-// its coherence state in the machine's line arrays, both indexed by the
-// dense allocation ids. Outside internal/sim the Word API is the only
-// way in: the backing arrays are unexported Machine fields.
+// A Word is a handle that lives in a machine-owned slab, at a stable
+// address, and holds its value. Its coherence state lives in the
+// machine's line arrays, its name in the machine's name table (see
+// WordName) and, once it is spun on, its spinners in the machine's
+// watch table, each indexed by a dense id. The handle holds no pointer,
+// string or slice, so it costs 24 bytes and the garbage collector
+// nothing. Outside internal/sim the Word API is the only way in: the
+// fields and the backing arrays are unexported.
 type Word struct {
-	p      *uint64 // value slot in the machine's arena
-	lineID int32   // dense cache-line id in the machine's line arrays
-	id     int32   // dense per-machine allocation index (see Word.ID)
-	name   string
-
-	// watchers are the live spinners (Proc.SpinOn) polling this word, by
-	// thread id, in registration order. A store to the word re-evaluates
-	// only these; see checkSpinners.
-	watchers []int32
+	v      uint64 // the word's value
+	lineID int32  // dense cache-line id in the machine's line arrays
+	id     int32  // dense per-machine allocation index (see Word.ID)
+	// watch indexes the word's list of live spinners (Proc.SpinOn) in
+	// Machine.watchers; 0 until a spinner first watches the word. A
+	// store to the word re-evaluates only these; see checkSpinners.
+	watch int32
 }
 
 // V returns the current raw value without cost accounting. Use only from
 // spin conditions, kernel-side hooks, or post-run inspection.
-func (w *Word) V() uint64 { return *w.p }
+func (w *Word) V() uint64 { return w.v }
 
-// Name returns the debug name given at allocation.
-func (w *Word) Name() string { return w.name }
-
-// ID returns the word's dense allocation index on its machine. IDs make
-// Word-access events serializable (trace recording and offline replay
-// through the race auditor key words by ID, not pointer).
+// ID returns the word's dense allocation index on its machine. Observers
+// key per-word state by it (the race auditor's tables), and
+// Machine.WordName resolves it to the word's name.
 func (w *Word) ID() int32 { return w.id }
 
-// newSlot allocates the value slot for word id, growing the arena by
-// whole chunks so existing slots never move.
-func (m *Machine) newSlot(id int32, init uint64) *uint64 {
-	ci, off := int(id)/valChunk, int(id)%valChunk
-	if ci == len(m.valChunks) {
-		m.valChunks = append(m.valChunks, make([]uint64, valChunk))
-	}
-	p := &m.valChunks[ci][off]
-	*p = init
-	return p
-}
-
-// handle places w in the next free slot of the machine's word slab and
-// returns the stable handle.
-func (m *Machine) handle(w Word) *Word {
+// handle allocates the next word id on line, holding init, and returns
+// its handle from the next free slot of the machine's word slab.
+func (m *Machine) handle(line int32, init uint64) *Word {
+	id := m.nextWord
+	m.nextWord++
 	if len(m.wordSlab) == 0 {
-		m.wordSlab = make([]Word, min(max(len(m.words), wordSlabMin), wordSlabMax))
+		m.wordSlab = make([]Word, min(max(int(id), wordSlabMin), wordSlabMax))
 	}
 	h := &m.wordSlab[0]
-	*h = w
+	*h = Word{v: init, lineID: line, id: id}
 	m.wordSlab = m.wordSlab[1:]
 	return h
 }
 
-// NewWord allocates a Word on its own cache line.
-func (m *Machine) NewWord(name string, init uint64) *Word {
-	id := m.nextWord
-	m.nextWord++
-	w := m.handle(Word{p: m.newSlot(id, init), lineID: m.newLine(), name: name, id: id})
-	m.words = append(m.words, w)
-	return w
+// newWord allocates a Word on its own cache line, named by call nm.
+func (m *Machine) newWord(nm nameRun, init uint64) *Word {
+	m.name(nm)
+	return m.handle(m.newLine(), init)
 }
 
-// NewWords allocates n Words that share a single cache line (for modeling
-// false/true sharing, e.g. the two cache lines touched by the
-// shared-memory-access microbenchmark's critical section). The line is
-// allocated with the first word, so n == 0 allocates none.
-func (m *Machine) NewWords(name string, n int) []*Word {
-	line := int32(-1)
+// newWords allocates n Words that share a single cache line, all named
+// by call nm. The line is allocated with the first word, so n == 0
+// allocates none.
+func (m *Machine) newWords(nm nameRun, n int) []*Word {
+	m.name(nm)
 	ws := make([]*Word, n)
+	line := int32(-1)
 	for i := range ws {
-		id := m.nextWord
-		m.nextWord++
 		if line < 0 {
 			line = m.newLine()
 		}
-		ws[i] = m.handle(Word{p: m.newSlot(id, 0), lineID: line, name: name, id: id})
-		m.words = append(m.words, ws[i])
+		ws[i] = m.handle(line, 0)
 	}
 	return ws
 }
@@ -199,8 +192,8 @@ func (m *Machine) rmwCost(cpu int, w *Word, atomic bool) Time {
 // invalidating user-space copies and re-evaluating spin conditions. It
 // charges no thread cost: hook cost is charged via Costs.HookCost.
 func (m *Machine) KernelStore(w *Word, v uint64) {
-	old := *w.p
-	*w.p = v
+	old := w.v
+	w.v = v
 	m.lineOwner[w.lineID] = ownerKernel
 	m.clearSharers(w.lineID)
 	if m.mem != nil {
@@ -212,13 +205,13 @@ func (m *Machine) KernelStore(w *Word, v uint64) {
 // KernelAdd adds delta to w from kernel-side code and returns the new
 // value. See KernelStore.
 func (m *Machine) KernelAdd(w *Word, delta int64) uint64 {
-	old := *w.p
-	*w.p = uint64(int64(old) + delta)
+	old := w.v
+	w.v = uint64(int64(old) + delta)
 	m.lineOwner[w.lineID] = ownerKernel
 	m.clearSharers(w.lineID)
 	if m.mem != nil {
-		m.memAccess(MemKernel, ownerKernel, w, old, *w.p, true, false)
+		m.memAccess(MemKernel, ownerKernel, w, old, w.v, true, false)
 	}
 	m.checkSpinners(w)
-	return *w.p
+	return w.v
 }

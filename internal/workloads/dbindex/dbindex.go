@@ -98,12 +98,12 @@ func (t *Tree) build(m *sim.Machine, o Options, lo, span int) *node {
 	t.NodeCount++
 	id := t.NodeCount
 	n := &node{
-		lock:   o.NewLock(fmt.Sprintf("idx.n%d", id)),
-		header: m.NewWord(fmt.Sprintf("idx.n%d.hdr", id), 0),
+		lock:   o.NewLock(sim.IndexedName("idx.n", id)),
+		header: m.NewWordAt("idx.n", id, ".hdr", 0),
 		lo:     lo,
 	}
 	if span <= t.leafSpan {
-		n.vals = m.NewWords(fmt.Sprintf("idx.n%d.vals", id), span)
+		n.vals = m.NewWordsAt("idx.n", id, ".vals", span)
 		return n
 	}
 	childSpan := (span + o.Fanout - 1) / o.Fanout

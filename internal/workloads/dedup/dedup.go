@@ -38,7 +38,7 @@ type stripe struct {
 
 // Workload is a built dedup instance.
 type Workload struct {
-	stripes   []*stripe
+	stripes   []stripe
 	outLock   locks.Lock
 	outQueue  *sim.Word
 	inserted  []uint64
@@ -63,17 +63,17 @@ func Build(m *sim.Machine, o Options) *Workload {
 		o.CompressTicks = 600
 	}
 	w := &Workload{
-		stripes:   make([]*stripe, o.Stripes),
+		stripes:   make([]stripe, o.Stripes),
 		outLock:   o.NewLock("dd.out"),
 		outQueue:  m.NewWord("dd.outq", 0),
 		inserted:  make([]uint64, o.Threads),
 		duplicate: make([]uint64, o.Threads),
 	}
 	for i := range w.stripes {
-		w.stripes[i] = &stripe{
-			lock:  o.NewLock(fmt.Sprintf("dd.s%d", i)),
-			count: m.NewWord(fmt.Sprintf("dd.s%d.count", i), 0),
-			entry: m.NewWord(fmt.Sprintf("dd.s%d.entry", i), 0),
+		w.stripes[i] = stripe{
+			lock:  o.NewLock(sim.IndexedName("dd.s", i)),
+			count: m.NewWordAt("dd.s", i, ".count", 0),
+			entry: m.NewWordAt("dd.s", i, ".entry", 0),
 		}
 	}
 	for i := 0; i < o.Threads; i++ {
@@ -89,7 +89,7 @@ func Build(m *sim.Machine, o Options) *Workload {
 				fp, length := ck.NextChunk()
 				p.Compute(o.ChunkTicks * sim.Time(length) / 2048)
 				p.Compute(o.HashTicks * sim.Time(length) / 2048)
-				s := w.stripes[int(fp%uint64(len(w.stripes)))]
+				s := &w.stripes[int(fp%uint64(len(w.stripes)))]
 				// Stage 3: dedup-table probe under the stripe lock.
 				t0 := p.Now()
 				s.lock.Lock(p)

@@ -64,9 +64,9 @@ func Build(m *sim.Machine, o Options) *Workload {
 	}
 	for i := range w.buckets {
 		b := &bucket{
-			lock: o.NewLock(fmt.Sprintf("ht.b%d", i)),
-			keys: m.NewWords(fmt.Sprintf("ht.b%d.keys", i), slotsPerBucket),
-			vals: m.NewWords(fmt.Sprintf("ht.b%d.vals", i), slotsPerBucket),
+			lock: o.NewLock(sim.IndexedName("ht.b", i)),
+			keys: m.NewWordsAt("ht.b", i, ".keys", slotsPerBucket),
+			vals: m.NewWordsAt("ht.b", i, ".vals", slotsPerBucket),
 		}
 		w.buckets[i] = b
 	}

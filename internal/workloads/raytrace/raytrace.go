@@ -60,8 +60,8 @@ func Build(m *sim.Machine, o Options) *Workload {
 		Checksums: make([]float64, o.Threads),
 	}
 	for i := range w.coldLocks {
-		w.coldLocks[i] = o.NewLock(fmt.Sprintf("rt.cold%d", i))
-		w.coldData[i] = m.NewWord(fmt.Sprintf("rt.cold%d.d", i), 0)
+		w.coldLocks[i] = o.NewLock(sim.IndexedName("rt.cold", i))
+		w.coldData[i] = m.NewWordAt("rt.cold", i, ".d", 0)
 	}
 	for i := 0; i < o.Threads; i++ {
 		i := i
