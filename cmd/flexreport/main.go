@@ -81,6 +81,24 @@ func parseGate(s string) (gate, error) {
 	return g, nil
 }
 
+// parseInject parses an -inject term `metric=factor`. The factor must be
+// finite: a NaN scale makes every gate comparison false, so the
+// injected regression would pass the very gate it exists to trip.
+func parseInject(s string) (string, float64, error) {
+	name, factorStr, ok := strings.Cut(s, "=")
+	if !ok {
+		return "", 0, fmt.Errorf("-inject %q: want metric=factor", s)
+	}
+	factor, err := strconv.ParseFloat(factorStr, 64)
+	if err != nil {
+		return "", 0, fmt.Errorf("-inject %q: %v", s, err)
+	}
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return "", 0, fmt.Errorf("-inject %q: factor must be finite", s)
+	}
+	return name, factor, nil
+}
+
 // multiFlag collects a repeatable string flag.
 type multiFlag []string
 
@@ -128,13 +146,9 @@ func main() {
 		fatal(err)
 	}
 	for _, inj := range injects {
-		name, factorStr, ok := strings.Cut(inj, "=")
-		if !ok {
-			fatal(fmt.Errorf("inject %q: want metric=factor", inj))
-		}
-		factor, err := strconv.ParseFloat(factorStr, 64)
+		name, factor, err := parseInject(inj)
 		if err != nil {
-			fatal(fmt.Errorf("inject %q: %v", inj, err))
+			fatal(err)
 		}
 		injected := 0
 		for i := range cur.Runs {
@@ -144,7 +158,7 @@ func main() {
 			}
 		}
 		if injected == 0 {
-			fatal(fmt.Errorf("inject %q: metric %q appears in no run of %s", inj, name, flag.Arg(1)))
+			fatal(fmt.Errorf("-inject %q: metric %q appears in no run of %s", inj, name, flag.Arg(1)))
 		}
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -37,6 +38,22 @@ func TestParseGate(t *testing.T) {
 		}
 		if c.ok && (g.dropBad != c.dropBad || g.pct != c.pct) {
 			t.Errorf("parseGate(%q) = %+v, want dropBad=%v pct=%g", c.in, g, c.dropBad, c.pct)
+		}
+	}
+}
+
+// TestParseInject: a finite factor parses; NaN and ±Inf are rejected
+// naming -inject, since a NaN-scaled metric makes every gate hold.
+func TestParseInject(t *testing.T) {
+	if name, f, err := parseInject("ops_per_sec=0.5"); err != nil || name != "ops_per_sec" || f != 0.5 {
+		t.Fatalf("parseInject(ops_per_sec=0.5) = %q, %v, %v", name, f, err)
+	}
+	for _, s := range []string{
+		"ops_per_sec=NaN", "ops_per_sec=nan", "ops_per_sec=Inf", "ops_per_sec=+Inf",
+		"ops_per_sec=-Inf", "ops_per_sec=infinity", "ops_per_sec=junk", "ops_per_sec",
+	} {
+		if _, _, err := parseInject(s); err == nil || !strings.Contains(err.Error(), "-inject") {
+			t.Errorf("parseInject(%q) = %v, want an error naming -inject", s, err)
 		}
 	}
 }

@@ -55,26 +55,7 @@ const (
 )
 
 // Code returns the sim.Violation* code carried on TraceViolation events.
-func (i Invariant) Code() int32 {
-	switch i {
-	case MutualExclusion:
-		return sim.ViolationMutualExclusion
-	case LostWakeup:
-		return sim.ViolationLostWakeup
-	case Starvation:
-		return sim.ViolationStarvation
-	case StalledWaiter:
-		return sim.ViolationStalledWaiter
-	case Deadlock:
-		return sim.ViolationDeadlock
-	case Conservation:
-		return sim.ViolationConservation
-	case OrphanedLock:
-		return sim.ViolationOrphanedLock
-	default:
-		return 0
-	}
-}
+func (i Invariant) Code() int32 { return sim.ViolationCode(string(i)) }
 
 // Violation is one detected invariant breach.
 type Violation struct {

@@ -113,6 +113,41 @@ func TestCheckerMaxViolationsCap(t *testing.T) {
 	}
 }
 
+// TestViolationCodesRoundTrip: every invariant, and the race auditor's
+// data-race verdict, maps to its fixed trace code and back to its own
+// name through internal/sim's one table, which is how the Perfetto
+// export labels a TraceViolation instant.
+func TestViolationCodesRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		inv  Invariant
+		code int32
+	}{
+		{MutualExclusion, sim.ViolationMutualExclusion},
+		{LostWakeup, sim.ViolationLostWakeup},
+		{Starvation, sim.ViolationStarvation},
+		{StalledWaiter, sim.ViolationStalledWaiter},
+		{Deadlock, sim.ViolationDeadlock},
+		{Conservation, sim.ViolationConservation},
+		{OrphanedLock, sim.ViolationOrphanedLock},
+		{"data-race", sim.ViolationDataRace},
+	} {
+		if got := c.inv.Code(); got != c.code {
+			t.Errorf("%s.Code() = %d, want %d", c.inv, got, c.code)
+		}
+		if got := sim.ViolationCodeName(c.code); got != string(c.inv) {
+			t.Errorf("ViolationCodeName(%d) = %q, want %q", c.code, got, c.inv)
+		}
+	}
+	if got := Invariant("no-such-invariant").Code(); got != 0 {
+		t.Errorf("unknown invariant has code %d, want 0", got)
+	}
+	for _, code := range []int32{0, -1, sim.ViolationOrphanedLock + 1} {
+		if got := sim.ViolationCodeName(code); got != "unknown" {
+			t.Errorf("ViolationCodeName(%d) = %q, want unknown", code, got)
+		}
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Invariant: MutualExclusion, At: 42, Lock: 0, LockName: "L", Thread: 7, Detail: "boom"}
 	s := v.String()

@@ -103,25 +103,7 @@ func NewRuntime(m *sim.Machine, mon *monitor.Monitor) *Runtime {
 		engaged: make([][]*FlexGuard, m.Config().MaxThreads),
 	}
 	m.RegisterKillHook(rt.threadDied)
-	mon.RegisterClassifier(rt.classify)
-	// Next-waiter preemption (§3.2.2): a thread preempted while waiting in
-	// the Phase-1 queue may be handed the MCS lock while off-CPU. The
-	// monitor re-reads its queue node at later context switches and
-	// promotes it to "preempted in CS" the moment its waiting flag clears.
-	mon.RegisterRecheck(monitor.Recheck{
-		Eligible: func(t *sim.Thread) bool {
-			return t.Region == regP1Spin
-		},
-		Check: func(t *sim.Thread) (bool, *sim.Word) {
-			if t.Region != regP1Spin {
-				return false, nil
-			}
-			if n := rt.nodes[t.ID()]; n != nil && n.waiting.V() == 0 {
-				return true, t.MonitorHint
-			}
-			return false, nil
-		},
-	})
+	mon.SetClassifier(rt.classify)
 	return rt
 }
 
@@ -146,27 +128,27 @@ func (rt *Runtime) node(id int) *QNode {
 // classify implements the monitor.Classifier for the FlexGuard lock
 // family: the sched_switch-time decision of Listing 1 generalized to the
 // regions of Listing 2.
-func (rt *Runtime) classify(t *sim.Thread) (bool, *sim.Word) {
+func (rt *Runtime) classify(t *sim.Thread) (bool, *sim.Word, bool) {
 	switch t.Region {
 	case regMCSHolder, regAcquired, regUnlock:
-		return true, t.MonitorHint
+		return true, t.MonitorHint, false
 	case regFastCAS, regP2CAS:
-		return t.Reg == Unlocked, t.MonitorHint
+		return t.Reg == Unlocked, t.MonitorHint, false
 	case regP2Swap:
 		// The swap acquired the lock if the previous value was Unlocked
 		// — or OwnerDied, the crash-only takeover of a dead owner.
-		return t.Reg == Unlocked || t.Reg == OwnerDied, t.MonitorHint
+		return t.Reg == Unlocked || t.Reg == OwnerDied, t.MonitorHint, false
 	case regClaim:
-		return t.Reg == OwnerDied, t.MonitorHint
+		return t.Reg == OwnerDied, t.MonitorHint, false
 	case regTailXchg:
-		return t.Reg == 0, t.MonitorHint
+		return t.Reg == 0, t.MonitorHint, false
 	case regP1Spin:
-		// The predecessor may have handed the MCS lock over while this
-		// thread was running its spin loop: it is the MCS holder iff its
-		// waiting flag has been cleared.
-		if n := rt.nodes[t.ID()]; n != nil {
-			return n.waiting.V() == 0, t.MonitorHint
-		}
+		// The predecessor may hand the MCS lock over at any time, also
+		// while this thread is off-CPU (next-waiter preemption, §3.2.2):
+		// it is the MCS holder iff its waiting flag has been cleared, and
+		// the monitor re-reads the flag at later switches.
+		n := rt.nodes[t.ID()]
+		return n != nil && n.waiting.V() == 0, t.MonitorHint, true
 	}
-	return false, nil
+	return false, nil, false
 }

@@ -54,7 +54,7 @@ func Apply(m *sim.Machine, mon *monitor.Monitor, plan Plan, seed uint64) *Inject
 	}
 	if mon != nil && plan.DegradesMonitor() {
 		mon.Degrade(&monitor.Degradation{
-			DelaySwitches: plan.NPCSDelay,
+			DelaySwitches: int(plan.NPCSDelay),
 			DropProb:      plan.DropSwitchProb,
 			DetachAfter:   plan.DetachAfter,
 			StuckEnabled:  plan.StuckEnabled,
@@ -119,7 +119,7 @@ func (i *Injector) SpuriousWakeDelay(t *sim.Thread) sim.Time {
 // crashBudget is the total kills this plan may perform.
 func (i *Injector) crashBudget() int64 {
 	if i.plan.CrashMax > 0 {
-		return int64(i.plan.CrashMax)
+		return i.plan.CrashMax
 	}
 	return 1
 }

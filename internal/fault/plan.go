@@ -13,6 +13,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -47,7 +48,7 @@ type Plan struct {
 	SpuriousWakeAfter sim.Time
 
 	// Monitor degradation (see monitor.Degradation).
-	NPCSDelay      int     // NPCS updates delayed by k sched switches
+	NPCSDelay      int64   // NPCS updates delayed by k sched switches
 	DropSwitchProb float64 // fraction of sched_switch events dropped
 	DetachAfter    int64   // monitor detaches after this many switches
 	StuckEnabled   bool    // pin NPCS to StuckNPCS
@@ -63,7 +64,7 @@ type Plan struct {
 	CrashQueueProb   float64  // crash at a boundary while waiting (spinning/enqueued) for a lock
 	CrashParkedProb  float64  // crash a waiter just parked on a futex
 	CrashParkedAfter sim.Time // delay before a parked crash fires (default 5000 when zero)
-	CrashMax         int      // kill budget per run
+	CrashMax         int64    // kill budget per run
 }
 
 // IsZero reports whether the plan perturbs nothing.
@@ -87,63 +88,119 @@ func (p Plan) DegradesMonitor() bool {
 	return p.NPCSDelay > 0 || p.DropSwitchProb > 0 || p.DetachAfter > 0 || p.StuckEnabled
 }
 
+// planKey is one key of the plan grammar. String renders the keys in
+// planKeys order, ParsePlan looks them up there, and Shrink's reductions
+// drop and halve them from it, so a new key is one row.
+type planKey struct {
+	name string
+	// The field the key sets: a probability or fraction in [0, 1], or a
+	// non-negative tick count or budget. The stuck row has neither: it
+	// sets StuckEnabled and StuckNPCS, see format, parse, clear and halve.
+	prob  func(*Plan) *float64
+	count func(*Plan) *int64
+	// of names the key this one qualifies. Dropping that key drops this
+	// one too; a qualifier is never dropped or halved on its own.
+	of string
+}
+
+var planKeys = []planKey{
+	{name: "jitter", prob: func(p *Plan) *float64 { return &p.SliceJitterPct }},
+	{name: "preempt-any", prob: func(p *Plan) *float64 { return &p.PreemptAnyProb }},
+	{name: "preempt-window", prob: func(p *Plan) *float64 { return &p.PreemptWindowProb }},
+	{name: "preempt-cs", prob: func(p *Plan) *float64 { return &p.PreemptCSProb }},
+	{name: "wake-delay", count: func(p *Plan) *int64 { return &p.WakeDelay }},
+	{name: "spurious", prob: func(p *Plan) *float64 { return &p.SpuriousWakeProb }},
+	{name: "spurious-after", count: func(p *Plan) *int64 { return &p.SpuriousWakeAfter }, of: "spurious"},
+	{name: "npcs-delay", count: func(p *Plan) *int64 { return &p.NPCSDelay }},
+	{name: "drop", prob: func(p *Plan) *float64 { return &p.DropSwitchProb }},
+	{name: "detach", count: func(p *Plan) *int64 { return &p.DetachAfter }},
+	{name: "stuck"},
+	{name: "crash-hold", prob: func(p *Plan) *float64 { return &p.CrashHoldProb }},
+	{name: "crash-window", prob: func(p *Plan) *float64 { return &p.CrashWindowProb }},
+	{name: "crash-queue", prob: func(p *Plan) *float64 { return &p.CrashQueueProb }},
+	{name: "crash-parked", prob: func(p *Plan) *float64 { return &p.CrashParkedProb }},
+	{name: "crash-parked-after", count: func(p *Plan) *int64 { return &p.CrashParkedAfter }, of: "crash-parked"},
+	// Dropping crash-max restores the single-kill default budget.
+	{name: "crash-max", count: func(p *Plan) *int64 { return &p.CrashMax }},
+}
+
+// format renders k's value in p, or "" when p leaves k unset.
+func (k planKey) format(p *Plan) string {
+	switch {
+	case k.prob != nil:
+		if x := *k.prob(p); x > 0 {
+			return strconv.FormatFloat(x, 'g', -1, 64)
+		}
+	case k.count != nil:
+		if n := *k.count(p); n > 0 {
+			return strconv.FormatInt(n, 10)
+		}
+	default: // stuck
+		if p.StuckEnabled {
+			return strconv.FormatUint(p.StuckNPCS, 10)
+		}
+	}
+	return ""
+}
+
+// parse sets k's field in p from v, rejecting a value outside its range.
+func (k planKey) parse(p *Plan, v string) error {
+	switch {
+	case k.prob != nil:
+		x, err := strconv.ParseFloat(v, 64)
+		if err == nil && !(x >= 0 && x <= 1) { // NaN fails both comparisons
+			err = fmt.Errorf("%v is outside [0, 1]", x)
+		}
+		*k.prob(p) = x
+		return err
+	case k.count != nil:
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err == nil && n < 0 {
+			err = fmt.Errorf("%d is negative", n)
+		}
+		*k.count(p) = n
+		return err
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	p.StuckEnabled, p.StuckNPCS = true, n
+	return err
+}
+
+// clear unsets k in p.
+func (k planKey) clear(p *Plan) {
+	switch {
+	case k.prob != nil:
+		*k.prob(p) = 0
+	case k.count != nil:
+		*k.count(p) = 0
+	default:
+		p.StuckEnabled, p.StuckNPCS = false, 0
+	}
+}
+
+// halve halves k's magnitude in p, reporting false for stuck, which has
+// none.
+func (k planKey) halve(p *Plan) bool {
+	switch {
+	case k.prob != nil:
+		*k.prob(p) = trimF(*k.prob(p))
+	case k.count != nil:
+		*k.count(p) /= 2
+	default:
+		return false
+	}
+	return true
+}
+
 // String renders the plan as its one-line replay spec: "none" for the
-// zero plan, otherwise comma-separated key=value pairs in fixed order.
-// ParsePlan inverts it.
+// zero plan, otherwise comma-separated key=value pairs in planKeys
+// order. ParsePlan inverts it.
 func (p Plan) String() string {
 	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	if p.SliceJitterPct > 0 {
-		add("jitter", f(p.SliceJitterPct))
-	}
-	if p.PreemptAnyProb > 0 {
-		add("preempt-any", f(p.PreemptAnyProb))
-	}
-	if p.PreemptWindowProb > 0 {
-		add("preempt-window", f(p.PreemptWindowProb))
-	}
-	if p.PreemptCSProb > 0 {
-		add("preempt-cs", f(p.PreemptCSProb))
-	}
-	if p.WakeDelay > 0 {
-		add("wake-delay", strconv.FormatInt(int64(p.WakeDelay), 10))
-	}
-	if p.SpuriousWakeProb > 0 {
-		add("spurious", f(p.SpuriousWakeProb))
-	}
-	if p.SpuriousWakeAfter > 0 {
-		add("spurious-after", strconv.FormatInt(int64(p.SpuriousWakeAfter), 10))
-	}
-	if p.NPCSDelay > 0 {
-		add("npcs-delay", strconv.Itoa(p.NPCSDelay))
-	}
-	if p.DropSwitchProb > 0 {
-		add("drop", f(p.DropSwitchProb))
-	}
-	if p.DetachAfter > 0 {
-		add("detach", strconv.FormatInt(p.DetachAfter, 10))
-	}
-	if p.StuckEnabled {
-		add("stuck", strconv.FormatUint(p.StuckNPCS, 10))
-	}
-	if p.CrashHoldProb > 0 {
-		add("crash-hold", f(p.CrashHoldProb))
-	}
-	if p.CrashWindowProb > 0 {
-		add("crash-window", f(p.CrashWindowProb))
-	}
-	if p.CrashQueueProb > 0 {
-		add("crash-queue", f(p.CrashQueueProb))
-	}
-	if p.CrashParkedProb > 0 {
-		add("crash-parked", f(p.CrashParkedProb))
-	}
-	if p.CrashParkedAfter > 0 {
-		add("crash-parked-after", strconv.FormatInt(int64(p.CrashParkedAfter), 10))
-	}
-	if p.CrashMax > 0 {
-		add("crash-max", strconv.Itoa(p.CrashMax))
+	for _, k := range planKeys {
+		if v := k.format(&p); v != "" {
+			parts = append(parts, k.name+"="+v)
+		}
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -169,73 +226,11 @@ func ParsePlan(s string) (Plan, error) {
 		if !found {
 			return Plan{}, fmt.Errorf("fault: bad plan term %q (want key=value)", kv)
 		}
-		pf := func() (float64, error) {
-			x, err := strconv.ParseFloat(v, 64)
-			if err == nil && !(x >= 0 && x <= 1) { // NaN fails both comparisons
-				err = fmt.Errorf("%v is outside [0, 1]", x)
-			}
-			return x, err
-		}
-		pi := func() (int64, error) {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err == nil && n < 0 {
-				err = fmt.Errorf("%d is negative", n)
-			}
-			return n, err
-		}
-		var err error
-		switch k {
-		case "jitter":
-			p.SliceJitterPct, err = pf()
-		case "preempt-any":
-			p.PreemptAnyProb, err = pf()
-		case "preempt-window":
-			p.PreemptWindowProb, err = pf()
-		case "preempt-cs":
-			p.PreemptCSProb, err = pf()
-		case "wake-delay":
-			var n int64
-			n, err = pi()
-			p.WakeDelay = sim.Time(n)
-		case "spurious":
-			p.SpuriousWakeProb, err = pf()
-		case "spurious-after":
-			var n int64
-			n, err = pi()
-			p.SpuriousWakeAfter = sim.Time(n)
-		case "npcs-delay":
-			var n int64
-			n, err = pi()
-			p.NPCSDelay = int(n)
-		case "drop":
-			p.DropSwitchProb, err = pf()
-		case "detach":
-			p.DetachAfter, err = pi()
-		case "stuck":
-			var n uint64
-			n, err = strconv.ParseUint(v, 10, 64)
-			p.StuckEnabled = true
-			p.StuckNPCS = n
-		case "crash-hold":
-			p.CrashHoldProb, err = pf()
-		case "crash-window":
-			p.CrashWindowProb, err = pf()
-		case "crash-queue":
-			p.CrashQueueProb, err = pf()
-		case "crash-parked":
-			p.CrashParkedProb, err = pf()
-		case "crash-parked-after":
-			var n int64
-			n, err = pi()
-			p.CrashParkedAfter = sim.Time(n)
-		case "crash-max":
-			var n int64
-			n, err = pi()
-			p.CrashMax = int(n)
-		default:
+		i := slices.IndexFunc(planKeys, func(pk planKey) bool { return pk.name == k })
+		if i < 0 {
 			return Plan{}, fmt.Errorf("fault: unknown plan key %q", k)
 		}
-		if err != nil {
+		if err := planKeys[i].parse(&p, v); err != nil {
 			return Plan{}, fmt.Errorf("fault: bad value for %q: %v", k, err)
 		}
 	}
@@ -328,7 +323,7 @@ func FromBits(bits uint64) Plan {
 	p.PreemptCSProb = float64(take(3)) / 32
 	p.WakeDelay = sim.Time(take(4)) * 2_000 // 0 .. 30k ticks
 	p.SpuriousWakeProb = float64(take(3)) / 16
-	p.NPCSDelay = int(take(3))
+	p.NPCSDelay = int64(take(3))
 	p.DropSwitchProb = float64(take(3)) / 16
 	if take(1) == 1 {
 		p.DetachAfter = int64(take(5)+1) * 50
@@ -367,80 +362,31 @@ func Shrink(p Plan, fails func(Plan) bool) Plan {
 }
 
 // reductions proposes strictly smaller candidate plans, most aggressive
-// first (drop a whole fault before halving it).
+// first: drop each key with the keys that qualify it, then halve each
+// magnitude. A candidate equal to an earlier one is skipped.
 func reductions(p Plan) []Plan {
 	var out []Plan
 	add := func(c Plan) {
-		if c != p {
+		if c != p && !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
-	// Drop each fault entirely.
-	for _, zero := range []func(*Plan){
-		func(c *Plan) { c.SliceJitterPct = 0 },
-		func(c *Plan) { c.PreemptAnyProb = 0 },
-		func(c *Plan) { c.PreemptWindowProb = 0 },
-		func(c *Plan) { c.PreemptCSProb = 0 },
-		func(c *Plan) { c.WakeDelay = 0 },
-		func(c *Plan) { c.SpuriousWakeProb = 0; c.SpuriousWakeAfter = 0 },
-		func(c *Plan) { c.NPCSDelay = 0 },
-		func(c *Plan) { c.DropSwitchProb = 0 },
-		func(c *Plan) { c.DetachAfter = 0 },
-		func(c *Plan) { c.StuckEnabled = false; c.StuckNPCS = 0 },
-		func(c *Plan) { c.CrashHoldProb = 0 },
-		func(c *Plan) { c.CrashWindowProb = 0 },
-		func(c *Plan) { c.CrashQueueProb = 0 },
-		func(c *Plan) { c.CrashParkedProb = 0; c.CrashParkedAfter = 0 },
-		func(c *Plan) { c.CrashMax = 0 }, // back to the single-kill default budget
-	} {
+	for _, k := range planKeys {
+		if k.of != "" {
+			continue
+		}
 		c := p
-		zero(&c)
+		for _, q := range planKeys {
+			if q.name == k.name || q.of == k.name {
+				q.clear(&c)
+			}
+		}
 		add(c)
 	}
-	// Halve each magnitude.
-	c := p
-	c.SliceJitterPct = trimF(p.SliceJitterPct)
-	add(c)
-	c = p
-	c.PreemptAnyProb = trimF(p.PreemptAnyProb)
-	add(c)
-	c = p
-	c.PreemptWindowProb = trimF(p.PreemptWindowProb)
-	add(c)
-	c = p
-	c.PreemptCSProb = trimF(p.PreemptCSProb)
-	add(c)
-	c = p
-	c.WakeDelay = p.WakeDelay / 2
-	add(c)
-	c = p
-	c.SpuriousWakeProb = trimF(p.SpuriousWakeProb)
-	add(c)
-	c = p
-	c.NPCSDelay = p.NPCSDelay / 2
-	add(c)
-	c = p
-	c.DropSwitchProb = trimF(p.DropSwitchProb)
-	add(c)
-	c = p
-	c.DetachAfter = p.DetachAfter / 2
-	add(c)
-	c = p
-	c.CrashHoldProb = trimF(p.CrashHoldProb)
-	add(c)
-	c = p
-	c.CrashWindowProb = trimF(p.CrashWindowProb)
-	add(c)
-	c = p
-	c.CrashQueueProb = trimF(p.CrashQueueProb)
-	add(c)
-	c = p
-	c.CrashParkedProb = trimF(p.CrashParkedProb)
-	add(c)
-	c = p
-	if p.CrashMax > 1 {
-		c.CrashMax = p.CrashMax / 2
-		add(c)
+	for _, k := range planKeys {
+		if c := p; k.of == "" && k.halve(&c) {
+			add(c)
+		}
 	}
 	return out
 }

@@ -160,3 +160,62 @@ func TestShrinkKeepsFailingPlan(t *testing.T) {
 		t.Fatalf("irrelevant spurious-wake fault kept: %+v", min)
 	}
 }
+
+// TestReductionsPinned: Shrink's candidate list for every preset, in
+// order: each key dropped with its qualifiers, then each magnitude
+// halved, and no candidate twice.
+func TestReductionsPinned(t *testing.T) {
+	want := map[string][]string{
+		"none":            {},
+		"slice-jitter":    {"none", "jitter=0.25"},
+		"preempt-any":     {"none", "preempt-any=0.005"},
+		"preempt-window":  {"preempt-cs=0.05", "preempt-window=0.1", "preempt-window=0.05,preempt-cs=0.05", "preempt-window=0.1,preempt-cs=0.025"},
+		"wake-storm":      {"spurious=0.25", "wake-delay=20000", "wake-delay=10000,spurious=0.25", "wake-delay=20000,spurious=0.125"},
+		"degraded-delay":  {"none", "npcs-delay=4"},
+		"degraded-drop":   {"none", "drop=0.25"},
+		"degraded-detach": {"none", "detach=100"},
+		"degraded-stuck":  {"none"},
+		"degraded-stuck0": {"none"},
+		"chaos": {
+			"preempt-any=0.005,preempt-cs=0.05,wake-delay=5000,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-cs=0.05,wake-delay=5000,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,wake-delay=5000,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.05,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.05,wake-delay=5000,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.05,wake-delay=5000,spurious=0.1",
+			"jitter=0.15,preempt-any=0.005,preempt-cs=0.05,wake-delay=5000,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.0025,preempt-cs=0.05,wake-delay=5000,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.025,wake-delay=5000,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.05,wake-delay=2500,spurious=0.1,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.05,wake-delay=5000,spurious=0.05,drop=0.25",
+			"jitter=0.3,preempt-any=0.005,preempt-cs=0.05,wake-delay=5000,spurious=0.1,drop=0.125",
+		},
+		"crash-hold":     {"none", "crash-hold=0.5"},
+		"crash-queue":    {"none", "crash-queue=0.1"},
+		"crash-parked":   {"none", "crash-parked=0.25"},
+		"crash-handover": {"none", "crash-window=0.15"},
+		"crash-storm": {
+			"crash-queue=0.05,crash-parked=0.2,crash-max=3",
+			"crash-hold=0.05,crash-parked=0.2,crash-max=3",
+			"crash-hold=0.05,crash-queue=0.05,crash-max=3",
+			"crash-hold=0.05,crash-queue=0.05,crash-parked=0.2",
+			"crash-hold=0.025,crash-queue=0.05,crash-parked=0.2,crash-max=3",
+			"crash-hold=0.05,crash-queue=0.025,crash-parked=0.2,crash-max=3",
+			"crash-hold=0.05,crash-queue=0.05,crash-parked=0.1,crash-max=3",
+			"crash-hold=0.05,crash-queue=0.05,crash-parked=0.2,crash-max=1",
+		},
+	}
+	presets := append(Plans(), CrashPlans()...)
+	if len(want) != len(presets) {
+		t.Fatalf("%d pinned presets, %d presets", len(want), len(presets))
+	}
+	for _, np := range presets {
+		var got []string
+		for _, c := range reductions(np.Plan) {
+			got = append(got, c.String())
+		}
+		if strings.Join(got, " | ") != strings.Join(want[np.Name], " | ") {
+			t.Errorf("%s: reductions\n got %q\nwant %q", np.Name, got, want[np.Name])
+		}
+	}
+}

@@ -165,10 +165,13 @@ func threadSweep(n int) []int {
 	return out
 }
 
-// averageRuns runs fn over o.Seeds seeds and averages throughput/latency.
+// averageRuns runs fn over o.Seeds seeds and returns the seed mean of
+// every metric a figure prints or Metrics reports, rounding integer
+// counters down. Per-run artifacts — the trace digest, the flight-recorder
+// series, the per-lock table and its hold/handover summaries — are the
+// last seed's.
 func averageRuns(o ExpOptions, fn func(seed uint64) (Result, error)) (Result, error) {
-	var acc Result
-	var lat, ops, fair float64
+	var acc, sum Result
 	for s := 0; s < o.Seeds; s++ {
 		r, err := fn(uint64(1000*s + 7))
 		if err != nil {
@@ -183,14 +186,36 @@ func averageRuns(o ExpOptions, fn func(seed uint64) (Result, error)) (Result, er
 			return r, nil
 		}
 		acc = r
-		lat += r.MeanLatUS
-		ops += r.OpsPerSec
-		fair += r.Fairness
+		sf, rf := meanFloats(&sum), meanFloats(&r)
+		for i := range sf {
+			*sf[i] += *rf[i]
+		}
+		sc, rc := meanCounts(&sum), meanCounts(&r)
+		for i := range sc {
+			*sc[i] += *rc[i]
+		}
 	}
-	acc.MeanLatUS = lat / float64(o.Seeds)
-	acc.OpsPerSec = ops / float64(o.Seeds)
-	acc.Fairness = fair / float64(o.Seeds)
+	sf, af := meanFloats(&sum), meanFloats(&acc)
+	for i := range af {
+		*af[i] = *sf[i] / float64(o.Seeds)
+	}
+	sc, ac := meanCounts(&sum), meanCounts(&acc)
+	for i := range ac {
+		*ac[i] = *sc[i] / int64(o.Seeds)
+	}
 	return acc, nil
+}
+
+// meanFloats and meanCounts list the Result fields averageRuns averages.
+func meanFloats(r *Result) []*float64 {
+	return []*float64{&r.OpsPerSec, &r.MeanLatUS, &r.P99LatUS, &r.Fairness}
+}
+
+func meanCounts(r *Result) []*int64 {
+	return []*int64{
+		&r.Ops, &r.SpinIters, &r.Preempt, &r.CSPreempt, &r.PolicySpinToBlock, &r.PolicyBlockToSpin,
+		&r.Acquires, &r.Handovers, &r.SpinStarts, &r.Blocks, &r.Wakes, &r.SpinToBlock, &r.BlockToSpin,
+	}
 }
 
 func header(w io.Writer, title string, threads []int, unit string) {

@@ -6,7 +6,10 @@ package harness
 // numbers next to the paper's.
 
 import (
-	"io"
+	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -286,7 +289,12 @@ func TestShapeFlexGuardBeatsBlockingOnApps(t *testing.T) {
 }
 
 // TestExperimentCatalogRuns: every experiment in the catalog executes at a
-// tiny scale without error (output discarded).
+// tiny scale without error, and the whole catalog prints exactly the text
+// recorded in testdata/catalog.golden, one "=== experiment ID" section
+// per experiment. A change that moves any figure's output fails here
+// until the golden is reviewed and regenerated with
+//
+//	go test ./internal/harness -run TestExperimentCatalogRuns -update
 func TestExperimentCatalogRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog smoke test is slow")
@@ -297,14 +305,49 @@ func TestExperimentCatalogRuns(t *testing.T) {
 		Seeds:    1,
 		Algs:     []string{"blocking", "mcs", "flexguard"},
 	}
+	const path = "testdata/catalog.golden"
+	var all bytes.Buffer
+	ran := 0
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if err := e.Run(o, io.Discard); err != nil {
+			var out bytes.Buffer
+			if err := e.Run(o, &out); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
+			fmt.Fprintf(&all, "=== experiment %s\n%s", e.ID, out.Bytes())
+			ran++
 		})
 	}
+	if ran < len(Experiments()) {
+		t.Logf("ran %d of %d experiments; %s is compared over the whole catalog only", ran, len(Experiments()), path)
+		return
+	}
+	if *update {
+		if err := os.WriteFile(path, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if all.String() == string(want) {
+		return
+	}
+	got, exp := strings.Split(all.String(), "\n"), strings.Split(string(want), "\n")
+	section := ""
+	for i := 0; i < len(got) && i < len(exp); i++ {
+		if got[i] != exp[i] {
+			t.Fatalf("output differs from %s at line %d (%s):\n got: %q\nwant: %q", path, i+1, section, got[i], exp[i])
+		}
+		if strings.HasPrefix(got[i], "=== experiment ") {
+			section = got[i]
+		}
+	}
+	t.Fatalf("output has %d lines, %s %d", len(got), path, len(exp))
 }
 
 func TestFindExperiment(t *testing.T) {

@@ -70,9 +70,9 @@ func (mo *Monitor) EnableHealthCheck(lag, stuck int64) {
 	mo.health = healthState{enabled: true, lagThreshold: lag, stuckThreshold: stuck}
 }
 
-// MarkStale raises the stale flag (idempotent). reason is one of the
+// markStale raises the stale flag (idempotent). reason is one of the
 // sim.Stale* codes carried on the TraceMonitorStale event.
-func (mo *Monitor) MarkStale(reason int32) {
+func (mo *Monitor) markStale(reason int32) {
 	if mo.stale.V() != 0 {
 		return
 	}
@@ -120,14 +120,14 @@ func (mo *Monitor) healthTick() {
 		return
 	}
 	if mo.HookSeen-mo.Processed > h.lagThreshold {
-		mo.MarkStale(sim.StaleEventLoss)
+		mo.markStale(sim.StaleEventLoss)
 		return
 	}
 	v := mo.global.V()
 	if v != 0 && v == h.lastNPCS {
 		h.stuckFor++
 		if h.stuckFor > h.stuckThreshold {
-			mo.MarkStale(sim.StaleCounterStuck)
+			mo.markStale(sim.StaleCounterStuck)
 		}
 		return
 	}

@@ -17,22 +17,28 @@ import "repro/internal/sim"
 // Classifier decides whether a thread being switched out with CSCounter==0
 // is nonetheless inside a lock-function window where the lock is held
 // (the at_xchg/at_break/at_store label logic of Listing 1). It is
-// lock-algorithm specific and registered by the lock implementation.
+// lock-algorithm specific and set by the lock implementation.
 //
 // The returned counter selects which num_preempted_cs word the preemption
 // is charged to; nil selects the system-wide counter. Only the per-lock
 // ablation mode (paper §3.2.2) returns non-nil counters.
-type Classifier func(t *sim.Thread) (inCS bool, counter *sim.Word)
+//
+// recheck reports that the thread is in a window whose verdict can change
+// while it is off-CPU: a thread preempted while waiting in an MCS queue
+// may be handed the lock before it runs again (§3.2.2's next-waiter
+// preemption), and no sched_switch fires for it then. The monitor
+// re-classifies such a thread at later switches and marks it when it
+// classifies as in-CS while still in a recheck window.
+type Classifier func(t *sim.Thread) (inCS bool, counter *sim.Word, recheck bool)
 
 // Monitor is the Preemption Monitor instance attached to one machine.
 type Monitor struct {
-	m           *sim.Machine
-	global      *sim.Word
-	classifiers []Classifier
-	rechecks    []Recheck
-	pending     []*sim.Thread // preempted threads eligible for re-checking
-	perLock     bool
-	chargedTo   map[*sim.Thread]*sim.Word // which counter a mark was charged to
+	m         *sim.Machine
+	global    *sim.Word
+	classify  Classifier    // nil: only cs_counter marks a thread
+	pending   []*sim.Thread // preempted threads in a recheck window
+	perLock   bool
+	chargedTo map[*sim.Thread]*sim.Word // which counter a mark was charged to
 
 	stale  *sim.Word    // health flag read by lock algorithms (0 = fresh)
 	deg    *Degradation // active fault-injection mode, nil when healthy
@@ -95,33 +101,14 @@ func (mo *Monitor) NPCS() *sim.Word { return mo.global }
 // PerLock reports whether the per-lock ablation mode is active.
 func (mo *Monitor) PerLock() bool { return mo.perLock }
 
-// RegisterClassifier adds a lock-family classifier consulted for threads
+// SetClassifier sets the lock-family classifier consulted for threads
 // whose cs_counter is zero at switch-out time.
-func (mo *Monitor) RegisterClassifier(c Classifier) {
-	mo.classifiers = append(mo.classifiers, c)
-}
-
-// Recheck handles next-waiter preemptions that materialize after the
-// switch (§3.2.2): a thread preempted while waiting in the MCS queue may
-// be handed the MCS lock while off-CPU — it is then a preempted MCS
-// holder, stalling the queue, but no sched_switch fires for it. Eligible
-// marks a just-preempted thread for re-examination; Check re-reads its
-// user-space queue state (eBPF can read user memory) on subsequent
-// context switches and reports when it has become an in-CS thread.
-type Recheck struct {
-	Eligible func(t *sim.Thread) bool
-	Check    func(t *sim.Thread) (inCS bool, counter *sim.Word)
-}
-
-// RegisterRecheck adds a lock-family recheck rule.
-func (mo *Monitor) RegisterRecheck(r Recheck) {
-	mo.rechecks = append(mo.rechecks, r)
-}
+func (mo *Monitor) SetClassifier(c Classifier) { mo.classify = c }
 
 // process is the real tracepoint handler body — the structure mirrors
-// Listing 1, plus the pending-thread re-examination for next-waiter
-// preemptions. schedSwitch (degrade.go) decides whether/when each event
-// reaches it.
+// Listing 1, plus the re-examination of threads preempted in a recheck
+// window (next-waiter preemptions). schedSwitch (degrade.go) decides
+// whether/when each event reaches it.
 func (mo *Monitor) process(prev, next *sim.Thread) {
 	// If next was previously preempted in a critical section, it is now
 	// back on CPU: clear the mark and decrement the counter.
@@ -144,30 +131,21 @@ func (mo *Monitor) process(prev, next *sim.Thread) {
 	}
 	inCS := prev.CSCounter > 0 // values > 1 indicate nesting
 	var counter *sim.Word
+	recheck := false
 	if !inCS {
 		// cs_counter == 0: consult the label windows inside the lock
 		// functions (preemption address + register checks).
-		for _, c := range mo.classifiers {
-			if in, w := c(prev); in {
-				inCS = true
-				counter = w
-				break
-			}
+		if mo.classify != nil {
+			inCS, counter, recheck = mo.classify(prev)
 		}
 	} else if mo.perLock {
 		counter = prev.MonitorHint
 	}
 	if inCS {
 		mo.mark(prev, counter)
-		return
-	}
-	// Not currently in CS: it may still become the MCS holder while
-	// off-CPU; remember it for re-examination if a lock family asks.
-	for _, r := range mo.rechecks {
-		if r.Eligible(prev) {
-			mo.pending = append(mo.pending, prev)
-			return
-		}
+	} else if recheck {
+		// Not in CS yet, but it may become the MCS holder while off-CPU.
+		mo.pending = append(mo.pending, prev)
 	}
 }
 
@@ -185,8 +163,11 @@ func (mo *Monitor) mark(t *sim.Thread, counter *sim.Word) {
 	mo.InCSPreemptions++
 }
 
-// recheckPending re-examines preempted queue waiters: one of them may
-// have been handed the MCS lock while off-CPU.
+// recheckPending re-classifies preempted threads left in a recheck
+// window: one of them may have been handed the MCS lock while off-CPU.
+// A thread is promoted only while it still classifies from a recheck
+// window; a thread whose switch-in the handler never saw (a dropped or
+// delayed event) may have run on into another window since.
 func (mo *Monitor) recheckPending() {
 	if len(mo.pending) == 0 {
 		return
@@ -196,17 +177,11 @@ func (mo *Monitor) recheckPending() {
 		if t.State() == sim.StateDone || t.MonitorMark {
 			continue
 		}
-		promoted := false
-		for _, r := range mo.rechecks {
-			if in, w := r.Check(t); in {
-				mo.mark(t, w)
-				promoted = true
-				break
-			}
+		if in, w, recheck := mo.classify(t); in && recheck {
+			mo.mark(t, w)
+			continue
 		}
-		if !promoted {
-			kept = append(kept, t)
-		}
+		kept = append(kept, t)
 	}
 	mo.pending = kept
 }

@@ -113,8 +113,8 @@ func TestClassifierWindow(t *testing.T) {
 	const regWin sim.Region = 42
 	m := newSmall(t, 1)
 	mo := Attach(m)
-	mo.RegisterClassifier(func(th *sim.Thread) (bool, *sim.Word) {
-		return th.Region == regWin && th.Reg == 0, nil
+	mo.SetClassifier(func(th *sim.Thread) (bool, *sim.Word, bool) {
+		return th.Region == regWin && th.Reg == 0, nil, false
 	})
 	w := m.NewWord("lock", 0)
 	m.Spawn("locker", func(p *sim.Proc) {
@@ -153,8 +153,8 @@ func TestPerLockCounters(t *testing.T) {
 	}
 	lockCtr := m.NewWord("lockA.npcs", 0)
 	const regWin sim.Region = 9
-	mo.RegisterClassifier(func(th *sim.Thread) (bool, *sim.Word) {
-		return th.Region == regWin, lockCtr
+	mo.SetClassifier(func(th *sim.Thread) (bool, *sim.Word, bool) {
+		return th.Region == regWin, lockCtr, false
 	})
 	var sawPerLock bool
 	m.RegisterSwitchHook(func(prev, next *sim.Thread) {
@@ -208,5 +208,84 @@ func TestNestedCS(t *testing.T) {
 	m.Run(2_000_000)
 	if maxNPCS != 1 {
 		t.Fatalf("nested CS counted %d times, want 1", maxNPCS)
+	}
+}
+
+// TestRecheckPromotion drives the handler by hand through next-waiter
+// preemptions: a thread switched out in a recheck window before its
+// verdict turns in-CS is marked at a later switch once it does, and not
+// before; it is promoted only while it is still in a recheck window; and
+// a switch-in takes it off the pending set.
+func TestRecheckPromotion(t *testing.T) {
+	const (
+		regWait  sim.Region = 1 // queue wait: in CS once handed the lock
+		regOther sim.Region = 2 // a held-lock window with a fixed verdict
+	)
+	m := newSmall(t, 1)
+	mo := Attach(m)
+	handed := false
+	mo.SetClassifier(func(th *sim.Thread) (bool, *sim.Word, bool) {
+		switch th.Region {
+		case regWait:
+			return handed, nil, true
+		case regOther:
+			return true, nil, false
+		}
+		return false, nil, false
+	})
+	idle := func(p *sim.Proc) {}
+	a, b, c := m.Spawn("waiter", idle), m.Spawn("b", idle), m.Spawn("c", idle)
+	marked := func(step string, want bool) {
+		t.Helper()
+		if a.MonitorMark != want {
+			t.Fatalf("%s: waiter marked = %v, want %v", step, a.MonitorMark, want)
+		}
+		wantNPCS := uint64(0)
+		if want {
+			wantNPCS = 1
+		}
+		if npcs := mo.NPCS().V(); npcs != wantNPCS {
+			t.Fatalf("%s: num_preempted_cs = %d, want %d", step, npcs, wantNPCS)
+		}
+	}
+
+	a.Region = regWait
+	mo.schedSwitch(a, b) // preempted while still waiting
+	marked("switched out waiting", false)
+	mo.schedSwitch(b, c)
+	marked("later switch, lock not yet handed over", false)
+	handed = true // the predecessor hands the lock over while a is off-CPU
+	mo.schedSwitch(c, b)
+	marked("first switch after the handover", true)
+	if mo.InCSPreemptions != 1 {
+		t.Fatalf("InCSPreemptions = %d, want 1", mo.InCSPreemptions)
+	}
+	mo.schedSwitch(b, a)
+	marked("rescheduled", false)
+
+	// The handler misses a's switch-in (a dropped event): a stays pending
+	// while it runs on into a window that is in CS but not a recheck
+	// window, and must not be promoted from there.
+	handed = false
+	mo.schedSwitch(a, b)
+	a.Region = regOther
+	mo.schedSwitch(b, c)
+	marked("pending thread outside its recheck window", false)
+	a.Region = regWait
+	handed = true
+	mo.schedSwitch(c, b)
+	marked("pending thread back in its window, lock handed over", true)
+	mo.schedSwitch(b, a)
+	marked("rescheduled again", false)
+
+	// A switch-in the handler sees ends the re-examination.
+	handed = false
+	mo.schedSwitch(a, b)
+	mo.schedSwitch(b, a)
+	handed = true
+	mo.schedSwitch(c, b)
+	marked("handed over after the waiter was rescheduled", false)
+	if mo.InCSPreemptions != 2 {
+		t.Fatalf("InCSPreemptions = %d, want 2", mo.InCSPreemptions)
 	}
 }

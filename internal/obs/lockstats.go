@@ -93,7 +93,7 @@ type LockObserver struct {
 // Observe attaches a new LockObserver to m and returns it.
 func Observe(m *sim.Machine) *LockObserver {
 	o := &LockObserver{m: m}
-	m.SetLockObserver(o)
+	m.AddLockObserver(o)
 	return o
 }
 

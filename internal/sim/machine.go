@@ -23,10 +23,9 @@ type SchedSwitchHook func(prev, next *Thread)
 // handovers and the Preemption Monitor's policy switches, plus the
 // scheduler-side block/wake/sleep/exit events (Lock = -1) that frame
 // them. Observers are called synchronously from the emitting context
-// and must not call Proc methods. Attach with Machine.SetLockObserver
-// or AddLockObserver; when none is attached (and no Tracer is),
-// emitting an event is a pair of cheap checks — the same default-off
-// pattern as Tracer.record.
+// and must not call Proc methods. Attach with Machine.AddLockObserver;
+// when none is attached (and no Tracer is), emitting an event is a pair
+// of cheap checks — the same default-off pattern as Tracer.record.
 type LockObserver interface {
 	LockEvent(at Time, kind TraceKind, lock, tid, arg int32)
 }
@@ -229,15 +228,6 @@ func (m *Machine) RunnableTimeline() *stats.Timeline { return &m.timeline }
 // RegisterSwitchHook attaches a sched_switch hook. Attach before Run.
 func (m *Machine) RegisterSwitchHook(h SchedSwitchHook) {
 	m.hooks = append(m.hooks, h)
-}
-
-// SetLockObserver attaches the lock-event consumer, replacing any
-// already attached (nil detaches all).
-func (m *Machine) SetLockObserver(o LockObserver) {
-	m.lockObs = m.lockObs[:0]
-	if o != nil {
-		m.lockObs = append(m.lockObs, o)
-	}
 }
 
 // AddLockObserver attaches an additional lock-event consumer; observers

@@ -48,7 +48,6 @@ const (
 const (
 	StaleEventLoss    int32 = 1 // hook lagging / dropping sched_switch events
 	StaleCounterStuck int32 = 2 // NPCS nonzero and unchanged for too long
-	StaleForced       int32 = 3 // marked stale explicitly (fault plan or test)
 )
 
 // Violation codes carried in the Next field of TraceViolation events.
@@ -71,29 +70,37 @@ const (
 	ViolationOrphanedLock
 )
 
+// violationNames is the one name table for violation codes, indexed by
+// code: internal/check's invariant names are these strings.
+var violationNames = [...]string{
+	ViolationMutualExclusion: "mutual-exclusion",
+	ViolationLostWakeup:      "lost-wakeup",
+	ViolationStarvation:      "starvation",
+	ViolationStalledWaiter:   "stalled-waiter",
+	ViolationDeadlock:        "deadlock",
+	ViolationConservation:    "conservation",
+	ViolationDataRace:        "data-race",
+	ViolationOrphanedLock:    "orphaned-lock",
+}
+
 // ViolationCodeName resolves a TraceViolation argument to the invariant
 // name used by internal/check.
 func ViolationCodeName(code int32) string {
-	switch code {
-	case ViolationMutualExclusion:
-		return "mutual-exclusion"
-	case ViolationLostWakeup:
-		return "lost-wakeup"
-	case ViolationStarvation:
-		return "starvation"
-	case ViolationStalledWaiter:
-		return "stalled-waiter"
-	case ViolationDeadlock:
-		return "deadlock"
-	case ViolationConservation:
-		return "conservation"
-	case ViolationDataRace:
-		return "data-race"
-	case ViolationOrphanedLock:
-		return "orphaned-lock"
-	default:
-		return "unknown"
+	if code > 0 && int(code) < len(violationNames) {
+		return violationNames[code]
 	}
+	return "unknown"
+}
+
+// ViolationCode returns the code of the named invariant, 0 for a name
+// with none.
+func ViolationCode(name string) int32 {
+	for code, n := range violationNames {
+		if code > 0 && n == name {
+			return int32(code)
+		}
+	}
+	return 0
 }
 
 func (k TraceKind) String() string {

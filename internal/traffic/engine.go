@@ -28,19 +28,12 @@ type Options struct {
 	// ServiceMean is the mean of the exponential per-request service
 	// time in ticks. Default 22_000 (≈10 µs at 2.2 GHz).
 	ServiceMean sim.Time
-	// CSFraction is the fraction of the service time spent holding the
-	// request's lock (default 0.5); the rest is split evenly around the
-	// critical section.
-	CSFraction float64
 	// Locks is the number of lock stripes requests are spread over
 	// uniformly (default 1: a single hot lock).
 	Locks int
 	// NewLock builds the lock instances (required; the harness passes
 	// its algorithm registry through here).
 	NewLock func(name string) locks.Lock
-	// DispatchCost is the dequeue/dispatch bookkeeping charged to a
-	// worker per request (default 500 ticks).
-	DispatchCost sim.Time
 	// StallBound is the no-progress watchdog: if work is outstanding
 	// and nothing has completed (or resolved as lost) for this long,
 	// the generator stops and wakes the pool so the machine can drain
@@ -51,6 +44,16 @@ type Options struct {
 	// Seed seeds the service-time/lock-choice stream (default 1).
 	Seed uint64
 }
+
+const (
+	// csFraction is the fraction of the service time spent holding the
+	// request's lock; the rest is split evenly around the critical
+	// section.
+	csFraction = 0.5
+	// dispatchCost is the dequeue/dispatch bookkeeping charged to a
+	// worker per request.
+	dispatchCost sim.Time = 500
+)
 
 // request is one queued unit of work; everything a worker needs is
 // drawn at arrival time from the engine's stream, so which worker runs
@@ -81,13 +84,11 @@ type Engine struct {
 	db    *sim.Word // doorbell: bumped by every arrival and by close
 	locks []locks.Lock
 
-	rng          *dist.Rand
-	svcMean      float64
-	csFrac       float64
-	dispatchCost sim.Time
-	stallBound   sim.Time
-	queueCap     int
-	maxWorkers   int
+	rng        *dist.Rand
+	svcMean    float64
+	stallBound sim.Time
+	queueCap   int
+	maxWorkers int
 
 	ring       []request
 	head, qlen int
@@ -144,14 +145,8 @@ func Build(m *sim.Machine, o Options) *Engine {
 	if o.ServiceMean <= 0 {
 		o.ServiceMean = 22_000
 	}
-	if o.CSFraction <= 0 || o.CSFraction > 1 {
-		o.CSFraction = 0.5
-	}
 	if o.Locks <= 0 {
 		o.Locks = 1
-	}
-	if o.DispatchCost <= 0 {
-		o.DispatchCost = 500
 	}
 	if o.StallBound <= 0 {
 		o.StallBound = 200 * o.ServiceMean
@@ -183,8 +178,6 @@ func Build(m *sim.Machine, o Options) *Engine {
 		db:           m.NewWord("traffic.doorbell", 0),
 		rng:          dist.NewRand(o.Seed),
 		svcMean:      float64(o.ServiceMean),
-		csFrac:       o.CSFraction,
-		dispatchCost: o.DispatchCost,
 		stallBound:   o.StallBound,
 		queueCap:     o.QueueCap,
 		maxWorkers:   o.MaxWorkers,
@@ -227,7 +220,7 @@ func (e *Engine) arrive() {
 		e.Dropped++
 	} else {
 		svc := expGap(e.rng, e.svcMean)
-		cs := sim.Time(float64(svc) * e.csFrac)
+		cs := sim.Time(float64(svc) * csFraction)
 		var lk int32
 		if len(e.locks) > 1 {
 			lk = int32(e.rng.Intn(len(e.locks)))
@@ -318,7 +311,7 @@ func (e *Engine) worker(p *sim.Proc, ws *workerState) {
 		}
 		e.inflight++
 		ws.hasReq = true
-		p.Compute(e.dispatchCost)
+		p.Compute(dispatchCost)
 		e.Wait.Record(int64(p.Now() - req.arrive))
 		pre := req.svc / 2
 		if pre > 0 {

@@ -21,14 +21,17 @@ type Options struct {
 	Deadline sim.Time
 	// Keys is the keyspace size (default 1<<17). Fanout is the B+-tree
 	// node fanout (default 64).
-	Keys   int
-	Fanout int
-	// WriteFraction in percent (default 50).
-	WriteFraction int
-	// Skew is the self-similar skew factor (default 0.2).
-	Skew    float64
+	Keys    int
+	Fanout  int
 	NewLock func(name string) locks.Lock
 }
+
+// The PiBench mix: keys drawn with self-similar skew 0.2, and half the
+// operations are writes.
+const (
+	keySkew      = 0.2
+	writePercent = 50
+)
 
 // node is a B+-tree node: its lock, one word standing for its header
 // cache line, and either children or leaf values.
@@ -63,22 +66,16 @@ func Build(m *sim.Machine, o Options) *Tree {
 	if o.Fanout == 0 {
 		o.Fanout = 64
 	}
-	if o.WriteFraction == 0 {
-		o.WriteFraction = 50
-	}
-	if o.Skew == 0 {
-		o.Skew = 0.2
-	}
 	t := &Tree{keys: o.Keys, fanout: o.Fanout, writes: make([]uint64, o.Threads)}
 	t.leafSpan = o.Fanout
 	t.root = t.build(m, o, 0, o.Keys)
 	for i := 0; i < o.Threads; i++ {
 		i := i
 		m.Spawn("idx-worker", func(p *sim.Proc) {
-			src := dist.NewSelfSimilar(o.Keys, o.Skew, p.Rand())
+			src := dist.NewSelfSimilar(o.Keys, keySkew, p.Rand())
 			for p.Now() < o.Deadline {
 				key := src.Next()
-				write := p.Rand().Intn(100) < o.WriteFraction
+				write := p.Rand().Intn(100) < writePercent
 				t0 := p.Now()
 				t.access(p, key, write)
 				if write {

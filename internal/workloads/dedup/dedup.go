@@ -23,10 +23,15 @@ type Options struct {
 	// default 65536 — scaled from the paper's 266K to keep simulator
 	// memory reasonable while remaining far beyond any cache).
 	Stripes int
-	// ChunkTicks / HashTicks / CompressTicks are the per-stage costs.
-	ChunkTicks, HashTicks, CompressTicks sim.Time
-	NewLock                              func(name string) locks.Lock
+	NewLock func(name string) locks.Lock
 }
+
+// Per-stage costs, in ticks per 2 KiB of chunk.
+const (
+	chunkTicks    sim.Time = 400
+	hashTicks     sim.Time = 300
+	compressTicks sim.Time = 600
+)
 
 // stripe is one dedup-table stripe: a lock plus two words (bucket header
 // and entry payload).
@@ -53,15 +58,6 @@ func Build(m *sim.Machine, o Options) *Workload {
 	if o.Stripes == 0 {
 		o.Stripes = 65536
 	}
-	if o.ChunkTicks == 0 {
-		o.ChunkTicks = 400
-	}
-	if o.HashTicks == 0 {
-		o.HashTicks = 300
-	}
-	if o.CompressTicks == 0 {
-		o.CompressTicks = 600
-	}
 	w := &Workload{
 		stripes:   make([]stripe, o.Stripes),
 		outLock:   o.NewLock("dd.out"),
@@ -87,8 +83,8 @@ func Build(m *sim.Machine, o Options) *Workload {
 				// Stages 1+2: scan to the next content-defined boundary and
 				// fingerprint it; cost follows the bytes actually scanned.
 				fp, length := ck.NextChunk()
-				p.Compute(o.ChunkTicks * sim.Time(length) / 2048)
-				p.Compute(o.HashTicks * sim.Time(length) / 2048)
+				p.Compute(chunkTicks * sim.Time(length) / 2048)
+				p.Compute(hashTicks * sim.Time(length) / 2048)
 				s := &w.stripes[int(fp%uint64(len(w.stripes)))]
 				// Stage 3: dedup-table probe under the stripe lock.
 				t0 := p.Now()
@@ -106,7 +102,7 @@ func Build(m *sim.Machine, o Options) *Workload {
 				p.RecordLatency(p.Now() - t0)
 				if !seen {
 					// New chunk: compress and append to the output stream.
-					p.Compute(o.CompressTicks * sim.Time(length) / 2048)
+					p.Compute(compressTicks * sim.Time(length) / 2048)
 					w.outLock.Lock(p)
 					q := p.Load(w.outQueue)
 					p.Store(w.outQueue, q+1)

@@ -56,11 +56,12 @@ type Options struct {
 	Groups   int // default 8
 	Pairs    int // sender/receiver pairs per group, default 10
 	Messages int // messages per pair, default 200
-	// CopyTicks models copying one 512-byte message (default 150).
-	CopyTicks sim.Time
-	// PipeCap is the pipe capacity in messages (default 16).
-	PipeCap int
 }
+
+const (
+	copyTicks sim.Time = 150 // copying one 512-byte message
+	pipeCap            = 16  // pipe capacity in messages
+)
 
 // Workload is a built hackbench instance: its senders and receivers are
 // spawned, and the caller runs the machine until it quiesces, at the
@@ -82,19 +83,13 @@ func Build(m *sim.Machine, o Options) *Workload {
 	if o.Messages == 0 {
 		o.Messages = 200
 	}
-	if o.CopyTicks == 0 {
-		o.CopyTicks = 150
-	}
-	if o.PipeCap == 0 {
-		o.PipeCap = 16
-	}
 	received := m.NewWord("hb.received", 0)
 	nPipes := o.Groups * o.Pairs
 	for g := 0; g < o.Groups; g++ {
 		for pr := 0; pr < o.Pairs; pr++ {
 			name := fmt.Sprintf("hb.g%d.p%d", g, pr)
 			pp := &pipe{
-				slots: newSem(m, name+".slots", uint64(o.PipeCap)),
+				slots: newSem(m, name+".slots", pipeCap),
 				items: newSem(m, name+".items", 0),
 				data:  m.NewWord(name+".data", 0),
 			}
@@ -102,7 +97,7 @@ func Build(m *sim.Machine, o Options) *Workload {
 			m.Spawn(name+".send", func(p *sim.Proc) {
 				for k := 0; k < msgs; k++ {
 					pp.slots.acquire(p)
-					p.Compute(o.CopyTicks)
+					p.Compute(copyTicks)
 					p.Store(pp.data, uint64(k))
 					pp.items.release(p)
 				}
@@ -111,7 +106,7 @@ func Build(m *sim.Machine, o Options) *Workload {
 				for k := 0; k < msgs; k++ {
 					pp.items.acquire(p)
 					p.Load(pp.data)
-					p.Compute(o.CopyTicks)
+					p.Compute(copyTicks)
 					pp.slots.release(p)
 					p.Add(received, 1)
 					p.CountOp()

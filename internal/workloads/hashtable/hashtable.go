@@ -13,20 +13,22 @@ import (
 	"repro/internal/sim"
 )
 
-// slotsPerBucket is the number of key/value slots scanned inside a bucket.
-const slotsPerBucket = 8
+const (
+	// slotsPerBucket is the number of key/value slots scanned inside a bucket.
+	slotsPerBucket = 8
+	// shiftEvery re-targets a thread's Zipfian peak after this many
+	// operations.
+	shiftEvery = 1024
+	// writePercent is the share of operations that write, in percent.
+	writePercent = 50
+)
 
 // Options configures the benchmark.
 type Options struct {
 	Threads  int
 	Buckets  int // default 100 (one lock each)
 	Deadline sim.Time
-	// ShiftEvery re-targets a thread's Zipfian peak after this many
-	// operations (default 1024).
-	ShiftEvery int
-	// WriteFraction in percent (default 50).
-	WriteFraction int
-	NewLock       func(name string) locks.Lock
+	NewLock  func(name string) locks.Lock
 }
 
 // bucket is one hash-table bucket: a lock plus slot storage on two cache
@@ -52,12 +54,6 @@ func Build(m *sim.Machine, o Options) *Workload {
 	if o.Buckets == 0 {
 		o.Buckets = 100
 	}
-	if o.ShiftEvery == 0 {
-		o.ShiftEvery = 1024
-	}
-	if o.WriteFraction == 0 {
-		o.WriteFraction = 50
-	}
 	w := &Workload{
 		buckets:    make([]*bucket, o.Buckets),
 		writesDone: make([]uint64, o.Threads),
@@ -77,14 +73,14 @@ func Build(m *sim.Machine, o Options) *Workload {
 			zipf.ShiftRandom()
 			ops := 0
 			for p.Now() < o.Deadline {
-				if ops%o.ShiftEvery == o.ShiftEvery-1 {
+				if ops%shiftEvery == shiftEvery-1 {
 					zipf.ShiftRandom()
 				}
 				key := uint64(p.Rand().Intn(1 << 20))
 				p.Compute(60) // hash the key
 				b := w.buckets[zipf.Next()]
 				t0 := p.Now()
-				write := p.Rand().Intn(100) < o.WriteFraction
+				write := p.Rand().Intn(100) < writePercent
 				b.lock.Lock(p)
 				// Scan the slots for the key.
 				slot := int(key % slotsPerBucket)

@@ -23,23 +23,22 @@ type DB struct {
 	// walTail is the WAL buffer tail cache line.
 	walTail *sim.Word
 	// flushed counts entries moved to immutable tables.
-	flushed   int
-	flushes   int
-	memLimit  int
-	walTicks  sim.Time
-	stepTicks sim.Time
-	inserts   uint64
+	flushed  int
+	flushes  int
+	memLimit int
+	inserts  uint64
 }
+
+const (
+	walTicks  sim.Time = 250 // a WAL append (tmpfs-backed)
+	stepTicks sim.Time = 14  // one skiplist traversal step
+)
 
 // DBOptions configures Open.
 type DBOptions struct {
 	// MemtableLimit is the entry count that triggers a flush (default 8192).
 	MemtableLimit int
-	// WALTicks is the cost of a WAL append (tmpfs-backed, default 250).
-	WALTicks sim.Time
-	// StepTicks is the cost per skiplist traversal step (default 14).
-	StepTicks sim.Time
-	NewLock   func(name string) locks.Lock
+	NewLock       func(name string) locks.Lock
 }
 
 // Open creates a DB on machine m.
@@ -47,21 +46,13 @@ func Open(m *sim.Machine, o DBOptions) *DB {
 	if o.MemtableLimit == 0 {
 		o.MemtableLimit = 8192
 	}
-	if o.WALTicks == 0 {
-		o.WALTicks = 250
-	}
-	if o.StepTicks == 0 {
-		o.StepTicks = 14
-	}
 	return &DB{
-		mu:        o.NewLock("db.mutex"),
-		m:         m,
-		mem:       newSkiplist(m.Rand().Split()),
-		seq:       m.NewWord("db.seq", 0),
-		walTail:   m.NewWord("db.wal", 0),
-		memLimit:  o.MemtableLimit,
-		walTicks:  o.WALTicks,
-		stepTicks: o.StepTicks,
+		mu:       o.NewLock("db.mutex"),
+		m:        m,
+		mem:      newSkiplist(m.Rand().Split()),
+		seq:      m.NewWord("db.seq", 0),
+		walTail:  m.NewWord("db.wal", 0),
+		memLimit: o.MemtableLimit,
 	}
 }
 
@@ -70,10 +61,10 @@ func Open(m *sim.Machine, o DBOptions) *DB {
 // stall LevelDB applies when compaction cannot keep up).
 func (db *DB) Put(p *sim.Proc, key, value uint64) {
 	db.mu.Lock(p)
-	p.Compute(db.walTicks)
+	p.Compute(walTicks)
 	p.Store(db.walTail, key)
 	steps := db.mem.Insert(key, value)
-	p.Compute(sim.Time(steps) * db.stepTicks)
+	p.Compute(sim.Time(steps) * stepTicks)
 	s := p.Load(db.seq)
 	p.Store(db.seq, s+1)
 	db.inserts++
@@ -100,7 +91,7 @@ func (db *DB) Get(p *sim.Proc, key uint64) (uint64, bool) {
 	mem := db.mem
 	db.mu.Unlock(p)
 	v, ok, steps := mem.Get(key)
-	p.Compute(sim.Time(steps)*db.stepTicks + 60)
+	p.Compute(sim.Time(steps)*stepTicks + 60)
 	if !ok {
 		// Not in the memtable: charge a table lookup (block cache hit).
 		p.Compute(800)

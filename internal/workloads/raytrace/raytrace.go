@@ -16,15 +16,16 @@ import (
 type Options struct {
 	Threads  int
 	Deadline sim.Time
-	// TileTicks scales the per-tile computation: virtual ticks charged
-	// per ~2048 intersection tests × TileTicks/2 (default 4000 gives
-	// tiles of roughly 2–6k ticks).
-	TileTicks sim.Time
 	// ColdLocks is the number of rarely-used auxiliary locks (default 44,
 	// so 45 locks total as in the paper).
 	ColdLocks int
 	NewLock   func(name string) locks.Lock
 }
+
+// tileTicks scales the per-tile computation: virtual ticks charged per
+// ~2048 intersection tests × tileTicks/2, giving tiles of roughly 2–6k
+// ticks.
+const tileTicks sim.Time = 4000
 
 // Workload is a built raytrace instance.
 type Workload struct {
@@ -43,9 +44,6 @@ type Workload struct {
 func Build(m *sim.Machine, o Options) *Workload {
 	if o.Threads <= 0 {
 		panic("raytrace: Threads must be positive")
-	}
-	if o.TileTicks == 0 {
-		o.TileTicks = 4000
 	}
 	if o.ColdLocks == 0 {
 		o.ColdLocks = 44
@@ -77,7 +75,7 @@ func Build(m *sim.Machine, o Options) *Workload {
 				// intersection tests actually performed.
 				sum, tests := w.scene.renderTile(int(tile))
 				w.Checksums[i] += sum
-				p.Compute(sim.Time(tests) * o.TileTicks / 2048)
+				p.Compute(sim.Time(tests) * tileTicks / 2048)
 				// Rarely touch an auxiliary lock (shading caches etc.).
 				if p.Rand().Intn(64) == 0 {
 					k := p.Rand().Intn(len(w.coldLocks))

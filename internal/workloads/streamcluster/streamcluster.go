@@ -15,13 +15,14 @@ import (
 
 // Options configures the workload.
 type Options struct {
-	Threads  int
-	Deadline sim.Time
-	// ChunkTicks is the per-phase computation per thread (default 3000).
-	ChunkTicks sim.Time
+	Threads    int
+	Deadline   sim.Time
 	NewLock    func(name string) locks.Lock
 	NewBarrier func(name string, n int) *locks.Barrier
 }
+
+// chunkTicks is the mean per-phase computation per thread.
+const chunkTicks sim.Time = 3000
 
 // Workload is a built streamcluster instance.
 type Workload struct {
@@ -37,9 +38,6 @@ func Build(m *sim.Machine, o Options) *Workload {
 	if o.Threads <= 0 {
 		panic("streamcluster: Threads must be positive")
 	}
-	if o.ChunkTicks == 0 {
-		o.ChunkTicks = 3000
-	}
 	w := &Workload{
 		costLock:  o.NewLock("sc.cost"),
 		totalCost: m.NewWord("sc.total", 0),
@@ -52,7 +50,7 @@ func Build(m *sim.Machine, o Options) *Workload {
 		m.Spawn("sc-worker", func(p *sim.Proc) {
 			for p.Now() < o.Deadline {
 				// Parallel phase: compute distances for our chunk.
-				p.Compute(o.ChunkTicks/2 + sim.Time(p.Rand().Int63n(int64(o.ChunkTicks))))
+				p.Compute(chunkTicks/2 + sim.Time(p.Rand().Int63n(int64(chunkTicks))))
 				// Accumulate the chunk cost under the hot lock, several
 				// short critical sections per phase (as pgain does).
 				for k := 0; k < 4; k++ {

@@ -14,6 +14,10 @@ const (
 	mutexLockedWithWaiters = 2
 )
 
+// spinBudget is the number of acquisition attempts per busy-wait leg
+// before the waiter rechecks the monitor.
+const spinBudget = 4096
+
 // spinGoschedEvery bounds how long a spinning waiter runs between
 // voluntary scheduling points, so spinning stays preemptible for the Go
 // runtime.
@@ -48,9 +52,6 @@ type Mutex struct {
 	state atomic.Int32
 	wake  chan struct{}
 	mon   *NativeMonitor
-	// SpinBudget is the number of acquisition attempts per busy-wait leg
-	// before rechecking the monitor (tunable; set by NewMutex).
-	SpinBudget int
 	// Slow-path telemetry (see Snapshot). The fast path stays uncounted.
 	slowAcquires  atomic.Int64
 	spinAcquires  atomic.Int64
@@ -66,9 +67,8 @@ func NewMutex(mon *NativeMonitor) *Mutex {
 		mon = DefaultMonitor()
 	}
 	return &Mutex{
-		wake:       make(chan struct{}, 1),
-		mon:        mon,
-		SpinBudget: 4096,
+		wake: make(chan struct{}, 1),
+		mon:  mon,
 	}
 }
 
@@ -131,7 +131,7 @@ func (m *Mutex) Lock() {
 // budget is exhausted.
 func (m *Mutex) spin() bool {
 	backoff := spinBackoffMin
-	for i := 0; i < m.SpinBudget; i++ {
+	for i := 0; i < spinBudget; i++ {
 		if m.state.Load() == mutexUnlocked && m.TryLock() {
 			return true
 		}
