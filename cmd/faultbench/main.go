@@ -75,143 +75,144 @@ func main() {
 		exit(runReplay(*replay))
 	case "mutants":
 		exit(runMutants())
-	case "crash":
-		algs := harness.CrashAlgorithms()
-		if *quick {
-			algs = []string{"blocking", "mcs", "mcstp", "flexguard", "robust/blocking", "robust/mcs"}
-			*seeds = 1
-		}
-		if *algsFlag != "" {
-			if algs, err = harness.ParseAlgs(*algsFlag); err != nil {
-				fatal(err)
-			}
-		}
-		exit(runCrash(algs, *seeds, *parallel, *report))
 	}
-
-	algs := harness.Algorithms
+	algs, quickAlgs := harness.Algorithms, []string{"blocking", "mcs", "flexguard"}
+	if mode == "crash" {
+		algs, quickAlgs = harness.CrashAlgorithms(), []string{"blocking", "mcs", "mcstp", "flexguard", "robust/blocking", "robust/mcs"}
+	}
 	if *quick {
-		algs = []string{"blocking", "mcs", "flexguard"}
-		*seeds = 1
+		algs, *seeds = quickAlgs, 1
 	}
 	if *algsFlag != "" {
 		if algs, err = harness.ParseAlgs(*algsFlag); err != nil {
 			fatal(err)
 		}
 	}
-	plans := fault.Plans()
+	cp := campaign{algs: algs, seeds: *seeds, parallel: *parallel, window: sim.Time(*window), report: *report}
+	if mode == "crash" {
+		exit(runCrash(cp))
+	}
+	cp.plans = fault.Plans()
 	if *plansFlag != "" {
-		plans = nil
+		cp.plans = nil
 		for _, s := range strings.Split(*plansFlag, ",") {
 			p, err := fault.ParsePlan(s)
 			if err != nil {
 				fatal(err)
 			}
-			plans = append(plans, fault.NamedPlan{Name: s, Plan: p})
+			cp.plans = append(cp.plans, fault.NamedPlan{Name: s, Plan: p})
 		}
 	}
-	exit(runSweep(algs, plans, *seeds, *parallel, sim.Time(*window), *report))
+	exit(runSweep(cp))
 }
 
-// cellOutcome is one (alg, plan) cell of the sweep table.
-type cellOutcome struct {
-	ok   bool
-	spec string
-	ops  int64 // total ops across the cell's seeds
+// campaign is one faultbench table: a cell per (algorithm, plan) pair,
+// each cell run over seeds seeds.
+type campaign struct {
+	algs     []string
+	plans    []fault.NamedPlan
+	seeds    int
+	parallel int
+	window   sim.Time
+	report   string // report file path; "" writes none
 }
 
-// runSweep is the campaign: every algorithm must hold every invariant
-// under every plan. Cells fan out across the worker pool (each cell
-// runs its seeds, and shrinks its first failure, on its own isolated
-// machines); the table prints in order once all cells land. Failures
-// are shrunk and printed as replay specs.
-func runSweep(algs []string, plans []fault.NamedPlan, seeds, parallel int, window sim.Time, reportPath string) int {
-	label := func(i int) string {
-		return algs[i/len(plans)] + "/" + plans[i%len(plans)].Name
-	}
-	cells, errs := harness.ParallelMapLabeled(parallel, len(algs)*len(plans), "faultbench", label, func(i int) (cellOutcome, error) {
-		alg, np := algs[i/len(plans)], plans[i%len(plans)]
-		var out cellOutcome
-		for s := 0; s < seeds; s++ {
-			c := harness.FuzzCfg{Alg: alg, Seed: uint64(1000*s + 17), Plan: np.Plan, Window: window}
-			r, err := harness.Fuzz(c)
-			if err != nil {
-				return cellOutcome{}, err
-			}
-			out.ops += r.Ops
-			if r.Failed() || r.Deadlocked || r.HitGrace {
-				min, res, err := harness.ShrinkFailure(c)
-				if err != nil {
-					return cellOutcome{}, err
-				}
-				spec := min.Replay()
-				if !res.Failed() {
-					spec = c.Replay() + "  (shrink lost it; original spec)"
-				}
-				out.spec = fmt.Sprintf("%s × %s: %s", alg, np.Name, spec)
-				return out, nil
-			}
-		}
-		out.ok = true
-		return out, nil
+// cellResult is one campaign cell's outcome.
+type cellResult struct {
+	text    string // the table entry
+	failed  bool
+	repro   string // replay spec of the failing seed
+	metrics map[string]float64
+}
+
+// run drives a campaign. Cells fan out across the worker pool (each cell
+// runs its seeds on its own isolated machines); the table prints in
+// order once all cells land, with one report entry per cell named
+// <kind>/<alg>/<plan>. Then come the failing cells' reproducers (under
+// the heading repros) or a note that every cell ended clean, and the
+// Summary line. tool names the report and the Summary line. It returns
+// the exit status.
+func (cp campaign) run(tool, kind, clean, repros string, cell func(alg string, np fault.NamedPlan) (cellResult, error)) int {
+	n := len(cp.plans)
+	label := func(i int) string { return cp.algs[i/n] + "/" + cp.plans[i%n].Name }
+	cells, errs := harness.ParallelMapLabeled(cp.parallel, len(cp.algs)*n, tool, label, func(i int) (cellResult, error) {
+		return cell(cp.algs[i/n], cp.plans[i%n])
 	})
 	if err := harness.FirstError(errs); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%-16s", "alg\\plan")
-	for _, np := range plans {
+	for _, np := range cp.plans {
 		fmt.Printf(" %14s", np.Name)
 	}
 	fmt.Println()
-	rep := harness.NewToolReport("faultbench", window)
-	failures := 0
+	rep := harness.NewToolReport(tool, cp.window)
 	var specs []string
-	for i, alg := range algs {
+	for i, alg := range cp.algs {
 		fmt.Printf("%-16s", alg)
-		for j, np := range plans {
-			c := cells[i*len(plans)+j]
-			cell := "ok"
-			ok := 1.0
-			if !c.ok {
-				cell = "FAIL"
-				ok = 0
-				failures++
-				specs = append(specs, c.spec)
+		for j, np := range cp.plans {
+			c := cells[i*n+j]
+			fmt.Printf(" %14s", c.text)
+			rep.AddMetrics(kind+"/"+alg+"/"+np.Name, c.metrics)
+			if c.failed {
+				specs = append(specs, fmt.Sprintf("%s × %s: %s", alg, np.Name, c.repro))
 			}
-			fmt.Printf(" %14s", cell)
-			rep.AddMetrics(fmt.Sprintf("fault/%s/%s", alg, np.Name), map[string]float64{
-				"ok":    ok,
-				"seeds": float64(seeds),
-				"ops":   float64(c.ops),
-			})
 		}
 		fmt.Println()
 	}
-	if reportPath != "" {
-		if err := rep.WriteFile(reportPath); err != nil {
+	if cp.report != "" {
+		if err := rep.WriteFile(cp.report); err != nil {
 			fatal(err)
 		}
 	}
-	summary := func(fails int) {
-		fmt.Println(harness.SummaryLine(
-			harness.KV{Key: "tool", Value: "faultbench"},
-			harness.KVf("cells", "%d", len(algs)*len(plans)),
-			harness.KVf("failures", "%d", fails),
-			harness.KVf("seeds", "%d", seeds),
-			harness.KVf("window", "%d", window),
-		))
-	}
-	if failures > 0 {
-		fmt.Printf("\n%d failing cell(s); shrunk reproducers:\n", failures)
+	code := 0
+	if len(specs) > 0 {
+		fmt.Printf("\n%d failing cell(s); %s:\n", len(specs), repros)
 		for _, s := range specs {
 			fmt.Println("  " + s)
 		}
-		summary(failures)
-		return 1
+		code = 1
+	} else {
+		fmt.Printf("\nall %d cells %s (%d seeds each)\n", len(cells), clean, cp.seeds)
 	}
-	fmt.Printf("\nall %d cells clean (%d seeds each)\n", len(algs)*len(plans), seeds)
-	summary(0)
-	return 0
+	fmt.Println(harness.SummaryLine(
+		harness.KV{Key: "tool", Value: tool},
+		harness.KVf("cells", "%d", len(cells)),
+		harness.KVf("failures", "%d", len(specs)),
+		harness.KVf("seeds", "%d", cp.seeds),
+		harness.KVf("window", "%d", cp.window),
+	))
+	return code
+}
+
+// runSweep is the fault campaign: every algorithm must hold every
+// invariant under every plan. A cell's first failing seed is shrunk and
+// printed as a replay spec.
+func runSweep(cp campaign) int {
+	return cp.run("faultbench", "fault", "clean", "shrunk reproducers", func(alg string, np fault.NamedPlan) (cellResult, error) {
+		out := cellResult{text: "ok"}
+		var ops int64
+		for s := 0; s < cp.seeds && !out.failed; s++ {
+			c := harness.FuzzCfg{Alg: alg, Seed: uint64(1000*s + 17), Plan: np.Plan, Window: cp.window}
+			r, err := harness.Fuzz(c)
+			if err != nil {
+				return cellResult{}, err
+			}
+			ops += r.Ops
+			if r.Failed() || r.Deadlocked || r.HitGrace {
+				min, res, err := harness.ShrinkFailure(c)
+				if err != nil {
+					return cellResult{}, err
+				}
+				out.text, out.failed, out.repro = "FAIL", true, min.Replay()
+				if !res.Failed() {
+					out.repro = c.Replay() + "  (shrink lost it; original spec)"
+				}
+			}
+		}
+		out.metrics = map[string]float64{"ok": b2f(!out.failed), "seeds": float64(cp.seeds), "ops": float64(ops)}
+		return out, nil
+	})
 }
 
 // crashVerdict classifies one crash-campaign run. Severity order
@@ -249,97 +250,41 @@ func classifyCrash(r harness.FuzzResult) int {
 	return crashClean
 }
 
-// crashCell is one (alg, plan) cell of the crash campaign.
-type crashCell struct {
-	verdict int
-	spec    string // replay spec of the worst seed
-	crashes int64
-	abandon int64
-}
-
-// runCrash is the crash campaign: kill threads while they hold, queue
-// on, or park under every lock, and demand that every cell ends in
-// recovery or a clean orphaned-lock verdict — never a hang and never a
-// mutual-exclusion loss. The robust wrappers and flexguard additionally
-// must *recover* from every crash-while-holding cell.
-func runCrash(algs []string, seeds, parallel int, reportPath string) int {
-	plans := fault.CrashPlans()
-	label := func(i int) string {
-		return algs[i/len(plans)] + "/" + plans[i%len(plans)].Name
-	}
-	cells, errs := harness.ParallelMapLabeled(parallel, len(algs)*len(plans), "faultbench-crash", label, func(i int) (crashCell, error) {
-		alg, np := algs[i/len(plans)], plans[i%len(plans)]
-		var out crashCell
-		for s := 0; s < seeds; s++ {
+// runCrash is the crash campaign over fault.CrashPlans: kill threads
+// while they hold, queue on, or park under every lock, and demand that
+// every cell ends in recovery or a clean orphaned-lock verdict — never a
+// hang and never a mutual-exclusion loss. The robust wrappers and
+// flexguard additionally must *recover* from every crash-while-holding
+// cell. A cell reports its worst seed.
+func runCrash(cp campaign) int {
+	cp.plans = fault.CrashPlans()
+	return cp.run("faultbench-crash", "crash", "recovered or orphaned cleanly", "reproducers", func(alg string, np fault.NamedPlan) (cellResult, error) {
+		verdict, spec := crashClean, ""
+		var crashes, abandoned int64
+		for s := 0; s < cp.seeds; s++ {
 			c := harness.FuzzCfg{Alg: alg, Seed: uint64(1000*s + 29), Plan: np.Plan}
 			r, err := harness.Fuzz(c)
 			if err != nil {
-				return crashCell{}, err
+				return cellResult{}, err
 			}
-			out.crashes += r.Crashes
-			out.abandon += r.Abandoned
-			if v := classifyCrash(r); v > out.verdict {
-				out.verdict = v
-				out.spec = c.Replay()
+			crashes += r.Crashes
+			abandoned += r.Abandoned
+			if v := classifyCrash(r); v > verdict {
+				verdict, spec = v, c.Replay()
 			}
 		}
-		return out, nil
+		fail := verdict == crashFail || mustRecover(alg, np.Name) && verdict != crashRecover
+		text := crashVerdictNames[verdict]
+		if fail {
+			text = "FAIL(" + text + ")"
+		}
+		return cellResult{text, fail, spec, map[string]float64{
+			"verdict":   float64(verdict),
+			"ok":        b2f(!fail),
+			"crashes":   float64(crashes),
+			"abandoned": float64(abandoned),
+		}}, nil
 	})
-	if err := harness.FirstError(errs); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%-16s", "alg\\plan")
-	for _, np := range plans {
-		fmt.Printf(" %14s", np.Name)
-	}
-	fmt.Println()
-	rep := harness.NewToolReport("faultbench-crash", 0)
-	bad := 0
-	var specs []string
-	for i, alg := range algs {
-		fmt.Printf("%-16s", alg)
-		for j, np := range plans {
-			c := cells[i*len(plans)+j]
-			fail := c.verdict == crashFail
-			if mustRecover(alg, np.Name) && c.verdict != crashRecover {
-				fail = true
-			}
-			cell := crashVerdictNames[c.verdict]
-			if fail {
-				cell = "FAIL(" + crashVerdictNames[c.verdict] + ")"
-				bad++
-				specs = append(specs, fmt.Sprintf("%s × %s: %s", alg, np.Name, c.spec))
-			}
-			fmt.Printf(" %14s", cell)
-			rep.AddMetrics(fmt.Sprintf("crash/%s/%s", alg, np.Name), map[string]float64{
-				"verdict":   float64(c.verdict),
-				"ok":        b2f(!fail),
-				"crashes":   float64(c.crashes),
-				"abandoned": float64(c.abandon),
-			})
-		}
-		fmt.Println()
-	}
-	if reportPath != "" {
-		if err := rep.WriteFile(reportPath); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Println(harness.SummaryLine(
-		harness.KV{Key: "tool", Value: "faultbench-crash"},
-		harness.KVf("cells", "%d", len(algs)*len(plans)),
-		harness.KVf("failures", "%d", bad),
-		harness.KVf("seeds", "%d", seeds),
-	))
-	if bad > 0 {
-		fmt.Printf("\n%d failing cell(s); reproducers:\n", bad)
-		for _, s := range specs {
-			fmt.Println("  " + s)
-		}
-		return 1
-	}
-	fmt.Printf("\nall %d cells recovered or orphaned cleanly (%d seeds each)\n", len(algs)*len(plans), seeds)
-	return 0
 }
 
 // mustRecover names the cells where an orphan verdict is itself a

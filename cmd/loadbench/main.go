@@ -67,7 +67,6 @@ func main() {
 		QueueCap:    *queueCap,
 		Locks:       *nlocks,
 		ServiceMean: sim.Time(*service),
-		Trace:       true,
 		Window:      sim.Time(*window),
 	}
 	for _, f := range splitList(*ratesFlag) {

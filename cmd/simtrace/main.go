@@ -153,10 +153,10 @@ func main() {
 	}
 	fmt.Printf("workers: %d ops, %d spin iterations, %d preemptions total\n",
 		ops, spins, m.TotalPreemptions)
-	if env.Obs != nil {
-		fmt.Printf("\nlock metrics (times in µs):\n")
-		env.Obs.WriteText(os.Stdout, "", 1/sim.TicksPerMicrosecond)
-	}
+	r := env.Collect(*threads, sim.Time(*duration))
+	r.Series = series
+	fmt.Printf("\nlock metrics (times in µs):\n")
+	r.WriteLockMetrics(os.Stdout)
 	if tracer != nil && *rawTrace > 0 {
 		fmt.Printf("\nraw scheduler trace (%d events, %d dropped):\n",
 			len(tracer.Events()), tracer.Dropped)
@@ -185,8 +185,6 @@ func main() {
 	}
 	if *report != "" {
 		rep := harness.NewReport("simtrace", cfg, *seed, sim.Time(*window))
-		r := env.Collect(*threads, sim.Time(*duration))
-		r.Series = series
 		rep.Add(fmt.Sprintf("simtrace/%s/t%d", *alg, *threads), r)
 		if err := rep.WriteFile(*report); err != nil {
 			fmt.Fprintln(os.Stderr, "simtrace:", err)

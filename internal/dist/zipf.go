@@ -2,34 +2,6 @@ package dist
 
 import "math"
 
-// KeySource produces keys in [0, N) under some popularity distribution.
-type KeySource interface {
-	// Next returns the next key.
-	Next() int
-	// N returns the size of the key space.
-	N() int
-}
-
-// Uniform draws keys uniformly from [0, n).
-type Uniform struct {
-	n   int
-	rng *Rand
-}
-
-// NewUniform returns a uniform key source over [0, n).
-func NewUniform(n int, rng *Rand) *Uniform {
-	if n <= 0 {
-		panic("dist: NewUniform with non-positive n")
-	}
-	return &Uniform{n: n, rng: rng}
-}
-
-// Next implements KeySource.
-func (u *Uniform) Next() int { return u.rng.Intn(u.n) }
-
-// N implements KeySource.
-func (u *Uniform) N() int { return u.n }
-
 // Zipf draws keys from [0, n) with Zipfian popularity: rank k is drawn with
 // probability proportional to 1/(k+1)^theta. The hash-table microbenchmark
 // in the paper uses a Zipfian distribution "randomly shifted across the
@@ -73,7 +45,7 @@ func (z *Zipf) Shift(delta int) {
 // ShiftRandom re-targets the peak at a uniformly random position.
 func (z *Zipf) ShiftRandom() { z.shift = z.rng.Intn(z.n) }
 
-// Next implements KeySource.
+// Next draws the next key.
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()
 	// Binary search the CDF for the drawn rank.
@@ -88,9 +60,6 @@ func (z *Zipf) Next() int {
 	}
 	return (lo + z.shift) % z.n
 }
-
-// N implements KeySource.
-func (z *Zipf) N() int { return z.n }
 
 // SelfSimilar draws keys from [0, n) under the self-similar distribution
 // with the given skew: the first skew*N keys receive (1-skew) of the
@@ -113,8 +82,8 @@ func NewSelfSimilar(n int, skew float64, rng *Rand) *SelfSimilar {
 	return &SelfSimilar{n: n, skew: skew, rng: rng}
 }
 
-// Next implements KeySource. This is the standard closed form from Gray et
-// al., "Quickly Generating Billion-Record Synthetic Databases".
+// Next draws the next key, by the standard closed form from Gray et al.,
+// "Quickly Generating Billion-Record Synthetic Databases".
 func (s *SelfSimilar) Next() int {
 	u := s.rng.Float64()
 	k := int(float64(s.n) * math.Pow(u, math.Log(s.skew)/math.Log(1-s.skew)))
@@ -123,6 +92,3 @@ func (s *SelfSimilar) Next() int {
 	}
 	return k
 }
-
-// N implements KeySource.
-func (s *SelfSimilar) N() int { return s.n }

@@ -7,8 +7,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -193,10 +196,8 @@ type Result struct {
 	RaceTotal int64
 
 	// Lock-level telemetry, filled only when the env was built with
-	// Observe (all times in µs). SpinToBlock/BlockToSpin count waiters
-	// that changed wait mode mid-acquisition, across all locks.
-	Hold        stats.Summary
-	Handover    stats.Summary
+	// Observe (times in µs). SpinToBlock/BlockToSpin count waiters that
+	// changed wait mode mid-acquisition, across all locks.
 	Acquires    int64
 	Handovers   int64
 	SpinStarts  int64
@@ -213,15 +214,21 @@ type Result struct {
 }
 
 // WriteLockMetrics writes the per-lock telemetry table (requires a run
-// with EnvOptions.Observe / RunCfg.Observe).
+// with EnvOptions.Observe / RunCfg.Observe): the 20 busiest locks by
+// acquisitions, ties by name, then a totals line. Hold and handover
+// means are exact; the p99s are log2-bucket estimates.
 func (r *Result) WriteLockMetrics(w io.Writer) {
 	fmt.Fprintf(w, "%-24s %9s %9s %8s %8s %10s %10s %10s %10s\n",
 		"lock", "acquires", "handover", "s->b", "b->s",
 		"hold_mean", "hold_p99", "hndov_mean", "hndov_p99")
+	ls := slices.Clone(r.PerLock)
+	slices.SortStableFunc(ls, func(a, b obs.LockSummary) int {
+		return cmp.Or(cmp.Compare(b.Acquires, a.Acquires), strings.Compare(a.Name, b.Name))
+	})
 	const maxLines = 20
-	for i, l := range r.PerLock {
+	for i, l := range ls {
 		if i == maxLines {
-			fmt.Fprintf(w, "... %d more locks\n", len(r.PerLock)-maxLines)
+			fmt.Fprintf(w, "... %d more locks\n", len(ls)-maxLines)
 			break
 		}
 		fmt.Fprintf(w, "%-24s %9d %9d %8d %8d %10.2f %10.2f %10.2f %10.2f\n",
@@ -265,8 +272,6 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 	if e.Obs != nil {
 		scale := 1 / sim.TicksPerMicrosecond
 		t := e.Obs.Totals()
-		r.Hold = t.Hold.Summary(scale)
-		r.Handover = t.Handover.Summary(scale)
 		r.Acquires = t.Acquires
 		r.Handovers = t.Handovers
 		r.SpinStarts = t.SpinStarts

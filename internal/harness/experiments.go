@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/locks"
@@ -228,12 +229,65 @@ func header(w io.Writer, title string, threads []int, unit string) {
 	fmt.Fprintln(w)
 }
 
-func cell(w io.Writer, v float64, crashed bool) {
-	if crashed {
-		fmt.Fprintf(w, " %10s", "crash")
-		return
+// colNames names a sweep's columns: prefix followed by each point.
+func colNames(prefix string, points []int) []string {
+	out := make([]string, len(points))
+	for i, p := range points {
+		out[i] = fmt.Sprintf("%s%d", prefix, p)
 	}
-	fmt.Fprintf(w, " %10.2f", v)
+	return out
+}
+
+// sweep runs a figure's grid: one row per algorithm and one column per
+// entry of cols. cell gives a cell's run and workload; its Result is the
+// seed mean over o.Seeds. A cell's name, <alg>/<col>, is its pprof label,
+// its report entry (see rows) and the prefix of its error. exp is the
+// pprof experiment label when no ReportPrefix is set.
+func (o ExpOptions) sweep(exp string, cols []string, cell func(alg string, col int) (RunCfg, workload)) ([][]Result, error) {
+	n := len(cols)
+	name := func(i int) string { return o.Algs[i/n] + "/" + cols[i%n] }
+	flat, errs := ParallelMapLabeled(o.Parallel, len(o.Algs)*n, o.expLabel(exp), name, func(i int) (Result, error) {
+		c, work := cell(o.Algs[i/n], i%n)
+		r, err := averageRuns(o, func(seed uint64) (Result, error) {
+			c.Seed = seed
+			return noEnv(runClosed(c, work))
+		})
+		if err != nil {
+			err = fmt.Errorf("%s: %w", name(i), err)
+		}
+		return r, err
+	})
+	if err := FirstError(errs); err != nil {
+		return nil, err
+	}
+	grid := make([][]Result, len(o.Algs))
+	for r := range grid {
+		grid[r] = flat[r*n : (r+1)*n]
+	}
+	return grid, nil
+}
+
+// rows prints a swept grid, one row per algorithm: value's reading of
+// each cell, or "crash". It reports every cell under its <alg>/<col>
+// name and, with Metrics on, follows each row with the lock table of its
+// last cell, the highest contention point of the sweep.
+func (o ExpOptions) rows(w io.Writer, cols []string, grid [][]Result, value func(r Result, col int) float64) {
+	for row, alg := range o.Algs {
+		fmt.Fprintf(w, "%-14s", alg)
+		for col, r := range grid[row] {
+			if r.Crashed {
+				fmt.Fprintf(w, " %10s", "crash")
+			} else {
+				fmt.Fprintf(w, " %10.2f", value(r, col))
+			}
+			o.report(alg+"/"+cols[col], r)
+		}
+		fmt.Fprintln(w)
+		if last := grid[row][len(cols)-1]; o.Metrics && !last.Crashed && len(last.PerLock) > 0 {
+			fmt.Fprintf(w, "# lock metrics for %s (last cell of the row):\n", alg)
+			last.WriteLockMetrics(w)
+		}
+	}
 }
 
 // runFig2Norm builds the Figure 1/2a/2b generator: mean CS execution time
@@ -263,47 +317,27 @@ func fig2(machine string, normalize bool, o ExpOptions, w io.Writer) error {
 	if normalize {
 		unit = "CS execution time normalized to the blocking lock"
 	}
-	label := func(r, c int) string { return fmt.Sprintf("%s/t%d", o.Algs[r], threads[c]) }
-	grid, err := runGrid(o.Parallel, len(o.Algs), len(threads), o.expLabel("fig2"), label, func(r, c int) (Result, error) {
-		cc := RunCfg{
-			Config: cfg, Alg: o.Algs[r], Threads: threads[c],
+	header(w, fmt.Sprintf("shared-memory-access microbenchmark, %s (%d contexts)", machine, cfg.NumCPUs), threads, unit)
+	cols := colNames("t", threads)
+	grid, err := o.sweep("fig2", cols, func(alg string, col int) (RunCfg, workload) {
+		return RunCfg{
+			Config: cfg, Alg: alg, Threads: threads[col],
 			Duration: o.Duration, Observe: o.Metrics, Window: o.Window,
-		}
-		res, err := averageRuns(o, func(seed uint64) (Result, error) {
-			cc.Seed = seed
-			return RunSharedMem(cc, 100)
-		})
-		if err != nil {
-			return res, fmt.Errorf("%s @%d threads: %w", o.Algs[r], threads[c], err)
-		}
-		return res, nil
+		}, sharedmemWork(100, nil)
 	})
 	if err != nil {
 		return err
 	}
-	header(w, fmt.Sprintf("shared-memory-access microbenchmark, %s (%d contexts)", machine, cfg.NumCPUs), threads, unit)
-	baseline := make(map[int]float64)
-	for r, alg := range o.Algs {
-		if alg == "blocking" {
-			for c, t := range threads {
-				baseline[t] = grid[r][c].MeanLatUS
+	value := func(r Result, _ int) float64 { return r.MeanLatUS }
+	if b := slices.Index(o.Algs, "blocking"); normalize && b >= 0 {
+		value = func(r Result, col int) float64 {
+			if base := grid[b][col].MeanLatUS; base > 0 {
+				return r.MeanLatUS / base
 			}
+			return r.MeanLatUS
 		}
 	}
-	for row, alg := range o.Algs {
-		fmt.Fprintf(w, "%-14s", alg)
-		for col, t := range threads {
-			r := grid[row][col]
-			v := r.MeanLatUS
-			if normalize && baseline[t] > 0 {
-				v = r.MeanLatUS / baseline[t]
-			}
-			cell(w, v, r.Crashed)
-			o.report(fmt.Sprintf("%s/t%d", alg, t), r)
-		}
-		fmt.Fprintln(w)
-		maybeMetrics(o, w, alg, grid[row][len(threads)-1])
-	}
+	o.rows(w, cols, grid, value)
 	if normalize {
 		fmt.Fprintln(w, "# note: values are normalized to the 'blocking' row;")
 		fmt.Fprintln(w, "# without it in -algs, raw µs are printed instead.")
@@ -322,57 +356,27 @@ func runApp(machine string, concurrent bool, work workload) func(ExpOptions, io.
 			return err
 		}
 		cfg := ScaleConfig(base, o.Scale)
-		var sweep []int
-		workers := 0
+		points := threadSweep(cfg.NumCPUs)
+		workers, cols := 0, colNames("t", points)
 		if concurrent {
-			workers = cfg.NumCPUs / 2 // 52 on Intel, 256 on AMD (scaled)
-			sweep = threadSweep(cfg.NumCPUs)
+			workers, cols = cfg.NumCPUs/2, colNames("s", points) // 52 on Intel, 256 on AMD (scaled)
 			header(w, fmt.Sprintf("%s + %d worker threads, sweep = concurrent busy-waiting threads (%d contexts)",
-				machine, workers, cfg.NumCPUs), sweep, "throughput (Mops/s)")
+				machine, workers, cfg.NumCPUs), points, "throughput (Mops/s)")
 		} else {
-			sweep = threadSweep(cfg.NumCPUs)
 			header(w, fmt.Sprintf("%s, sweep = worker threads (%d contexts)", machine, cfg.NumCPUs),
-				sweep, "throughput (Mops/s)")
+				points, "throughput (Mops/s)")
 		}
-		label := func(row, col int) string {
+		grid, err := o.sweep("app", cols, func(alg string, col int) (RunCfg, workload) {
+			c := RunCfg{Config: cfg, Alg: alg, Threads: points[col], Duration: o.Duration, Observe: o.Metrics, Window: o.Window}
 			if concurrent {
-				return fmt.Sprintf("%s/s%d", o.Algs[row], sweep[col])
+				c.Threads, c.Spinners = workers, points[col]
 			}
-			return fmt.Sprintf("%s/t%d", o.Algs[row], sweep[col])
-		}
-		grid, err := runGrid(o.Parallel, len(o.Algs), len(sweep), o.expLabel("app"), label, func(row, col int) (Result, error) {
-			c := RunCfg{Config: cfg, Alg: o.Algs[row], Duration: o.Duration, Observe: o.Metrics, Window: o.Window}
-			if concurrent {
-				c.Threads, c.Spinners = workers, sweep[col]
-			} else {
-				c.Threads = sweep[col]
-			}
-			r, err := averageRuns(o, func(seed uint64) (Result, error) {
-				c.Seed = seed
-				return noEnv(runClosed(c, work))
-			})
-			if err != nil {
-				return r, fmt.Errorf("%s @%d: %w", o.Algs[row], sweep[col], err)
-			}
-			return r, nil
+			return c, work
 		})
 		if err != nil {
 			return err
 		}
-		for row, alg := range o.Algs {
-			fmt.Fprintf(w, "%-14s", alg)
-			for col := range sweep {
-				r := grid[row][col]
-				cell(w, r.OpsPerSec/1e6, r.Crashed)
-				if concurrent {
-					o.report(fmt.Sprintf("%s/s%d", alg, sweep[col]), r)
-				} else {
-					o.report(fmt.Sprintf("%s/t%d", alg, sweep[col]), r)
-				}
-			}
-			fmt.Fprintln(w)
-			maybeMetrics(o, w, alg, grid[row][len(sweep)-1])
-		}
+		o.rows(w, cols, grid, func(r Result, _ int) float64 { return r.OpsPerSec / 1e6 })
 		return nil
 	}
 }
@@ -429,38 +433,25 @@ func runFig5b(o ExpOptions, w io.Writer) error {
 	gaps := []sim.Time{100, 1_000, 10_000}
 	fmt.Fprintf(w, "# Dice fairness factor (0.5 = fair, 1 = unfair), %d contexts\n", cfg.NumCPUs)
 	fmt.Fprintf(w, "%-14s", "alg")
+	var cols []string
 	for _, s := range subs {
 		for _, g := range gaps {
 			fmt.Fprintf(w, " %11s", fmt.Sprintf("%s/gap%d", s.name, g))
+			cols = append(cols, fmt.Sprintf("%s-gap%d", s.name, g))
 		}
 	}
 	fmt.Fprintln(w)
-	label := func(row, col int) string {
+	grid, err := o.sweep("fig5b", cols, func(alg string, col int) (RunCfg, workload) {
 		s, g := subs[col/len(gaps)], gaps[col%len(gaps)]
-		return fmt.Sprintf("%s/%s-gap%d", o.Algs[row], s.name, g)
-	}
-	grid, err := runGrid(o.Parallel, len(o.Algs), len(subs)*len(gaps), o.expLabel("fig5b"), label, func(row, col int) (Result, error) {
-		s, g := subs[col/len(gaps)], gaps[col%len(gaps)]
-		threads := int(float64(cfg.NumCPUs) * s.ratio)
-		return averageRuns(o, func(seed uint64) (Result, error) {
-			return RunSharedMem(RunCfg{
-				Config: cfg, Alg: o.Algs[row], Threads: threads,
-				Duration: o.Duration, Seed: seed, Window: o.Window,
-			}, g)
-		})
+		return RunCfg{
+			Config: cfg, Alg: alg, Threads: int(float64(cfg.NumCPUs) * s.ratio),
+			Duration: o.Duration, Window: o.Window,
+		}, sharedmemWork(g, nil)
 	})
 	if err != nil {
 		return err
 	}
-	for row, alg := range o.Algs {
-		fmt.Fprintf(w, "%-14s", alg)
-		for col := range grid[row] {
-			cell(w, grid[row][col].Fairness, grid[row][col].Crashed)
-			s, g := subs[col/len(gaps)], gaps[col%len(gaps)]
-			o.report(fmt.Sprintf("%s/%s-gap%d", alg, s.name, g), grid[row][col])
-		}
-		fmt.Fprintln(w)
-	}
+	o.rows(w, cols, grid, func(r Result, _ int) float64 { return r.Fairness })
 	return nil
 }
 
@@ -471,30 +462,19 @@ func runFig5c(o ExpOptions, w io.Writer) error {
 	base, _ := MachineConfig("intel")
 	cfg := ScaleConfig(base, o.Scale)
 	threads := threadSweep(cfg.NumCPUs)
-	label := func(row, col int) string { return fmt.Sprintf("%s/t%d", o.Algs[row], threads[col]) }
-	grid, err := runGrid(o.Parallel, len(o.Algs), len(threads), o.expLabel("fig5c"), label, func(row, col int) (Result, error) {
-		return averageRuns(o, func(seed uint64) (Result, error) {
-			return RunSharedMem(RunCfg{
-				Config: cfg, Alg: o.Algs[row], Threads: threads[col],
-				Duration: o.Duration, Seed: seed, Observe: o.Metrics,
-				Window: o.Window,
-			}, 100)
-		})
+	header(w, fmt.Sprintf("spin-loop iterations, sharedmem, intel (%d contexts)", cfg.NumCPUs),
+		threads, "spin iterations (millions)")
+	cols := colNames("t", threads)
+	grid, err := o.sweep("fig5c", cols, func(alg string, col int) (RunCfg, workload) {
+		return RunCfg{
+			Config: cfg, Alg: alg, Threads: threads[col],
+			Duration: o.Duration, Observe: o.Metrics, Window: o.Window,
+		}, sharedmemWork(100, nil)
 	})
 	if err != nil {
 		return err
 	}
-	header(w, fmt.Sprintf("spin-loop iterations, sharedmem, intel (%d contexts)", cfg.NumCPUs),
-		threads, "spin iterations (millions)")
-	for row, alg := range o.Algs {
-		fmt.Fprintf(w, "%-14s", alg)
-		for col := range threads {
-			cell(w, float64(grid[row][col].SpinIters)/1e6, grid[row][col].Crashed)
-			o.report(fmt.Sprintf("%s/t%d", alg, threads[col]), grid[row][col])
-		}
-		fmt.Fprintln(w)
-		maybeMetrics(o, w, alg, grid[row][len(threads)-1])
-	}
+	o.rows(w, cols, grid, func(r Result, _ int) float64 { return float64(r.SpinIters) / 1e6 })
 	return nil
 }
 
@@ -600,16 +580,6 @@ func runAblationMCSExit(o ExpOptions, w io.Writer) error {
 	return nil
 }
 
-// maybeMetrics prints the lock telemetry of an algorithm row's last cell
-// (the highest contention point of the sweep) when -metrics is on.
-func maybeMetrics(o ExpOptions, w io.Writer, alg string, r Result) {
-	if !o.Metrics || r.Crashed || len(r.PerLock) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# lock metrics for %s (last cell of the row):\n", alg)
-	r.WriteLockMetrics(w)
-}
-
 // Describe prints the experiment catalog.
 func Describe(w io.Writer) {
 	for _, e := range Experiments() {
@@ -618,12 +588,17 @@ func Describe(w io.Writer) {
 }
 
 // ParseAlgs splits a comma-separated algorithm list, validating names.
+// A repeated name is an error: it would name two table rows, and two
+// report runs, the same.
 func ParseAlgs(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
-	for _, p := range parts {
+	for i, p := range parts {
+		if slices.Contains(parts[:i], p) {
+			return nil, fmt.Errorf("harness: algorithm %q listed twice", p)
+		}
 		if p == "flexguard" || p == "flexguard-ext" {
 			continue
 		}

@@ -3,7 +3,10 @@ package harness
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestAverageRunsMeansEveryMetric: with two seeds, every report metric
@@ -67,5 +70,28 @@ func TestAverageRunsMeansEveryMetric(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, runs[7]) {
 		t.Errorf("one seed: %+v, want the run unchanged %+v", one, runs[7])
+	}
+}
+
+// TestWriteLockMetricsBusiestFirst: the per-lock table lists locks by
+// acquisitions, busiest first and ties by name, so a hot lock with a
+// high id is not cut off behind the first 20 quiet ones.
+func TestWriteLockMetricsBusiestFirst(t *testing.T) {
+	r := Result{PerLock: []obs.LockSummary{{Name: "ht.b0", Acquires: 3}, {Name: "ht.b2", Acquires: 9}}}
+	for i := 3; i < 25; i++ {
+		r.PerLock = append(r.PerLock, obs.LockSummary{Name: "ht.q" + string(rune('a'+i)), Acquires: 1})
+	}
+	r.PerLock = append(r.PerLock, obs.LockSummary{Name: "ht.b86", Acquires: 184}, obs.LockSummary{Name: "ht.b1", Acquires: 3})
+	var b strings.Builder
+	r.WriteLockMetrics(&b)
+	var names []string
+	for _, line := range strings.Split(b.String(), "\n")[1:4] {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if want := []string{"ht.b86", "ht.b2", "ht.b0"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("first rows %v, want %v; table:\n%s", names, want, b.String())
+	}
+	if !strings.Contains(b.String(), "ht.b1 ") || !strings.Contains(b.String(), "... 6 more locks") {
+		t.Fatalf("want ht.b1 listed (tied with ht.b0) and 6 locks cut; table:\n%s", b.String())
 	}
 }

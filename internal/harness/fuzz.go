@@ -15,7 +15,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/obs/timeseries"
 	"repro/internal/sim"
 )
@@ -31,7 +30,6 @@ type FuzzCfg struct {
 	CPUs    int
 	Threads int
 	Horizon sim.Time
-	Check   check.Options
 	// Races attaches the race auditor (check.AttachRace) alongside the
 	// invariant checker; verdicts land in FuzzResult.Races.
 	Races bool
@@ -57,13 +55,9 @@ type FuzzResult struct {
 	Horizon sim.Time
 	Ops     int64
 	// Crashes counts the threads the plan killed; Abandoned counts the
-	// dead waiters lock-side repair unlinked from queues. Both also land
-	// in the registry ("fault.crashes", "locks.abandoned").
+	// dead waiters lock-side repair unlinked from queues.
 	Crashes   int64
 	Abandoned int64
-	// Registry holds the obs counters for the run, including the
-	// check.violation.* counters.
-	Registry *obs.Registry
 	// Races holds the race auditor's verdicts (FuzzCfg.Races only);
 	// RaceTotal counts them beyond the storage cap.
 	Races     []check.Race
@@ -150,10 +144,9 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 		grace += horizon + sim.Time(threads)*(4*c.Plan.WakeDelay+100_000)
 	}
 
-	co := fuzzCheck(c.Check, horizon)
 	out, err := stages{
 		env:   EnvOptions{Config: cfg, Alg: alg},
-		check: co, races: c.Races, plan: c.Plan, trace: true, window: c.Window,
+		check: fuzzCheck(horizon), races: c.Races, plan: c.Plan, trace: true, window: c.Window,
 		work: sharedmemWork(0, mu), threads: threads,
 		// Any thread parked at the drain is a deadlock.
 		deadline: horizon, horizon: grace, hangBefore: grace + 1,
@@ -165,26 +158,21 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 		Violations: out.verdicts("%v"), Deadlocked: out.deadlocked, DeadlockDump: out.dump,
 		Quiesced: out.q, Grace: grace, HitGrace: out.q >= grace,
 		CPUs: cpus, Threads: threads, Horizon: horizon,
-		Crashes: out.crashes, Abandoned: out.e.Shared.Abandons, Registry: co.Registry,
+		Crashes: out.crashes, Abandoned: out.e.Shared.Abandons,
 		Races: out.races, RaceTotal: out.raceTotal, Series: out.series,
 		TraceDigest: out.digest, TraceEvents: out.events,
 	}
-	co.Registry.Counter("locks.abandoned").Add(res.Abandoned)
 	for _, th := range out.e.M.Threads() {
 		res.Ops += th.Ops
 	}
 	return res, nil
 }
 
-// fuzzCheck completes the fuzz paths' checker options: a fresh registry
-// unless one was given, verdicts emitted into the trace, and a stall
-// bound short horizons can trip.
-func fuzzCheck(co check.Options, horizon sim.Time) *check.Options {
-	if co.Registry == nil {
-		co.Registry = obs.NewRegistry()
-	}
-	co.EmitEvents = true
-	if co.StallBound <= 0 && horizon/2 < 1_000_000 {
+// fuzzCheck is the fuzz paths' checker: verdicts emitted into the
+// trace, and a stall bound short horizons can trip.
+func fuzzCheck(horizon sim.Time) *check.Options {
+	co := check.Options{EmitEvents: true}
+	if horizon/2 < 1_000_000 {
 		// Short horizons need a proportionally shorter stall bound or
 		// end-of-run stall checks can never trip.
 		co.StallBound = horizon / 2

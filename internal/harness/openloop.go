@@ -187,14 +187,14 @@ type OpenLoopGridCfg struct {
 	QueueCap    int
 	Locks       int
 	ServiceMean sim.Time
-	Trace       bool
 	Window      sim.Time
 }
 
 // OpenLoopGrid fans the grid out through the parallel sweep engine.
 // Results are in pattern-major, rate-then-alg order regardless of
 // worker count; each cell builds its own machine and generator, so the
-// outcome is bit-identical at any Parallel.
+// outcome is bit-identical at any Parallel. Every cell carries the
+// digest tracer, whose fingerprint is the -parallel identity check.
 func OpenLoopGrid(g OpenLoopGridCfg) ([]OpenLoopResult, error) {
 	np, nr, na := len(g.Patterns), len(g.RatesMs), len(g.Algs)
 	n := np * nr * na
@@ -218,7 +218,7 @@ func OpenLoopGrid(g OpenLoopGridCfg) ([]OpenLoopResult, error) {
 			QueueCap:    g.QueueCap,
 			Locks:       g.Locks,
 			ServiceMean: g.ServiceMean,
-			Trace:       g.Trace,
+			Trace:       true,
 			Window:      g.Window,
 		})
 	})

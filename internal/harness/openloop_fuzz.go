@@ -3,7 +3,6 @@ package harness
 import (
 	"repro/internal/check"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -17,16 +16,21 @@ import (
 // fire; this entry point is how the test suite and CI exercise that
 // under schedule chaos and thread crashes.
 
+// The open-loop fuzz shape: a 4-CPU machine offered 200 requests per
+// virtual millisecond per CPU. At ~10 µs mean service a CPU serves
+// ≈100 req/ms, so the load is 2× nominal capacity (oversaturated).
+const (
+	openLoopFuzzCPUs       = 4
+	openLoopFuzzRatePerCPU = 200
+)
+
 // OpenLoopFuzzCfg describes one open-loop fuzz cell.
 type OpenLoopFuzzCfg struct {
 	Alg     string // lock algorithm ("" = flexguard)
 	Pattern string // arrival pattern ("" = poisson)
 	Seed    uint64
 	Plan    fault.Plan
-	CPUs    int     // 0 = 4
-	RateMs  float64 // 0 = 2× nominal per-core capacity (oversaturated)
 	Horizon sim.Time
-	Check   check.Options
 }
 
 // OpenLoopFuzzResult is the outcome of one open-loop fuzz cell.
@@ -43,7 +47,6 @@ type OpenLoopFuzzResult struct {
 	Stalled  bool
 	Crashes  int64
 	Stats    traffic.Stats
-	Registry *obs.Registry
 }
 
 // Failed reports whether any invariant was violated.
@@ -60,24 +63,15 @@ func FuzzOpenLoop(c OpenLoopFuzzCfg) (OpenLoopFuzzResult, error) {
 	if pattern == "" {
 		pattern = "poisson"
 	}
-	cpus := c.CPUs
-	if cpus <= 0 {
-		cpus = 4
-	}
 	horizon := c.Horizon
 	if horizon == 0 {
 		horizon = 4_000_000
 	}
-	rate := c.RateMs
-	if rate <= 0 {
-		// ~10 µs mean service → ≈100 req/ms/core; 2× oversaturates.
-		rate = 200 * float64(cpus)
-	}
 
-	cfg := withHeadroom(sim.Small(cpus), 4*cpus+80)
+	cfg := withHeadroom(sim.Small(openLoopFuzzCPUs), 4*openLoopFuzzCPUs+80)
 	cfg.Seed = defaultSeed(c.Seed)
 	var eng *traffic.Engine
-	work, err := trafficWork(pattern, rate, cfg.Seed, traffic.Options{
+	work, err := trafficWork(pattern, openLoopFuzzRatePerCPU*openLoopFuzzCPUs, cfg.Seed, traffic.Options{
 		// A shallow queue bounds the post-deadline drain (the backlog a
 		// fuzz cell may carry past the horizon is QueueCap×ServiceMean/
 		// cores), keeping a healthy slowed-down run comfortably inside
@@ -94,10 +88,9 @@ func FuzzOpenLoop(c OpenLoopFuzzCfg) (OpenLoopFuzzResult, error) {
 	if !c.Plan.IsZero() {
 		grace += horizon + 4*c.Plan.WakeDelay + 400_000
 	}
-	co := fuzzCheck(c.Check, horizon)
 	out, err := stages{
 		env:   EnvOptions{Config: cfg, Alg: alg},
-		check: co, plan: c.Plan, work: work,
+		check: fuzzCheck(horizon), plan: c.Plan, work: work,
 		// Any thread parked at the drain is a deadlock.
 		deadline: horizon, horizon: grace, hangBefore: grace + 1,
 	}.run()
@@ -111,6 +104,6 @@ func FuzzOpenLoop(c OpenLoopFuzzCfg) (OpenLoopFuzzResult, error) {
 		Violations: out.verdicts("open-loop conservation: %v"),
 		Deadlocked: out.deadlocked, DeadlockDump: out.dump,
 		HitGrace: out.q >= grace, Quiesced: out.q, Grace: grace,
-		Stalled: st.Stalled, Crashes: out.crashes, Stats: st, Registry: co.Registry,
+		Stalled: st.Stalled, Crashes: out.crashes, Stats: st,
 	}, nil
 }

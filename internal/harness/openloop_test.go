@@ -31,7 +31,6 @@ func detOpenLoopGrid(parallel int) OpenLoopGridCfg {
 		Duration: 8_000_000,
 		Seed:     7,
 		Parallel: parallel,
-		Trace:    true,
 	}
 }
 

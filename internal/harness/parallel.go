@@ -2,7 +2,7 @@ package harness
 
 // The parallel sweep engine: experiment tables fan their (lock ×
 // threads × workload × seed) cells out across OS threads. Each cell
-// builds its own sim.Machine, RNG, tracer and observer registry, so
+// builds its own sim.Machine, RNG, tracer and observers, so
 // cells share no mutable state and the per-cell outcome is bit-for-bit
 // identical whether the sweep runs on 1 worker or GOMAXPROCS workers —
 // the determinism regression suite (determinism_test.go) pins this
@@ -104,34 +104,4 @@ func FirstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// gridCell addresses one cell of a rows×cols experiment table.
-func gridCell(i, cols int) (row, col int) { return i / cols, i % cols }
-
-// runGrid evaluates every cell of a rows×cols table through the worker
-// pool and returns results indexed [row][col]. The first failing cell's
-// error is returned (cells after a failure still complete; their
-// results are discarded with the table). experiment and label feed the
-// pprof cell labels (see ParallelMapLabeled).
-func runGrid(workers, rows, cols int, experiment string, label func(r, c int) string, cell func(r, c int) (Result, error)) ([][]Result, error) {
-	var flatLabel func(i int) string
-	if label != nil {
-		flatLabel = func(i int) string {
-			r, c := gridCell(i, cols)
-			return label(r, c)
-		}
-	}
-	flat, errs := ParallelMapLabeled(workers, rows*cols, experiment, flatLabel, func(i int) (Result, error) {
-		r, c := gridCell(i, cols)
-		return cell(r, c)
-	})
-	if err := FirstError(errs); err != nil {
-		return nil, err
-	}
-	out := make([][]Result, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = flat[r*cols : (r+1)*cols]
-	}
-	return out, nil
 }

@@ -114,9 +114,6 @@ func TestRaceAuditorCatchesMutants(t *testing.T) {
 					}
 					t.Fatalf("seed %d: expected a %q race, got %v", s, want, got)
 				}
-				if n := r.Registry.Counter("check.race." + string(want)).Value(); n == 0 {
-					t.Fatalf("seed %d: race found but registry counter is zero", s)
-				}
 				// Bit-determinism: the same config replays to the same
 				// verdict set.
 				again, err := Fuzz(c)

@@ -139,7 +139,7 @@ func Metrics(r Result) map[string]float64 {
 }
 
 // Add appends a run entry built from a Result. name must be unique
-// within the report.
+// within the report; WriteFile refuses a repeat.
 func (rep *Report) Add(name string, r Result) {
 	run := RunReport{
 		Name:    name,
@@ -176,8 +176,13 @@ func (rep *Report) Write(w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// WriteFile writes the report to path (see Write).
+// WriteFile writes the report to path (see Write). It refuses, before
+// creating the file, a report that LoadReport would refuse for naming a
+// run twice.
 func (rep *Report) WriteFile(path string) error {
+	if err := claimRuns(make(map[string]string), rep, path); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

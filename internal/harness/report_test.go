@@ -162,6 +162,24 @@ func TestLoadReportRejectsDuplicateRuns(t *testing.T) {
 	}
 }
 
+// TestWriteFileRejectsDuplicateRuns: a tool must not write a report that
+// LoadReport then refuses. WriteFile fails with LoadReport's error, and
+// leaves no file behind.
+func TestWriteFileRejectsDuplicateRuns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.json")
+	rep := NewToolReport("dup", 0)
+	rep.Add("fig5c/mcs/t1", Result{Alg: "mcs", Threads: 1})
+	rep.Add("fig5c/mcs/t1", Result{Alg: "mcs", Threads: 1})
+	err := rep.WriteFile(path)
+	want := path + `: run "fig5c/mcs/t1" appears twice`
+	if err == nil || err.Error() != want {
+		t.Fatalf("WriteFile of a run added twice: err = %v, want %q", err, want)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("WriteFile created %s for a refused report (stat err = %v)", path, err)
+	}
+}
+
 // FuzzLoadReport: loading arbitrary file bytes never panics, and every
 // report it accepts has the current schema and unique run names.
 func FuzzLoadReport(f *testing.F) {

@@ -165,7 +165,6 @@ func (s stages) run() (*staged, error) {
 	}
 	if inj != nil {
 		out.crashes = inj.Crashes
-		s.check.Registry.Counter("fault.crashes").Add(inj.Crashes)
 	}
 	out.err = validate(out.crashes)
 	return out, nil

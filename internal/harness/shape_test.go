@@ -291,8 +291,11 @@ func TestShapeFlexGuardBeatsBlockingOnApps(t *testing.T) {
 // TestExperimentCatalogRuns: every experiment in the catalog executes at a
 // tiny scale without error, and the whole catalog prints exactly the text
 // recorded in testdata/catalog.golden, one "=== experiment ID" section
-// per experiment. A change that moves any figure's output fails here
-// until the golden is reviewed and regenerated with
+// per experiment. Each section ends with the experiment's -report run
+// names, one "# report <exp>/<alg>: <col> …" line per row, because
+// flexreport matches runs across reports by name. A change that moves
+// any figure's output or run name fails here until the golden is
+// reviewed and regenerated with
 //
 //	go test ./internal/harness -run TestExperimentCatalogRuns -update
 func TestExperimentCatalogRuns(t *testing.T) {
@@ -311,11 +314,14 @@ func TestExperimentCatalogRuns(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			eo := o
+			eo.ReportPrefix, eo.Report = e.ID, NewToolReport("catalog", 0)
 			var out bytes.Buffer
-			if err := e.Run(o, &out); err != nil {
+			if err := e.Run(eo, &out); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			fmt.Fprintf(&all, "=== experiment %s\n%s", e.ID, out.Bytes())
+			writeRunNames(&all, eo.Report)
 			ran++
 		})
 	}
@@ -350,6 +356,27 @@ func TestExperimentCatalogRuns(t *testing.T) {
 	t.Fatalf("output has %d lines, %s %d", len(got), path, len(exp))
 }
 
+// writeRunNames prints rep's run names in the order they were added,
+// one "# report <prefix>: <last> …" line per run of names that share
+// everything up to their last slash.
+func writeRunNames(w *bytes.Buffer, rep *Report) {
+	prev := ""
+	for _, r := range rep.Runs {
+		cut := strings.LastIndex(r.Name, "/")
+		if group := r.Name[:cut]; group != prev {
+			if prev != "" {
+				w.WriteString("\n")
+			}
+			fmt.Fprintf(w, "# report %s:", group)
+			prev = group
+		}
+		w.WriteString(" " + r.Name[cut+1:])
+	}
+	if prev != "" {
+		w.WriteString("\n")
+	}
+}
+
 func TestFindExperiment(t *testing.T) {
 	if _, err := FindExperiment("fig2a"); err != nil {
 		t.Fatal(err)
@@ -369,6 +396,15 @@ func TestParseAlgs(t *testing.T) {
 	}
 	if algs, err := ParseAlgs(""); err != nil || algs != nil {
 		t.Fatalf("empty list: %v %v", algs, err)
+	}
+}
+
+// TestParseAlgsRejectsRepeat: a repeated algorithm would print two rows
+// and write two report runs under one name, so it fails up front.
+func TestParseAlgsRejectsRepeat(t *testing.T) {
+	_, err := ParseAlgs("mcs,flexguard,mcs")
+	if err == nil || !strings.Contains(err.Error(), `"mcs" listed twice`) {
+		t.Fatalf("ParseAlgs(\"mcs,flexguard,mcs\"): err = %v, want it to name mcs as listed twice", err)
 	}
 }
 

@@ -179,28 +179,6 @@ func (s HistogramSnapshot) Quantile(p float64) int64 {
 	return s.Max
 }
 
-// Merge adds other's buckets into s (for aggregating per-lock histograms).
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	if other.Count == 0 {
-		return
-	}
-	if s.Count == 0 {
-		s.Min, s.Max = other.Min, other.Max
-	} else {
-		if other.Min < s.Min {
-			s.Min = other.Min
-		}
-		if other.Max > s.Max {
-			s.Max = other.Max
-		}
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
-}
-
 // Summary converts the snapshot to a stats.Summary with scale applied to
 // every value field (e.g. 1/2200 to report virtual-time ticks as µs).
 // StdDev is approximated from bucket midpoints.

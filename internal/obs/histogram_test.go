@@ -143,30 +143,6 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for _, v := range []int64{1, 10, 100} {
-		a.Record(v)
-	}
-	for _, v := range []int64{1000, 2} {
-		b.Record(v)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 5 || sa.Sum != 1113 || sa.Min != 1 || sa.Max != 1000 {
-		t.Fatalf("merged snapshot wrong: %+v", sa)
-	}
-	var empty HistogramSnapshot
-	empty.Merge(sb)
-	if empty.Count != 2 || empty.Min != 2 || empty.Max != 1000 {
-		t.Fatalf("merge into empty wrong: %+v", empty)
-	}
-	sb.Merge(HistogramSnapshot{})
-	if sb.Count != 2 {
-		t.Fatalf("merging an empty snapshot must be a no-op: %+v", sb)
-	}
-}
-
 func TestHistogramSummaryScale(t *testing.T) {
 	h := NewHistogram()
 	for _, v := range []int64{2200, 4400} { // 1µs and 2µs at 2200 ticks/µs

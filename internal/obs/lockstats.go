@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -71,23 +67,13 @@ func (ls *LockStats) growThreads(n int) {
 }
 
 // LockObserver implements sim.LockObserver: it consumes the lock-event
-// stream and maintains per-lock LockStats plus the system-wide policy
-// counters. It is driven synchronously by the (single-threaded)
-// simulator event loop, so it needs no locking of its own.
+// stream and maintains per-lock LockStats. Policy switches are the
+// Preemption Monitor's to count (monitor.Monitor.SpinToBlockSwitches).
+// It is driven synchronously by the (single-threaded) simulator event
+// loop, so it needs no locking of its own.
 type LockObserver struct {
 	m     *sim.Machine
 	locks []*LockStats
-
-	// Policy-transition counters (Preemption Monitor events).
-	PolicySpinToBlock int64
-	PolicyBlockToSpin int64
-	NPCSUps           int64
-	NPCSDowns         int64
-
-	// Robustness counters: invariant-checker verdicts and monitor
-	// health-check trips seen on the event stream.
-	Violations   int64
-	MonitorStale int64
 }
 
 // Observe attaches a new LockObserver to m and returns it.
@@ -122,28 +108,9 @@ func (o *LockObserver) newLock(id int32) *LockStats {
 
 // LockEvent implements sim.LockObserver.
 func (o *LockObserver) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int32) {
-	switch kind {
-	case sim.TracePolicySwitch:
-		if arg == 1 {
-			o.PolicySpinToBlock++
-		} else {
-			o.PolicyBlockToSpin++
-		}
-		return
-	case sim.TraceNPCSUp:
-		o.NPCSUps++
-		return
-	case sim.TraceNPCSDown:
-		o.NPCSDowns++
-		return
-	case sim.TraceViolation:
-		o.Violations++
-		return
-	case sim.TraceMonitorStale:
-		o.MonitorStale++
-		return
-	}
-	if lock < 0 {
+	// Monitor events carry no lock. A checker verdict may name one, but
+	// it is no lock activity and must not open a row.
+	if lock < 0 || kind == sim.TraceViolation {
 		return
 	}
 	ls := o.lock(lock)
@@ -197,11 +164,9 @@ func (o *LockObserver) Stats() []*LockStats {
 	return out
 }
 
-// Totals aggregates every lock's counters and histograms.
+// Totals aggregates every lock's counters.
 func (o *LockObserver) Totals() LockTotals {
 	var t LockTotals
-	t.Hold = HistogramSnapshot{}
-	t.Handover = HistogramSnapshot{}
 	for _, ls := range o.Stats() {
 		t.Acquires += ls.Acquires
 		t.Releases += ls.Releases
@@ -211,11 +176,7 @@ func (o *LockObserver) Totals() LockTotals {
 		t.Wakes += ls.Wakes
 		t.SpinToBlock += ls.SpinToBlock
 		t.BlockToSpin += ls.BlockToSpin
-		t.Hold.Merge(ls.Hold.Snapshot())
-		t.Handover.Merge(ls.HandoverLat.Snapshot())
 	}
-	t.PolicySpinToBlock = o.PolicySpinToBlock
-	t.PolicyBlockToSpin = o.PolicyBlockToSpin
 	return t
 }
 
@@ -224,44 +185,6 @@ type LockTotals struct {
 	Acquires, Releases, Handovers int64
 	SpinStarts, Blocks, Wakes     int64
 	SpinToBlock, BlockToSpin      int64
-	PolicySpinToBlock             int64
-	PolicyBlockToSpin             int64
-	Hold, Handover                HistogramSnapshot
-}
-
-// WriteText writes the plain-text per-lock metrics summary: one line per
-// lock (sorted by acquisition count, then name, busiest first) plus a
-// totals line. scale converts histogram ticks for display (use
-// 1/sim.TicksPerMicrosecond for µs); prefix is prepended to every line
-// so callers can indent or comment the block.
-func (o *LockObserver) WriteText(w io.Writer, prefix string, scale float64) {
-	ls := o.Stats()
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Acquires != ls[j].Acquires {
-			return ls[i].Acquires > ls[j].Acquires
-		}
-		return ls[i].Name < ls[j].Name
-	})
-	fmt.Fprintf(w, "%s%-24s %9s %9s %8s %8s %9s %9s %9s %9s\n", prefix,
-		"lock", "acquires", "handover", "s->b", "b->s",
-		"hold_p50", "hold_p99", "hndov_p50", "hndov_p99")
-	const maxLines = 20
-	for i, l := range ls {
-		if i == maxLines {
-			fmt.Fprintf(w, "%s... %d more locks\n", prefix, len(ls)-maxLines)
-			break
-		}
-		h := l.Hold.Snapshot()
-		g := l.HandoverLat.Snapshot()
-		fmt.Fprintf(w, "%s%-24s %9d %9d %8d %8d %9.2f %9.2f %9.2f %9.2f\n", prefix,
-			l.Name, l.Acquires, l.Handovers, l.SpinToBlock, l.BlockToSpin,
-			float64(h.Quantile(0.5))*scale, float64(h.Quantile(0.99))*scale,
-			float64(g.Quantile(0.5))*scale, float64(g.Quantile(0.99))*scale)
-	}
-	t := o.Totals()
-	fmt.Fprintf(w, "%stotal: %d acquires, %d spin-starts, %d blocks, %d wakes; waiter s->b=%d b->s=%d; policy s->b=%d b->s=%d\n",
-		prefix, t.Acquires, t.SpinStarts, t.Blocks, t.Wakes,
-		t.SpinToBlock, t.BlockToSpin, t.PolicySpinToBlock, t.PolicyBlockToSpin)
 }
 
 // LockSummary is one lock's reporting view (histograms reduced to

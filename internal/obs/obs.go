@@ -2,9 +2,9 @@
 // (a named-counter registry and fixed-bucket log2 histograms) usable
 // from lock hot paths, a lock-event observer that turns the simulator's
 // expanded trace stream into per-lock hold-time and handover-latency
-// histograms plus spin/block transition counts, and exporters — a
-// Perfetto/Chrome trace_event JSON writer and a plain-text per-lock
-// metrics summary.
+// histograms plus spin/block transition counts, and a Perfetto/Chrome
+// trace_event JSON writer. The per-lock table is printed from a run's
+// Result (harness.Result.WriteLockMetrics).
 //
 // The package mirrors how eBPF-based concurrency tooling makes kernel
 // lock behaviour inspectable: instrumentation points are free when no
