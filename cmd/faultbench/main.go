@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/check"
@@ -96,6 +97,10 @@ func main() {
 	if *plansFlag != "" {
 		cp.plans = nil
 		for _, s := range strings.Split(*plansFlag, ",") {
+			// A plan's name names its column and report runs.
+			if slices.ContainsFunc(cp.plans, func(np fault.NamedPlan) bool { return np.Name == s }) {
+				fatal(fmt.Errorf("-plans: %q listed twice", s))
+			}
 			p, err := fault.ParsePlan(s)
 			if err != nil {
 				fatal(err)

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,10 +58,15 @@ func main() {
 	}
 	cliflags.Check("loadbench", mode)
 
+	// Every list entry names a cell, so a repeated or unknown entry is
+	// refused here, before any cell runs.
+	algs, err := harness.ParseAlgs(*algsFlag)
+	if err != nil {
+		fatal(fmt.Errorf("-algs: %w", err))
+	}
 	g := harness.OpenLoopGridCfg{
 		Patterns:    splitList(*patternsFlag),
-		RatesMs:     nil,
-		Algs:        splitList(*algsFlag),
+		Algs:        algs,
 		Duration:    sim.Time(*duration),
 		Seed:        *seed,
 		Parallel:    *parallel,
@@ -69,10 +75,15 @@ func main() {
 		ServiceMean: sim.Time(*service),
 		Window:      sim.Time(*window),
 	}
-	for _, f := range splitList(*ratesFlag) {
+	rates := splitList(*ratesFlag)
+	for _, f := range rates {
 		r, err := strconv.ParseFloat(f, 64)
 		if err != nil {
 			fatal(fmt.Errorf("bad -rates entry %q: %w", f, err))
+		}
+		// Cell names print the parsed rate (%g), so 100 and 1e2 collide.
+		if i := slices.Index(g.RatesMs, r); i >= 0 {
+			fatal(fmt.Errorf("-rates: rate %g listed twice (%q, %q)", r, rates[i], f))
 		}
 		g.RatesMs = append(g.RatesMs, r)
 	}
@@ -82,7 +93,10 @@ func main() {
 		g.Algs = []string{"flexguard", "blocking"}
 		g.Duration = 8_000_000
 	}
-	for _, p := range g.Patterns {
+	for i, p := range g.Patterns {
+		if slices.Contains(g.Patterns[:i], p) {
+			fatal(fmt.Errorf("-patterns: %q listed twice", p))
+		}
 		if _, err := traffic.New(p, 1, 1000); err != nil {
 			fatal(err)
 		}

@@ -174,6 +174,31 @@ func TestMonitorDetectsOversubscription(t *testing.T) {
 	}
 }
 
+// TestMonitorSnapshot: Snapshot reads the overshoot histogram while the
+// sampling loop records into it (the -race run covers the lock that
+// guards it), every probe leaves one overshoot sample, and the
+// percentiles are ordered.
+func TestMonitorSnapshot(t *testing.T) {
+	mon := StartMonitor(MonitorConfig{Interval: time.Millisecond})
+	deadline := time.Now().Add(5 * time.Second)
+	var s MonitorSnapshot
+	for s.Probes < 10 && time.Now().Before(deadline) {
+		s = mon.Snapshot()
+		if s.Overshoot.Count != s.Probes {
+			t.Fatalf("mid-run snapshot: %d overshoot samples for %d probes", s.Overshoot.Count, s.Probes)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	mon.Stop()
+	s = mon.Snapshot()
+	if s.Probes < 10 {
+		t.Fatalf("only %d probes in 5 s at a 1 ms interval", s.Probes)
+	}
+	if o := s.Overshoot; o.Count != s.Probes || o.P50NS > o.P99NS || o.P99NS > o.MaxNS {
+		t.Fatalf("after Stop: %d probes, overshoot %+v; want one sample per probe and p50 <= p99 <= max", s.Probes, o)
+	}
+}
+
 // TestMonitorStopIdempotent: Stop twice is fine.
 func TestMonitorStopIdempotent(t *testing.T) {
 	mon := StartMonitor(MonitorConfig{})

@@ -196,8 +196,9 @@ type Result struct {
 	RaceTotal int64
 
 	// Lock-level telemetry, filled only when the env was built with
-	// Observe (times in µs). SpinToBlock/BlockToSpin count waiters that
-	// changed wait mode mid-acquisition, across all locks.
+	// Observe. SpinToBlock/BlockToSpin count waiters that changed wait
+	// mode mid-acquisition, across all locks; PerLock is each lock's
+	// counters and hold and handover histograms (ticks).
 	Acquires    int64
 	Handovers   int64
 	SpinStarts  int64
@@ -205,7 +206,7 @@ type Result struct {
 	Wakes       int64
 	SpinToBlock int64
 	BlockToSpin int64
-	PerLock     []obs.LockSummary
+	PerLock     []obs.LockStats
 
 	// Series is the flight-recorder recording (RunCfg.Window > 0 only).
 	// Fully deterministic, so the determinism suite compares it by
@@ -216,16 +217,16 @@ type Result struct {
 // WriteLockMetrics writes the per-lock telemetry table (requires a run
 // with EnvOptions.Observe / RunCfg.Observe): the 20 busiest locks by
 // acquisitions, ties by name, then a totals line. Hold and handover
-// means are exact; the p99s are log2-bucket estimates.
+// times are in µs; the means are exact, the p99s log2-bucket estimates.
 func (r *Result) WriteLockMetrics(w io.Writer) {
 	fmt.Fprintf(w, "%-24s %9s %9s %8s %8s %10s %10s %10s %10s\n",
 		"lock", "acquires", "handover", "s->b", "b->s",
 		"hold_mean", "hold_p99", "hndov_mean", "hndov_p99")
 	ls := slices.Clone(r.PerLock)
-	slices.SortStableFunc(ls, func(a, b obs.LockSummary) int {
+	slices.SortStableFunc(ls, func(a, b obs.LockStats) int {
 		return cmp.Or(cmp.Compare(b.Acquires, a.Acquires), strings.Compare(a.Name, b.Name))
 	})
-	const maxLines = 20
+	const maxLines, us = 20, 1 / sim.TicksPerMicrosecond
 	for i, l := range ls {
 		if i == maxLines {
 			fmt.Fprintf(w, "... %d more locks\n", len(ls)-maxLines)
@@ -233,7 +234,8 @@ func (r *Result) WriteLockMetrics(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-24s %9d %9d %8d %8d %10.2f %10.2f %10.2f %10.2f\n",
 			l.Name, l.Acquires, l.Handovers, l.SpinToBlock, l.BlockToSpin,
-			l.Hold.Mean, l.Hold.P99, l.Handover.Mean, l.Handover.P99)
+			l.Hold.Mean()*us, float64(l.Hold.Quantile(0.99))*us,
+			l.HandoverLat.Mean()*us, float64(l.HandoverLat.Quantile(0.99))*us)
 	}
 	fmt.Fprintf(w, "total: %d acquires, %d spin-starts, %d blocks, %d wakes; waiter s->b=%d b->s=%d; policy s->b=%d b->s=%d\n",
 		r.Acquires, r.SpinStarts, r.Blocks, r.Wakes,
@@ -261,7 +263,7 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 		}
 	}
 	if len(samples) > 0 {
-		r.P99LatUS = stats.Summarize(samples).P99 / sim.TicksPerMicrosecond
+		r.P99LatUS = stats.Percentile(samples, 0.99) / sim.TicksPerMicrosecond
 	}
 	r.Preempt = e.M.TotalPreemptions
 	if e.Mon != nil {
@@ -270,7 +272,6 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 		r.PolicyBlockToSpin = e.Mon.BlockToSpinSwitches
 	}
 	if e.Obs != nil {
-		scale := 1 / sim.TicksPerMicrosecond
 		t := e.Obs.Totals()
 		r.Acquires = t.Acquires
 		r.Handovers = t.Handovers
@@ -279,7 +280,7 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 		r.Wakes = t.Wakes
 		r.SpinToBlock = t.SpinToBlock
 		r.BlockToSpin = t.BlockToSpin
-		r.PerLock = e.Obs.Summaries(scale)
+		r.PerLock = e.Obs.Stats()
 	}
 	if duration > 0 {
 		r.OpsPerSec = float64(r.Ops) / (float64(duration) / (sim.TicksPerMicrosecond * 1e6))
@@ -305,15 +306,6 @@ func ScaleConfig(cfg sim.Config, f float64) sim.Config {
 	}
 	cfg.NumCPUs = n
 	return cfg
-}
-
-// ScaleThreads maps a full-scale thread count to the scaled machine.
-func ScaleThreads(threads int, f float64) int {
-	n := int(float64(threads) * f)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // MachineConfig returns the named profile ("intel", "amd", "small").

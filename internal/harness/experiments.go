@@ -500,8 +500,7 @@ func runOverhead(o ExpOptions, w io.Writer) error {
 		offs = append(offs, p.off)
 		ons = append(ons, p.on)
 	}
-	off := stats.Summarize(offs).Mean
-	on := stats.Summarize(ons).Mean
+	off, on := stats.Mean(offs), stats.Mean(ons)
 	if o.Report != nil {
 		prefix := o.ReportPrefix
 		if prefix == "" {

@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestAverageRunsMeansEveryMetric: with two seeds, every report metric
@@ -77,11 +80,11 @@ func TestAverageRunsMeansEveryMetric(t *testing.T) {
 // acquisitions, busiest first and ties by name, so a hot lock with a
 // high id is not cut off behind the first 20 quiet ones.
 func TestWriteLockMetricsBusiestFirst(t *testing.T) {
-	r := Result{PerLock: []obs.LockSummary{{Name: "ht.b0", Acquires: 3}, {Name: "ht.b2", Acquires: 9}}}
+	r := Result{PerLock: []obs.LockStats{{Name: "ht.b0", Acquires: 3}, {Name: "ht.b2", Acquires: 9}}}
 	for i := 3; i < 25; i++ {
-		r.PerLock = append(r.PerLock, obs.LockSummary{Name: "ht.q" + string(rune('a'+i)), Acquires: 1})
+		r.PerLock = append(r.PerLock, obs.LockStats{Name: "ht.q" + string(rune('a'+i)), Acquires: 1})
 	}
-	r.PerLock = append(r.PerLock, obs.LockSummary{Name: "ht.b86", Acquires: 184}, obs.LockSummary{Name: "ht.b1", Acquires: 3})
+	r.PerLock = append(r.PerLock, obs.LockStats{Name: "ht.b86", Acquires: 184}, obs.LockStats{Name: "ht.b1", Acquires: 3})
 	var b strings.Builder
 	r.WriteLockMetrics(&b)
 	var names []string
@@ -93,5 +96,39 @@ func TestWriteLockMetricsBusiestFirst(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "ht.b1 ") || !strings.Contains(b.String(), "... 6 more locks") {
 		t.Fatalf("want ht.b1 listed (tied with ht.b0) and 6 locks cut; table:\n%s", b.String())
+	}
+}
+
+// TestWriteLockMetricsGolden pins the per-lock table of real observed
+// runs — the hash table at 2× subscription under flexguard and mcs —
+// against testdata/lock_metrics.golden, so the hold and handover
+// columns cannot move unnoticed. Regenerate with
+//
+//	go test ./internal/harness -run TestWriteLockMetricsGolden -update
+func TestWriteLockMetricsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, alg := range []string{"flexguard", "mcs"} {
+		r, err := RunHashTable(RunCfg{
+			Config: sim.Small(4), Alg: alg, Threads: 8,
+			Duration: 1_000_000, Seed: 7, Observe: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "# %s\n", alg)
+		r.WriteLockMetrics(&b)
+	}
+	const golden = "testdata/lock_metrics.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("lock table differs from %s:\n got:\n%s\nwant:\n%s", golden, b.String(), want)
 	}
 }

@@ -220,8 +220,8 @@ func FuzzLoadReport(f *testing.F) {
 }
 
 // TestSummaryRoundTrip covers the Summary-line grammar shared by the
-// CLIs: render → parse is lossless, FindSummary digs the line out of
-// surrounding output, and malformed pairs panic at render time.
+// CLIs: render → parse is lossless, and malformed pairs panic at render
+// time.
 func TestSummaryRoundTrip(t *testing.T) {
 	line := SummaryLine(
 		KV{Key: "tool", Value: "flexbench"},
@@ -239,14 +239,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(kvs, want) {
 		t.Fatalf("ParseSummary = %v, want %v", kvs, want)
 	}
-
-	output := "table header\nrow 1\n" + line + "\ntrailing note\n"
-	found, ok := FindSummary(output)
-	if !ok || !reflect.DeepEqual(found, want) {
-		t.Fatalf("FindSummary = %v/%v, want %v", found, ok, want)
-	}
-	if _, ok := FindSummary("no summary here\n"); ok {
-		t.Fatal("FindSummary invented a summary")
+	if _, ok := ParseSummary("no summary here"); ok {
+		t.Fatal("ParseSummary accepted a line that is no Summary line")
 	}
 	if _, ok := ParseSummary("Summary: dangling"); ok {
 		t.Fatal("ParseSummary accepted a field with no =")

@@ -425,12 +425,6 @@ func TestScaleHelpers(t *testing.T) {
 	if s.NumCPUs != 26 {
 		t.Fatalf("scaled Intel has %d contexts, want 26", s.NumCPUs)
 	}
-	if got := ScaleThreads(104, 0.25); got != 26 {
-		t.Fatalf("ScaleThreads = %d, want 26", got)
-	}
-	if got := ScaleThreads(1, 0.01); got != 1 {
-		t.Fatalf("ScaleThreads floor = %d, want 1", got)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ScaleConfig(2) should panic")

@@ -64,14 +64,3 @@ func ParseSummary(line string) (kvs map[string]string, ok bool) {
 	}
 	return kvs, true
 }
-
-// FindSummary scans multi-line tool output for the first Summary line
-// and parses it.
-func FindSummary(output string) (map[string]string, bool) {
-	for _, line := range strings.Split(output, "\n") {
-		if kvs, ok := ParseSummary(line); ok {
-			return kvs, ok
-		}
-	}
-	return nil, false
-}

@@ -4,11 +4,10 @@ import "repro/internal/sim"
 
 // Malthusian waiter states (node.locked word).
 const (
-	mGranted    = 0
-	mActive     = 1 // spinning in the MCS queue
-	mCulled     = 3 // moved to the passive list, spin-then-park
-	mParked     = 4 // culled and blocked on the node futex
-	mReinserted = 5 // unused sentinel kept for debugging dumps
+	mGranted = 0
+	mActive  = 1 // spinning in the MCS queue
+	mCulled  = 3 // moved to the passive list, spin-then-park
+	mParked  = 4 // culled and blocked on the node futex
 )
 
 // malthusianPark is the spin-then-park timeout of culled waiters; like all

@@ -1,11 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"math/bits"
-	"sync/atomic"
-
-	"repro/internal/stats"
 )
 
 // NumBuckets is the fixed bucket count of a Histogram: bucket 0 holds
@@ -15,30 +13,20 @@ import (
 const NumBuckets = 64
 
 // Histogram is a fixed-bucket log2 histogram of int64 samples
-// (virtual-time ticks, wall nanoseconds, …). Recording is lock-free,
-// allocation-free and safe for concurrent use, so it can be called from
-// lock hot paths and sched_switch-style hooks. Create with NewHistogram;
-// a Histogram must not be copied after first use.
+// (virtual-time ticks, wall nanoseconds, …): the repo's one latency
+// histogram, behind the per-lock hold and handover columns, the flight
+// recorder's windowed acquire latency, the open-loop response and wait
+// percentiles and the native monitor's probe overshoot. It is a plain
+// value: the zero value is empty, assignment copies the recording and
+// Record allocates nothing. It is not safe for concurrent use; a
+// recorder that goroutines share guards it with a lock.
 type Histogram struct {
-	buckets [NumBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid only while count > 0
-	max     atomic.Int64
+	Count   int64
+	Sum     int64
+	Min     int64 // valid only while Count > 0
+	Max     int64
+	Buckets [NumBuckets]int64
 }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	h.max.Store(math.MinInt64)
-	return h
-}
-
-// BucketIndex maps a sample to its bucket (see NumBuckets for the
-// layout). Exported for value-type histograms that share the bucket
-// scheme, e.g. the flight recorder's per-window latency histograms.
-func BucketIndex(v int64) int { return bucketIndex(v) }
 
 // bucketIndex maps a sample to its bucket.
 func bucketIndex(v int64) int {
@@ -52,9 +40,8 @@ func bucketIndex(v int64) int {
 	return idx
 }
 
-// BucketUpper returns the inclusive upper bound of bucket i (the value
-// used as the quantile estimate for samples landing there).
-func BucketUpper(i int) int64 {
+// bucketUpper returns the inclusive upper bound of bucket i.
+func bucketUpper(i int) int64 {
 	if i <= 0 {
 		return 0
 	}
@@ -64,78 +51,34 @@ func BucketUpper(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
-// BucketLower returns the inclusive lower bound of bucket i.
-func BucketLower(i int) int64 {
+// bucketLower returns the inclusive lower bound of bucket i.
+func bucketLower(i int) int64 {
 	if i <= 0 {
 		return 0
 	}
 	return int64(1) << uint(i-1)
 }
 
-// Record adds one sample. Zero-allocation and concurrency-safe.
+// Record adds one sample.
 func (h *Histogram) Record(v int64) {
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
+	if h.Count == 0 || v < h.Min {
+		h.Min = v
 	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
+	if h.Count == 0 || v > h.Max {
+		h.Max = v
 	}
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of recorded samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Snapshot returns a consistent-enough copy for reporting. (Individual
-// loads are atomic; a snapshot taken during concurrent recording may be
-// mid-update by at most the in-flight samples.)
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	if s.Count > 0 {
-		s.Min = h.min.Load()
-		s.Max = h.max.Load()
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-// Quantile returns the estimated p-quantile (0..1); see
-// HistogramSnapshot.Quantile.
-func (h *Histogram) Quantile(p float64) int64 {
-	return h.Snapshot().Quantile(p)
-}
-
-// HistogramSnapshot is a point-in-time copy of a Histogram.
-type HistogramSnapshot struct {
-	Count   int64
-	Sum     int64
-	Min     int64
-	Max     int64
-	Buckets [NumBuckets]int64
+	h.Count++
+	h.Sum += v
+	h.Buckets[bucketIndex(v)]++
 }
 
 // Mean returns the exact mean of the recorded samples (the sum is exact
 // even though bucket placement is approximate).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
+func (h Histogram) Mean() float64 {
+	if h.Count == 0 {
 		return 0
 	}
-	return float64(s.Sum) / float64(s.Count)
+	return float64(h.Sum) / float64(h.Count)
 }
 
 // Quantile estimates the p-quantile (0..1) by locating the bucket that
@@ -146,71 +89,67 @@ func (s HistogramSnapshot) Mean() float64 {
 // the relative error remains bounded by one bucket (estimate/true < 2,
 // true/estimate < 2); interpolation removes the former systematic
 // upper-bound bias, which overestimated by up to 2×.
-func (s HistogramSnapshot) Quantile(p float64) int64 {
-	if s.Count == 0 {
+func (h Histogram) Quantile(p float64) int64 {
+	if h.Count == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return s.Min
+		return h.Min
 	}
 	if p >= 1 {
-		return s.Max
+		return h.Max
 	}
-	rank := int64(p * float64(s.Count-1))
+	rank := int64(p * float64(h.Count-1))
 	var cum int64
-	for i, c := range s.Buckets {
+	for i, c := range h.Buckets {
 		cum += c
 		if cum > rank {
-			lo, hi := BucketLower(i), BucketUpper(i)
+			lo, hi := bucketLower(i), bucketUpper(i)
 			// Place the bucket's c samples at the midpoints of c equal
 			// sub-ranges: sample j (0-based within the bucket) sits at
 			// lo + span*(j+0.5)/c.
 			pos := rank - (cum - c)
 			v := lo + int64(float64(hi-lo)*(float64(pos)+0.5)/float64(c))
-			if v > s.Max {
-				v = s.Max
-			}
-			if v < s.Min {
-				v = s.Min
-			}
-			return v
+			return max(min(v, h.Max), h.Min)
 		}
 	}
-	return s.Max
+	return h.Max
 }
 
-// Summary converts the snapshot to a stats.Summary with scale applied to
-// every value field (e.g. 1/2200 to report virtual-time ticks as µs).
-// StdDev is approximated from bucket midpoints.
-func (s HistogramSnapshot) Summary(scale float64) stats.Summary {
-	if scale == 0 {
-		scale = 1
-	}
-	out := stats.Summary{Count: int(s.Count)}
-	if s.Count == 0 {
-		return out
-	}
-	out.Mean = s.Mean() * scale
-	out.Min = float64(s.Min) * scale
-	out.Max = float64(s.Max) * scale
-	out.Sum = float64(s.Sum) * scale
-	out.P50 = float64(s.Quantile(0.50)) * scale
-	out.P90 = float64(s.Quantile(0.90)) * scale
-	out.P99 = float64(s.Quantile(0.99)) * scale
-	// Variance from bucket midpoints (approximate, like the quantiles).
-	var sq float64
-	mean := s.Mean()
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
+// histogramJSON is the wire form of a Histogram: sparse (bucket, count)
+// pairs in ascending bucket order, so a mostly-empty histogram (a
+// flight-recorder window) costs a few bytes instead of 64 zeros.
+type histogramJSON struct {
+	Count int64   `json:"n"`
+	Sum   int64   `json:"sum"`
+	Min   int64   `json:"min"`
+	Max   int64   `json:"max"`
+	B     []int64 `json:"b,omitempty"`
+}
+
+// MarshalJSON emits the sparse wire form; output is deterministic for a
+// given histogram value.
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	j := histogramJSON{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max}
+	for i, c := range h.Buckets {
+		if c != 0 {
+			j.B = append(j.B, int64(i), c)
 		}
-		mid := (float64(BucketLower(i)) + float64(BucketUpper(i))) / 2
-		if i == 0 {
-			mid = 0
-		}
-		d := mid - mean
-		sq += float64(c) * d * d
 	}
-	out.StdDev = math.Sqrt(sq/float64(s.Count)) * scale
-	return out
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON restores the exact value MarshalJSON was called on.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var j histogramJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*h = Histogram{Count: j.Count, Sum: j.Sum, Min: j.Min, Max: j.Max}
+	for i := 0; i+1 < len(j.B); i += 2 {
+		if idx := j.B[i]; idx >= 0 && idx < NumBuckets {
+			h.Buckets[idx] = j.B[i+1]
+		}
+	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"repro/internal/sim"
-	"repro/internal/stats"
-)
+import "repro/internal/sim"
 
 // waiter wait-mode states for spin/block transition accounting.
 const (
@@ -12,14 +9,14 @@ const (
 	waitBlock
 )
 
-// LockStats accumulates one lock instance's metrics. Histograms record
-// virtual-time ticks.
+// LockStats is one lock instance's telemetry: event counters and the
+// hold and handover histograms, in virtual-time ticks. It is what the
+// observer reports (LockObserver.Stats, harness.Result.PerLock).
 type LockStats struct {
 	ID   int32
 	Name string
 
 	Acquires   int64
-	Releases   int64
 	Handovers  int64
 	SpinStarts int64
 	Blocks     int64
@@ -31,11 +28,17 @@ type LockStats struct {
 	SpinToBlock int64
 	BlockToSpin int64
 
-	// Hold is the acquire→release time per critical section; Handover
-	// the release→next-acquire latency (lock free time between owners).
-	Hold        *Histogram
-	HandoverLat *Histogram
+	// Hold is the acquire→release time per critical section;
+	// HandoverLat the release→next-acquire latency (lock free time
+	// between owners).
+	Hold        Histogram
+	HandoverLat Histogram
+}
 
+// lockState is the observer's record of one lock: the reported stats
+// plus the scratch that computes them.
+type lockState struct {
+	LockStats
 	lastRelease sim.Time
 	hasRelease  bool
 	// threads holds per-thread acquisition state, indexed by tid+2 so
@@ -51,7 +54,7 @@ type threadStat struct {
 }
 
 // thread returns tid's state, growing the table on first sight.
-func (ls *LockStats) thread(tid int32) *threadStat {
+func (ls *lockState) thread(tid int32) *threadStat {
 	i := int(tid) + 2
 	if i >= len(ls.threads) {
 		ls.growThreads(i + 1)
@@ -60,7 +63,7 @@ func (ls *LockStats) thread(tid int32) *threadStat {
 }
 
 //flexlint:coldpath
-func (ls *LockStats) growThreads(n int) {
+func (ls *lockState) growThreads(n int) {
 	for len(ls.threads) < n {
 		ls.threads = append(ls.threads, threadStat{})
 	}
@@ -73,7 +76,7 @@ func (ls *LockStats) growThreads(n int) {
 // loop, so it needs no locking of its own.
 type LockObserver struct {
 	m     *sim.Machine
-	locks []*LockStats
+	locks []*lockState
 }
 
 // Observe attaches a new LockObserver to m and returns it.
@@ -83,8 +86,8 @@ func Observe(m *sim.Machine) *LockObserver {
 	return o
 }
 
-// lock returns (creating on first sight) the stats slot for lock id.
-func (o *LockObserver) lock(id int32) *LockStats {
+// lock returns (creating on first sight) the state slot for lock id.
+func (o *LockObserver) lock(id int32) *lockState {
 	if int(id) < len(o.locks) && o.locks[id] != nil {
 		return o.locks[id]
 	}
@@ -92,16 +95,11 @@ func (o *LockObserver) lock(id int32) *LockStats {
 }
 
 //flexlint:coldpath
-func (o *LockObserver) newLock(id int32) *LockStats {
+func (o *LockObserver) newLock(id int32) *lockState {
 	for int(id) >= len(o.locks) {
 		o.locks = append(o.locks, nil)
 	}
-	ls := &LockStats{
-		ID:          id,
-		Name:        o.m.LockName(id),
-		Hold:        NewHistogram(),
-		HandoverLat: NewHistogram(),
-	}
+	ls := &lockState{LockStats: LockStats{ID: id, Name: o.m.LockName(id)}}
 	o.locks[id] = ls
 	return ls
 }
@@ -124,7 +122,6 @@ func (o *LockObserver) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg
 			ls.hasRelease = false
 		}
 	case sim.TraceRelease:
-		ls.Releases++
 		if ts := ls.thread(tid); ts.held {
 			ls.Hold.Record(int64(at - ts.acquiredAt))
 			ts.held = false
@@ -152,13 +149,13 @@ func (o *LockObserver) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg
 	}
 }
 
-// Stats returns the per-lock stats, sorted by lock id, skipping locks
-// that never emitted an event.
-func (o *LockObserver) Stats() []*LockStats {
-	out := make([]*LockStats, 0, len(o.locks))
+// Stats returns a copy of every lock's stats, sorted by lock id,
+// skipping locks that never emitted an event.
+func (o *LockObserver) Stats() []LockStats {
+	out := make([]LockStats, 0, len(o.locks))
 	for _, ls := range o.locks {
 		if ls != nil {
-			out = append(out, ls)
+			out = append(out, ls.LockStats)
 		}
 	}
 	return out
@@ -167,9 +164,11 @@ func (o *LockObserver) Stats() []*LockStats {
 // Totals aggregates every lock's counters.
 func (o *LockObserver) Totals() LockTotals {
 	var t LockTotals
-	for _, ls := range o.Stats() {
+	for _, ls := range o.locks {
+		if ls == nil {
+			continue
+		}
 		t.Acquires += ls.Acquires
-		t.Releases += ls.Releases
 		t.Handovers += ls.Handovers
 		t.SpinStarts += ls.SpinStarts
 		t.Blocks += ls.Blocks
@@ -182,41 +181,7 @@ func (o *LockObserver) Totals() LockTotals {
 
 // LockTotals is the cross-lock aggregate of a run.
 type LockTotals struct {
-	Acquires, Releases, Handovers int64
-	SpinStarts, Blocks, Wakes     int64
-	SpinToBlock, BlockToSpin      int64
-}
-
-// LockSummary is one lock's reporting view (histograms reduced to
-// stats.Summary in the caller's unit via scale).
-type LockSummary struct {
-	Name                     string
-	Acquires, Handovers      int64
-	SpinStarts, Blocks       int64
-	Wakes                    int64
-	SpinToBlock, BlockToSpin int64
-	Hold                     stats.Summary
-	Handover                 stats.Summary
-}
-
-// Summaries returns every lock's LockSummary with the given value scale
-// applied to the histograms.
-func (o *LockObserver) Summaries(scale float64) []LockSummary {
-	ls := o.Stats()
-	out := make([]LockSummary, 0, len(ls))
-	for _, l := range ls {
-		out = append(out, LockSummary{
-			Name:        l.Name,
-			Acquires:    l.Acquires,
-			Handovers:   l.Handovers,
-			SpinStarts:  l.SpinStarts,
-			Blocks:      l.Blocks,
-			Wakes:       l.Wakes,
-			SpinToBlock: l.SpinToBlock,
-			BlockToSpin: l.BlockToSpin,
-			Hold:        l.Hold.Snapshot().Summary(scale),
-			Handover:    l.HandoverLat.Snapshot().Summary(scale),
-		})
-	}
-	return out
+	Acquires, Handovers       int64
+	SpinStarts, Blocks, Wakes int64
+	SpinToBlock, BlockToSpin  int64
 }

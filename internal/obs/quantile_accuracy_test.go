@@ -38,11 +38,10 @@ func exactQuantile(sorted []int64, p float64) int64 {
 // which a decaying tail violates more the wider the bucket.
 func checkQuantiles(t *testing.T, name string, samples []int64, analytic func(p float64) float64, relTol []float64) {
 	t.Helper()
-	h := NewHistogram()
+	var s Histogram
 	for _, v := range samples {
-		h.Record(v)
+		s.Record(v)
 	}
-	s := h.Snapshot()
 	sorted := append([]int64(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for i, p := range accuracyPercentiles {
@@ -108,11 +107,10 @@ func TestQuantileAccuracyBimodal(t *testing.T) {
 	// and p99 in the slow mode — a histogram bug that smears the modes
 	// together (e.g. midpoint reporting across empty buckets) breaks
 	// this even if each estimate is within its factor-2 band.
-	h := NewHistogram()
+	var s Histogram
 	for _, v := range samples {
-		h.Record(v)
+		s.Record(v)
 	}
-	s := h.Snapshot()
 	if q := s.Quantile(0.50); q < fastLo/2 || q > fastHi*2 {
 		t.Errorf("bimodal p50 %d not in fast mode [%d,%d]×2", q, fastLo, fastHi)
 	}
@@ -128,11 +126,11 @@ func TestQuantileAccuracyBimodal(t *testing.T) {
 // and edge reporting would say 131071 (33% high).
 func TestQuantileInterpolationPinned(t *testing.T) {
 	r := dist.NewRand(5)
-	h := NewHistogram()
+	var h Histogram
 	for i := 0; i < 10_000; i++ {
 		h.Record(65536 + int64(r.Float64()*65536))
 	}
-	q := h.Snapshot().Quantile(0.50)
+	q := h.Quantile(0.50)
 	if q < 90_000 || q > 106_000 {
 		t.Errorf("uniform-bucket p50 = %d, want ≈98304 (interpolated, not bucket edge)", q)
 	}
@@ -141,11 +139,10 @@ func TestQuantileInterpolationPinned(t *testing.T) {
 // TestQuantileClampedToObserved: interpolation never reports outside
 // [Min, Max] even at the extreme percentiles.
 func TestQuantileClampedToObserved(t *testing.T) {
-	h := NewHistogram()
+	var s Histogram
 	for _, v := range []int64{1000, 1100, 1200} {
-		h.Record(v)
+		s.Record(v)
 	}
-	s := h.Snapshot()
 	if q := s.Quantile(0.999); q > 1200 {
 		t.Errorf("p99.9 = %d exceeds observed max 1200", q)
 	}

@@ -26,9 +26,6 @@
 package timeseries
 
 import (
-	"encoding/json"
-	"math"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -55,90 +52,6 @@ type Options struct {
 	QueueDepth func() int64
 }
 
-// LatHist is one window's log2 latency histogram. It shares the obs
-// bucket layout (bucket 0 = non-positive, bucket i = values with
-// highest set bit i-1) but is a plain value: windows copy it wholesale,
-// so recording allocates nothing.
-type LatHist struct {
-	Count   int64
-	Sum     int64
-	Min     int64
-	Max     int64
-	Buckets [obs.NumBuckets]int64
-}
-
-func (h *LatHist) reset() {
-	*h = LatHist{Min: math.MaxInt64, Max: math.MinInt64}
-}
-
-func (h *LatHist) record(v int64) {
-	h.Buckets[obs.BucketIndex(v)]++
-	h.Count++
-	h.Sum += v
-	if v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
-	}
-}
-
-// latHistJSON is the wire form of LatHist: sparse (bucket, count) pairs
-// in ascending bucket order, so a mostly-empty histogram costs a few
-// bytes instead of 64 zeros per window.
-type latHistJSON struct {
-	Count int64   `json:"n"`
-	Sum   int64   `json:"sum"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	B     []int64 `json:"b,omitempty"`
-}
-
-// MarshalJSON emits the sparse wire form; output is deterministic for a
-// given histogram value.
-func (h LatHist) MarshalJSON() ([]byte, error) {
-	j := latHistJSON{Count: h.Count}
-	if h.Count > 0 {
-		j.Sum, j.Min, j.Max = h.Sum, h.Min, h.Max
-		for i, c := range h.Buckets {
-			if c != 0 {
-				j.B = append(j.B, int64(i), c)
-			}
-		}
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON restores the exact in-memory value MarshalJSON was
-// called on (the report round-trip test relies on this).
-func (h *LatHist) UnmarshalJSON(b []byte) error {
-	var j latHistJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	h.reset()
-	h.Count = j.Count
-	if j.Count > 0 {
-		h.Sum, h.Min, h.Max = j.Sum, j.Min, j.Max
-	}
-	for i := 0; i+1 < len(j.B); i += 2 {
-		if idx := j.B[i]; idx >= 0 && idx < obs.NumBuckets {
-			h.Buckets[idx] = j.B[i+1]
-		}
-	}
-	return nil
-}
-
-// Snapshot converts the window histogram to an obs.HistogramSnapshot
-// (for quantiles and summaries).
-func (h LatHist) Snapshot() obs.HistogramSnapshot {
-	s := obs.HistogramSnapshot{Count: h.Count, Sum: h.Sum, Buckets: h.Buckets}
-	if h.Count > 0 {
-		s.Min, s.Max = h.Min, h.Max
-	}
-	return s
-}
-
 // Point is one closed window of the series. All fields are counters or
 // gauges in virtual-time ticks; JSON field order is fixed by struct
 // declaration order, which the report schema relies on.
@@ -151,8 +64,9 @@ type Point struct {
 	Ops int64 `json:"ops"`
 	// Lat is the contended-acquire latency histogram for the window
 	// (first wait event to acquire; uncontended fast-path acquires are
-	// counted in Acquires but record no latency sample).
-	Lat LatHist `json:"lat"`
+	// counted in Acquires but record no latency sample). A window copies
+	// it wholesale, so recording allocates nothing.
+	Lat obs.Histogram `json:"lat"`
 	// Wait-mode occupancy gauges, read at the window edge: waiters
 	// currently spinning on-CPU, spinners preempted off-CPU (runnable),
 	// and waiters blocked on a futex.
@@ -205,7 +119,7 @@ type Sampler struct {
 
 	// Current-window accumulators.
 	acquires   int64
-	lat        LatHist
+	lat        obs.Histogram
 	policySB   int64
 	policyBS   int64
 	staleTrips int64
@@ -237,7 +151,6 @@ func Attach(m *sim.Machine, o Options) *Sampler {
 	}
 	s.series.Window = int64(o.Window)
 	s.series.Points = make([]Point, 0, cap)
-	s.lat.reset()
 	s.tickFn = s.tick
 	m.AddLockObserver(s)
 	m.Schedule(s.next, s.tickFn)
@@ -311,7 +224,7 @@ func (s *Sampler) closeWindow() {
 	s.stealsSeen = s.m.TotalSteals
 	s.migsSeen = s.m.TotalMigrations
 	s.acquires = 0
-	s.lat.reset()
+	s.lat = obs.Histogram{}
 	s.policySB, s.policyBS, s.staleTrips = 0, 0, 0
 	s.next += s.w
 }
@@ -345,7 +258,7 @@ func (s *Sampler) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg int3
 		if tid >= 0 {
 			s.grow(tid)
 			if s.waitStart[tid] >= 0 {
-				s.lat.record(int64(at - s.waitStart[tid]))
+				s.lat.Record(int64(at - s.waitStart[tid]))
 				s.waitStart[tid] = -1
 			}
 			s.waitMode[tid] = modeNone
@@ -418,7 +331,7 @@ func (s *Series) CounterTracks() []obs.CounterTrack {
 	tracks := []obs.CounterTrack{
 		mk("acquires/win", func(p *Point) int64 { return p.Acquires }),
 		mk("ops/win", func(p *Point) int64 { return p.Ops }),
-		mk("acquire-lat-p99", func(p *Point) int64 { return p.Lat.Snapshot().Quantile(0.99) }),
+		mk("acquire-lat-p99", func(p *Point) int64 { return p.Lat.Quantile(0.99) }),
 		mk("spinning", func(p *Point) int64 { return p.Spinning }),
 		mk("spin-preempted", func(p *Point) int64 { return p.SpinPreempted }),
 		mk("blocked", func(p *Point) int64 { return p.Blocked }),

@@ -12,13 +12,18 @@ package timeseries_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/obs/timeseries"
 	"repro/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite the series golden")
 
 // edgeSampler builds a sampler on an idle machine the tests drive by
 // hand through the LockObserver interface.
@@ -146,12 +151,11 @@ func TestZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestLatHistJSONRoundTrip: a window's latency histogram (Point.Lat)
+// serializes in the sparse wire form — only non-empty buckets, as
+// (bucket, count) pairs — and decoding restores the exact value.
 func TestLatHistJSONRoundTrip(t *testing.T) {
-	var h timeseries.LatHist
-	if err := h.UnmarshalJSON([]byte(`{"n":0}`)); err != nil { // start from reset state
-		t.Fatal(err)
-	}
-	empty, err := json.Marshal(h)
+	empty, err := json.Marshal(obs.Histogram{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +174,14 @@ func TestLatHistJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back timeseries.LatHist
+	if want := `{"n":2,"sum":4985,"min":5,"max":4980,"b":[3,1,13,1]}`; string(wire) != want {
+		t.Fatalf("wire form = %s, want %s", wire, want)
+	}
+	var back obs.Histogram
 	if err := json.Unmarshal(wire, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(orig, back) {
+	if back != orig {
 		t.Fatalf("round trip lost data:\n orig %+v\n back %+v\n wire %s", orig, back, wire)
 	}
 }
@@ -391,7 +398,11 @@ func TestCounterTracks(t *testing.T) {
 }
 
 // TestSeriesJSONStable: the serialized series is byte-identical across
-// runs (the report-level determinism the CI gate depends on).
+// runs (the report-level determinism the CI gate depends on) and equal
+// to the committed golden, so a change to the histogram's wire form or
+// to what a window records cannot land unnoticed. Regenerate with
+//
+//	go test ./internal/obs/timeseries -run TestSeriesJSONStable -update
 func TestSeriesJSONStable(t *testing.T) {
 	run := func() []byte {
 		r, err := harness.RunSharedMem(windowedCell("flexguard", 50_000), 100)
@@ -402,11 +413,24 @@ func TestSeriesJSONStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return append(b, '\n')
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two identical runs serialized different series:\n%s\n%s", a, b)
+	}
+	const golden = "testdata/series_golden.json"
+	if *update {
+		if err := os.WriteFile(golden, a, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, want) {
+		t.Fatalf("series differs from %s:\n got %s\nwant %s", golden, a, want)
 	}
 }
 

@@ -598,21 +598,6 @@ func TestRegionAfterAppliedAtomically(t *testing.T) {
 	}
 }
 
-func TestStoreToRegion(t *testing.T) {
-	m := small(1)
-	w := m.NewWord("w", 0)
-	var r Region
-	m.Spawn("t", func(p *Proc) {
-		p.SetRegion(5)
-		p.StoreTo(w, 9, RegionNone)
-		r = p.Thread().Region
-	})
-	m.Run(1_000_000)
-	if r != RegionNone || w.V() != 9 {
-		t.Fatalf("StoreTo: region=%d val=%d", r, w.V())
-	}
-}
-
 func TestKernelStoreInvalidates(t *testing.T) {
 	m := small(1)
 	w := m.NewWord("w", 0)

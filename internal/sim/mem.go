@@ -21,7 +21,7 @@ const (
 	// MemLoad is a costed plain load (Proc.Load) or the atomic value
 	// check at the head of futex_wait.
 	MemLoad MemKind = iota + 1
-	// MemStore is a costed store (Proc.Store/StoreTo/StoreRel); Rel
+	// MemStore is a costed store (Proc.Store/StoreRel); Rel
 	// distinguishes the release-annotated variant.
 	MemStore
 	// MemRMW is an atomic read-modify-write (CAS/Xchg/Add). Wrote

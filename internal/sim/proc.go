@@ -200,12 +200,6 @@ func (p *Proc) StoreRel(w *Word, v uint64) {
 	p.do(opReq{kind: opStore, w: w, a: v, flags: flagRel})
 }
 
-// StoreTo writes w and atomically enters region r with the store's effect
-// (modeling a label directly after the store instruction).
-func (p *Proc) StoreTo(w *Word, v uint64, r Region) {
-	p.do(opReq{kind: opStore, w: w, a: v, regionAfter: r, flags: flagRegionAfter})
-}
-
 // CAS atomically compares w to old and, if equal, sets it to new. It
 // returns the prior value (compare to old to detect success) and stores it
 // in Thread.Reg, mirroring the paper's inline-assembly idiom of pinning

@@ -182,7 +182,7 @@ func (t *Thread) Name() string { return t.name }
 func (t *Thread) State() State { return t.state }
 
 // LatencySamples returns the thread's strided latency reservoir (ticks),
-// suitable for percentile estimation via stats.Summarize.
+// suitable for percentile estimation via stats.Percentile.
 func (t *Thread) LatencySamples() []int64 {
 	return append([]int64(nil), t.latSamples...)
 }

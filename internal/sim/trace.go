@@ -313,18 +313,6 @@ func (tr *Tracer) Count(kind TraceKind) int {
 	return n
 }
 
-// SwitchesPerThread tallies, per thread id, how many times it was
-// switched out, over the retained window (exact across wrap-around).
-func (tr *Tracer) SwitchesPerThread() map[int]int {
-	out := make(map[int]int)
-	for _, e := range tr.events {
-		if e.Kind == TraceSwitch && e.Prev >= 0 {
-			out[int(e.Prev)]++
-		}
-	}
-	return out
-}
-
 // Dump writes a human-readable listing of up to limit events, oldest
 // retained first.
 func (tr *Tracer) Dump(w io.Writer, limit int) {

@@ -83,8 +83,8 @@ func TestTracerWrapAroundKeepsNewest(t *testing.T) {
 	}
 }
 
-// Count and SwitchesPerThread are exact over the retained window even
-// after the ring wraps: they see exactly the events Events() returns.
+// Count is exact over the retained window even after the ring wraps: it
+// sees exactly the events Events() returns.
 func TestTracerWrapAroundCounts(t *testing.T) {
 	tr := &Tracer{max: 5}
 	// 12 events: alternate switch (thread i%2) and lock acquire.
@@ -97,12 +97,10 @@ func TestTracerWrapAroundCounts(t *testing.T) {
 	}
 	evs := tr.Events()
 	wantSwitch, wantAcq := 0, 0
-	wantPer := map[int]int{}
 	for _, e := range evs {
 		switch e.Kind {
 		case TraceSwitch:
 			wantSwitch++
-			wantPer[int(e.Prev)]++
 		case TraceAcquire:
 			wantAcq++
 		}
@@ -112,15 +110,6 @@ func TestTracerWrapAroundCounts(t *testing.T) {
 	}
 	if got := tr.Count(TraceAcquire); got != wantAcq {
 		t.Fatalf("Count(acquire)=%d want %d", got, wantAcq)
-	}
-	per := tr.SwitchesPerThread()
-	if len(per) != len(wantPer) {
-		t.Fatalf("SwitchesPerThread=%v want %v", per, wantPer)
-	}
-	for id, n := range wantPer {
-		if per[id] != n {
-			t.Fatalf("SwitchesPerThread[%d]=%d want %d", id, per[id], n)
-		}
 	}
 	if tr.Dropped != 12-5 {
 		t.Fatalf("Dropped=%d want 7", tr.Dropped)
@@ -140,25 +129,6 @@ func TestTracerDumpLockEventsAndEvictionFooter(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 older events evicted") {
 		t.Fatalf("dump missing eviction footer:\n%s", out)
-	}
-}
-
-func TestTracerSwitchesPerThread(t *testing.T) {
-	m := small(1)
-	tr := m.AttachTracer(0) // default capacity
-	for i := 0; i < 3; i++ {
-		m.Spawn("w", func(p *Proc) {
-			for k := 0; k < 5; k++ {
-				p.Compute(30_000)
-			}
-		})
-	}
-	m.Run(10_000_000)
-	per := tr.SwitchesPerThread()
-	for id := 0; id < 3; id++ {
-		if per[id] == 0 {
-			t.Fatalf("thread %d has no recorded switch-outs: %v", id, per)
-		}
 	}
 }
 

@@ -3,62 +3,17 @@
 // step time series (e.g. the runnable-thread timeline of Figure 5a).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
-// Summary describes a sample set.
-type Summary struct {
-	Count         int
-	Mean          float64
-	Min, Max      float64
-	P50, P90, P99 float64
-	StdDev        float64
-	Sum           float64
-}
-
-// Summarize computes a Summary over samples. It does not modify samples.
-// An empty input yields the zero Summary.
-func Summarize(samples []float64) Summary {
+// Percentile returns the p-quantile (0..1) of samples, interpolated
+// linearly between the two nearest ranks of a sorted copy. It does not
+// modify samples; an empty input yields 0.
+func Percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
-		return Summary{}
+		return 0
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	// Welford's one-pass update: the naive E[x²]−E[x]² form cancels
-	// catastrophically when the mean dwarfs the spread (e.g. large
-	// tick-timestamp samples), yielding zero or negative variance.
-	var mean, m2, sum float64
-	for i, v := range s {
-		sum += v
-		d := v - mean
-		mean += d / float64(i+1)
-		m2 += d * (v - mean)
-	}
-	variance := m2 / float64(len(s))
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		Count:  len(s),
-		Mean:   mean,
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		P50:    percentileSorted(s, 0.50),
-		P90:    percentileSorted(s, 0.90),
-		P99:    percentileSorted(s, 0.99),
-		StdDev: math.Sqrt(variance),
-		Sum:    sum,
-	}
-}
-
-// percentileSorted returns the p-quantile (0..1) of an ascending slice
-// using nearest-rank interpolation.
-func percentileSorted(s []float64, p float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
 	pos := p * float64(len(s)-1)
 	lo := int(pos)
 	hi := lo + 1
@@ -67,6 +22,19 @@ func percentileSorted(s []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// Mean returns the mean of samples by Welford's running update, taken
+// over the samples in ascending order so the result does not depend on
+// their order. It does not modify samples; an empty input yields 0.
+func Mean(samples []float64) float64 {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	var mean float64
+	for i, v := range s {
+		mean += (v - mean) / float64(i+1)
+	}
+	return mean
 }
 
 // FairnessFactor computes Dice's fairness factor over per-thread operation

@@ -8,73 +8,56 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// The TestSummarize* tests cover the sample-set statistics, Percentile
+// and Mean.
+
 func TestSummarizeBasic(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.Count != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("bad count/min/max: %+v", s)
+	in := []float64{4, 1, 3, 2}
+	if m := Mean(in); !almostEqual(m, 2.5, 1e-9) {
+		t.Fatalf("mean %g want 2.5", m)
 	}
-	if !almostEqual(s.Mean, 2.5, 1e-9) {
-		t.Fatalf("mean %g want 2.5", s.Mean)
+	if p := Percentile(in, 0.5); !almostEqual(p, 2.5, 1e-9) {
+		t.Fatalf("p50 %g want 2.5", p)
 	}
-	if !almostEqual(s.P50, 2.5, 1e-9) {
-		t.Fatalf("p50 %g want 2.5", s.P50)
-	}
-	if !almostEqual(s.Sum, 10, 1e-9) {
-		t.Fatalf("sum %g want 10", s.Sum)
+	if lo, hi := Percentile(in, 0), Percentile(in, 1); lo != 1 || hi != 4 {
+		t.Fatalf("p0/p100 %g/%g want 1/4", lo, hi)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Count != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary should be zero: %+v", s)
+	if m, p := Mean(nil), Percentile(nil, 0.99); m != 0 || p != 0 {
+		t.Fatalf("empty input should give zeros: mean %g p99 %g", m, p)
 	}
 }
 
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	in := []float64{3, 1, 2}
-	Summarize(in)
+	Percentile(in, 0.5)
+	Mean(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatal("Summarize mutated its input")
+		t.Fatal("Percentile or Mean mutated its input")
 	}
 }
 
 func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.P50 != 7 || s.P99 != 7 || s.StdDev != 0 {
-		t.Fatalf("single-sample summary wrong: %+v", s)
+	in := []float64{7}
+	if p50, p99, m := Percentile(in, 0.5), Percentile(in, 0.99), Mean(in); p50 != 7 || p99 != 7 || m != 7 {
+		t.Fatalf("single-sample statistics wrong: p50 %g p99 %g mean %g", p50, p99, m)
 	}
 }
 
-// Regression: the naive E[x²]−E[x]² variance cancels catastrophically
-// when the mean dwarfs the spread (float64 keeps ~15-16 significant
-// digits, so at offset 1e12 the squares lose the ±1 spread entirely).
-// Welford's update must recover the exact deviation regardless of
-// offset.
-func TestSummarizeVarianceLargeOffset(t *testing.T) {
-	const offset = 1e12
-	// Samples offset±1: true stddev is 1 whatever the offset.
-	samples := make([]float64, 1000)
-	for i := range samples {
-		if i%2 == 0 {
-			samples[i] = offset + 1
-		} else {
-			samples[i] = offset - 1
-		}
+// Welford's running update keeps the mean of huge samples finite, where
+// summing first overflows, and the ascending pass makes the result
+// independent of the samples' order, bit for bit.
+func TestMeanWelford(t *testing.T) {
+	big := []float64{math.MaxFloat64, math.MaxFloat64 / 2, math.MaxFloat64}
+	if m := Mean(big); math.IsInf(m, 0) || m < math.MaxFloat64/2 {
+		t.Fatalf("mean of huge samples %g, want finite", m)
 	}
-	// Welford keeps a small rounding residue at this offset (~1e-4);
-	// the naive formula loses the spread entirely and returns 0.
-	s := Summarize(samples)
-	if !almostEqual(s.StdDev, 1, 1e-3) {
-		t.Fatalf("stddev at offset %g: got %g want 1", offset, s.StdDev)
-	}
-	// Shifting samples must not change the spread.
-	small := make([]float64, len(samples))
-	for i, v := range samples {
-		small[i] = v - offset
-	}
-	if d := Summarize(small).StdDev; !almostEqual(s.StdDev, d, 1e-3) {
-		t.Fatalf("stddev not shift-invariant: %g (offset) vs %g (centered)", s.StdDev, d)
+	in := []float64{0.1, 1e9, 3.3, 7e-5, 42, 0.7}
+	rev := []float64{0.7, 42, 7e-5, 3.3, 1e9, 0.1}
+	if a, b := Mean(in), Mean(rev); a != b {
+		t.Fatalf("mean depends on sample order: %v vs %v", a, b)
 	}
 }
 
@@ -85,11 +68,13 @@ func TestSummarizePercentileBounds(t *testing.T) {
 			return true
 		}
 		samples := make([]float64, len(raw))
+		lo, hi := float64(raw[0]), float64(raw[0])
 		for i, v := range raw {
 			samples[i] = float64(v)
+			lo, hi = min(lo, samples[i]), max(hi, samples[i])
 		}
-		s := Summarize(samples)
-		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max
+		p50, p90, p99 := Percentile(samples, 0.5), Percentile(samples, 0.9), Percentile(samples, 0.99)
+		return lo <= p50 && p50 <= p90 && p90 <= p99 && p99 <= hi
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -119,8 +119,8 @@ type Engine struct {
 	// Resp is the response-latency log2 histogram (arrival →
 	// completion: queue wait + dispatch + service); Wait is queue wait
 	// alone (arrival → dispatch). Ticks.
-	Resp *obs.Histogram
-	Wait *obs.Histogram
+	Resp obs.Histogram
+	Wait obs.Histogram
 
 	byTID []*workerState // dense worker lookup for the kill hook
 }
@@ -182,8 +182,6 @@ func Build(m *sim.Machine, o Options) *Engine {
 		queueCap:     o.QueueCap,
 		maxWorkers:   o.MaxWorkers,
 		ring:         make([]request, o.QueueCap),
-		Resp:         obs.NewHistogram(),
-		Wait:         obs.NewHistogram(),
 	}
 	for i := 0; i < o.Locks; i++ {
 		e.locks = append(e.locks, o.NewLock(fmt.Sprintf("traffic.l%d", i)))
@@ -382,8 +380,8 @@ type Stats struct {
 	Stalled        bool
 	StalledAt      sim.Time // offset from engine start (Build time)
 	ClosedAt       sim.Time // when generation stopped, offset from engine start
-	Resp           obs.HistogramSnapshot
-	Wait           obs.HistogramSnapshot
+	Resp           obs.Histogram
+	Wait           obs.Histogram
 }
 
 // Stats snapshots the engine (call after Machine.Run).
@@ -401,8 +399,8 @@ func (e *Engine) Stats() Stats {
 		Stalled:        e.stalled,
 		StalledAt:      rel(e.stalledAt, e.start),
 		ClosedAt:       rel(e.closedAt, e.start),
-		Resp:           e.Resp.Snapshot(),
-		Wait:           e.Wait.Snapshot(),
+		Resp:           e.Resp,
+		Wait:           e.Wait,
 	}
 }
 
@@ -424,8 +422,8 @@ func (e *Engine) Validate() error {
 		return fmt.Errorf("traffic: conservation broken: offered %d != completed %d + dropped %d + lost %d + backlog %d + inflight %d",
 			e.Offered, e.Completed, e.Dropped, e.Lost, e.qlen, e.inflight)
 	}
-	if e.Resp.Count() != e.Completed {
-		return fmt.Errorf("traffic: %d response samples for %d completions", e.Resp.Count(), e.Completed)
+	if e.Resp.Count != e.Completed {
+		return fmt.Errorf("traffic: %d response samples for %d completions", e.Resp.Count, e.Completed)
 	}
 	return nil
 }

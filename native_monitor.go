@@ -32,10 +32,11 @@ type NativeMonitor struct {
 	// transitions back (introspection; see Snapshot).
 	trips   atomic.Int64
 	untrips atomic.Int64
-	// probes counts sampling iterations; overshoot records how late each
-	// probe woke (ns) — the raw signal behind the verdict.
-	probes    atomic.Int64
-	overshoot *obs.Histogram
+	// overshoot records how late each probe woke (ns) — the raw signal
+	// behind the verdict — one sample per probe. mu guards it: the
+	// sampling loop records while Snapshot reads.
+	mu        sync.Mutex
+	overshoot obs.Histogram
 }
 
 // MonitorConfig tunes StartMonitor.
@@ -58,7 +59,6 @@ func StartMonitor(c MonitorConfig) *NativeMonitor {
 		interval:  c.Interval,
 		threshold: c.Threshold,
 		stop:      make(chan struct{}),
-		overshoot: obs.NewHistogram(),
 	}
 	go m.loop()
 	return m
@@ -75,12 +75,9 @@ func (m *NativeMonitor) loop() {
 		start := time.Now()
 		time.Sleep(m.interval)
 		overshoot := time.Since(start) - m.interval
-		m.probes.Add(1)
-		if ns := overshoot.Nanoseconds(); ns > 0 {
-			m.overshoot.Record(ns)
-		} else {
-			m.overshoot.Record(0)
-		}
+		m.mu.Lock()
+		m.overshoot.Record(max(overshoot.Nanoseconds(), 0))
+		m.mu.Unlock()
 		if overshoot > m.threshold {
 			consecutive++
 			if consecutive >= 2 && !m.over.Load() {

@@ -1,10 +1,6 @@
 package flexguard
 
-import (
-	"encoding/json"
-
-	"repro/internal/obs"
-)
+import "encoding/json"
 
 // Telemetry snapshots for the native adapter. Snapshot types implement
 // fmt.Stringer with JSON output, so they can be published through
@@ -27,20 +23,6 @@ type OvershootStats struct {
 	P99NS  int64   `json:"p99_ns"`
 }
 
-func overshootStats(h *obs.Histogram) OvershootStats {
-	s := h.Snapshot()
-	if s.Count == 0 {
-		return OvershootStats{}
-	}
-	return OvershootStats{
-		Count:  s.Count,
-		MeanNS: s.Mean(),
-		MaxNS:  s.Max,
-		P50NS:  s.Quantile(0.5),
-		P99NS:  s.Quantile(0.99),
-	}
-}
-
 // MonitorSnapshot is a point-in-time view of a NativeMonitor's
 // telemetry.
 type MonitorSnapshot struct {
@@ -60,12 +42,21 @@ func (s MonitorSnapshot) String() string {
 // Snapshot returns the monitor's current telemetry. Safe to call
 // concurrently with the sampling loop.
 func (m *NativeMonitor) Snapshot() MonitorSnapshot {
+	m.mu.Lock()
+	h := m.overshoot
+	m.mu.Unlock()
 	return MonitorSnapshot{
 		Oversubscribed: m.over.Load(),
 		Trips:          m.trips.Load(),
 		Untrips:        m.untrips.Load(),
-		Probes:         m.probes.Load(),
-		Overshoot:      overshootStats(m.overshoot),
+		Probes:         h.Count,
+		Overshoot: OvershootStats{
+			Count:  h.Count,
+			MeanNS: h.Mean(),
+			MaxNS:  h.Max,
+			P50NS:  h.Quantile(0.5),
+			P99NS:  h.Quantile(0.99),
+		},
 	}
 }
 
