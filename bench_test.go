@@ -198,18 +198,15 @@ func BenchmarkOverheadHackbench(b *testing.B) {
 // num_preempted_cs.
 func BenchmarkAblationPerLockCounter(b *testing.B) {
 	cfg := benchCfg(b)
-	for _, perLock := range []bool{false, true} {
-		name := "system-wide"
-		if perLock {
-			name = "per-lock"
-		}
-		perLock := perLock
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct{ name, alg string }{
+		{"system-wide", "flexguard"}, {"per-lock", "flexguard/per-lock"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			var last harness.Result
 			for i := 0; i < b.N; i++ {
 				r, err := harness.RunHashTable(harness.RunCfg{
-					Config: cfg, Alg: "flexguard", Threads: cfg.NumCPUs * 2,
-					Duration: benchDuration, Seed: uint64(i + 1), PerLock: perLock,
+					Config: cfg, Alg: c.alg, Threads: cfg.NumCPUs * 2,
+					Duration: benchDuration, Seed: uint64(i + 1),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -224,18 +221,15 @@ func BenchmarkAblationPerLockCounter(b *testing.B) {
 // BenchmarkAblationMCSExit: §3.2.1 — the reverted blocking-aware mcs_exit.
 func BenchmarkAblationMCSExit(b *testing.B) {
 	cfg := benchCfg(b)
-	for _, blocking := range []bool{false, true} {
-		name := "spin-exit"
-		if blocking {
-			name = "blocking-exit"
-		}
-		blocking := blocking
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct{ name, alg string }{
+		{"spin-exit", "flexguard"}, {"blocking-exit", "flexguard/blocking-mcs-exit"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			var last harness.Result
 			for i := 0; i < b.N; i++ {
 				r, err := harness.RunSharedMem(harness.RunCfg{
-					Config: cfg, Alg: "flexguard", Threads: cfg.NumCPUs * 2,
-					Duration: benchDuration, Seed: uint64(i + 1), BlockingMCSExit: blocking,
+					Config: cfg, Alg: c.alg, Threads: cfg.NumCPUs * 2,
+					Duration: benchDuration, Seed: uint64(i + 1),
 				}, 100)
 				if err != nil {
 					b.Fatal(err)

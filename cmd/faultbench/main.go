@@ -258,12 +258,17 @@ func classifyCrash(r harness.FuzzResult) int {
 // runCrash is the crash campaign over fault.CrashPlans: kill threads
 // while they hold, queue on, or park under every lock, and demand that
 // every cell ends in recovery or a clean orphaned-lock verdict — never a
-// hang and never a mutual-exclusion loss. The robust wrappers and
-// flexguard additionally must *recover* from every crash-while-holding
-// cell. A cell reports its worst seed.
+// hang and never a mutual-exclusion loss. The locks the catalog marks
+// Recovers (robust/blocking and the flexguard pair) additionally must
+// *recover* from every crash-while-holding cell. A cell reports its
+// worst seed.
 func runCrash(cp campaign) int {
 	cp.plans = fault.CrashPlans()
 	return cp.run("faultbench-crash", "crash", "recovered or orphaned cleanly", "reproducers", func(alg string, np fault.NamedPlan) (cellResult, error) {
+		row, err := harness.Lookup(alg)
+		if err != nil {
+			return cellResult{}, err
+		}
 		verdict, spec := crashClean, ""
 		var crashes, abandoned int64
 		for s := 0; s < cp.seeds; s++ {
@@ -278,7 +283,7 @@ func runCrash(cp campaign) int {
 				verdict, spec = v, c.Replay()
 			}
 		}
-		fail := verdict == crashFail || mustRecover(alg, np.Name) && verdict != crashRecover
+		fail := verdict == crashFail || row.Recovers && np.Name == "crash-hold" && verdict != crashRecover
 		text := crashVerdictNames[verdict]
 		if fail {
 			text = "FAIL(" + text + ")"
@@ -290,20 +295,6 @@ func runCrash(cp campaign) int {
 			"abandoned": float64(abandoned),
 		}}, nil
 	})
-}
-
-// mustRecover names the cells where an orphan verdict is itself a
-// failure: the robust wrappers and flexguard exist to survive a holder
-// crash, so crash-while-holding must end in recovery.
-func mustRecover(alg, plan string) bool {
-	if plan != "crash-hold" {
-		return false
-	}
-	switch alg {
-	case "robust/blocking", "flexguard", "flexguard-ext":
-		return true
-	}
-	return false
 }
 
 func b2f(b bool) float64 {

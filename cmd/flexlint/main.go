@@ -1,9 +1,9 @@
 // Command flexlint runs the repo's static-checker suite (see
-// internal/analysis): Word-access discipline, spin-loop hygiene,
-// interprocedural Lock/Unlock pairing, determinism (no wall clock, no
-// global rand, no unordered map iteration), cost coverage (no free
-// peeks or kernel writes on simulated-thread paths), hot-path
-// allocation freedom, and the one-acquire/one-release trace protocol.
+// internal/analysis): spin-loop hygiene, interprocedural Lock/Unlock
+// pairing, determinism (no wall clock, no global rand, no unordered map
+// iteration), cost coverage (no free peeks or kernel writes on
+// simulated-thread paths), hot-path allocation freedom, and the
+// one-acquire/one-release trace protocol.
 //
 // Usage:
 //

@@ -14,12 +14,13 @@
 // A gate names a metric and the move it tolerates: `m>=-20%` fails when
 // m drops more than 20% below baseline (throughput-style, lower is
 // worse); `m<=25%` fails when m rises more than 25% above baseline
-// (latency-style, higher is worse). -inject scales a metric in the
-// second report before diffing, so CI can prove the gate actually trips
-// (the injected regression must exit nonzero).
+// (latency-style, higher is worse). Gates judge every metric both
+// reports share, whatever -metrics prints. -inject scales a metric in
+// the second report before diffing, so CI can prove the gate actually
+// trips (the injected regression must exit nonzero).
 //
 // Exit status: 0 when all gates hold, 1 on a gate regression, 2 on
-// usage or load errors.
+// usage or load errors and on a gate whose metric no shared run carries.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,15 +164,15 @@ func main() {
 		}
 	}
 
-	var keep map[string]bool
-	if *metrics != "" {
-		keep = make(map[string]bool)
-		for _, m := range strings.Split(*metrics, ",") {
-			keep[m] = true
+	// A gate on a metric no shared run carries could never trip.
+	judged, onlyBase, onlyCur := diff(base, cur)
+	for i, g := range parsed {
+		if !slices.ContainsFunc(judged, func(r deltaRow) bool { return r.metric == g.metric }) {
+			fatal(fmt.Errorf("-gate %q: no run in both reports carries %q", gates[i], g.metric))
 		}
 	}
 
-	rows, onlyBase, onlyCur := diff(base, cur, keep)
+	rows := printed(judged, *metrics)
 	switch *format {
 	case "md":
 		writeMarkdown(rows)
@@ -188,7 +190,7 @@ func main() {
 
 	failures := 0
 	for _, g := range parsed {
-		for _, r := range rows {
+		for _, r := range judged {
 			if r.metric != g.metric || r.base == 0 {
 				continue
 			}
@@ -216,7 +218,7 @@ func main() {
 // diff matches runs by name and produces one row per shared metric, in
 // (run, metric) order; run names present on only one side are returned
 // separately.
-func diff(base, cur *harness.Report, keep map[string]bool) (rows []deltaRow, onlyBase, onlyCur []string) {
+func diff(base, cur *harness.Report) (rows []deltaRow, onlyBase, onlyCur []string) {
 	curByName := make(map[string]harness.RunReport, len(cur.Runs))
 	for _, r := range cur.Runs {
 		curByName[r.Name] = r
@@ -231,20 +233,17 @@ func diff(base, cur *harness.Report, keep map[string]bool) (rows []deltaRow, onl
 		matched[b.Name] = true
 		keys := make([]string, 0, len(b.Metrics))
 		for k := range b.Metrics {
-			if _, shared := c.Metrics[k]; shared && (keep == nil || keep[k]) {
+			if _, shared := c.Metrics[k]; shared {
 				keys = append(keys, k)
 			}
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
 			bv, cv := b.Metrics[k], c.Metrics[k]
-			if bv == 0 && cv == 0 {
-				continue
-			}
 			row := deltaRow{run: b.Name, metric: k, base: bv, cur: cv}
 			if bv != 0 {
 				row.pct = (cv - bv) / math.Abs(bv) * 100
-			} else {
+			} else if cv != 0 {
 				row.pct = math.NaN()
 			}
 			rows = append(rows, row)
@@ -258,6 +257,15 @@ func diff(base, cur *harness.Report, keep map[string]bool) (rows []deltaRow, onl
 	sort.Strings(onlyBase)
 	sort.Strings(onlyCur)
 	return rows, onlyBase, onlyCur
+}
+
+// printed picks the rows the table shows: a metric zero on both sides
+// moved nowhere, and a -metrics list names the rest.
+func printed(rows []deltaRow, metrics string) []deltaRow {
+	keep := strings.Split(metrics, ",")
+	return slices.DeleteFunc(slices.Clone(rows), func(r deltaRow) bool {
+		return r.base == 0 && r.cur == 0 || metrics != "" && !slices.Contains(keep, r.metric)
+	})
 }
 
 func fmtPct(p float64) string {

@@ -22,7 +22,6 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/fault"
 	"repro/internal/harness"
-	"repro/internal/locks"
 	"repro/internal/obs"
 	"repro/internal/obs/timeseries"
 	"repro/internal/sim"
@@ -41,30 +40,33 @@ func main() {
 		perfetto = flag.String("perfetto", "", "write the run's event trace as Perfetto/Chrome trace_event JSON to this file")
 		capacity = flag.Int("capacity", 1<<20, "ring-buffer capacity for the -perfetto trace (newest events kept)")
 		races    = flag.Bool("races", false, "audit the run with the virtual-time race auditor and print its verdicts")
-		mutant   = flag.String("mutant", "", "swap the lock for a fault mutant (see internal/fault), with its provoking plan applied")
+		mutant   = flag.String("mutant", "", "run a fault mutant (see internal/fault) in place of -alg, on its own machine with its provoking plan applied")
 		window   = flag.Int64("window", 0, "flight-recorder sampling window in virtual ticks (0 = off); with -perfetto, series render as counter tracks")
 		report   = flag.String("report", "", "write a machine-readable run report (JSON) to this file")
 	)
 	flag.Parse()
 	cliflags.Check("simtrace", "run")
 
-	var mu *fault.Mutant
+	// A mutant's catalog row picks its machine, and its provoking plan
+	// is applied.
+	lock := *alg
+	var plan fault.Plan
 	if *mutant != "" {
-		mm, ok := fault.MutantByName(*mutant)
+		mu, ok := fault.MutantByName(*mutant)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "simtrace: unknown mutant %q (have %v)\n", *mutant, fault.MutantNames())
+			fmt.Fprintf(os.Stderr, "simtrace: unknown mutant %q (have %v)\n", *mutant, harness.Names(harness.Mutant))
 			os.Exit(1)
 		}
-		mu = &mm
-		if mu.NeedsMonitor {
-			*alg = "flexguard" // the mutant reads the monitor's NPCS word
-		}
+		lock, plan = mu.Name, mu.Plan
+	} else if _, err := harness.Lookup(lock); err != nil {
+		fmt.Fprintln(os.Stderr, "simtrace:", err)
+		os.Exit(1)
 	}
 
 	cfg := sim.Intel()
 	cfg.NumCPUs = *cpus
 	cfg.Seed = *seed
-	env, err := harness.NewEnv(harness.EnvOptions{Config: cfg, Alg: *alg, Observe: true})
+	env, err := harness.NewEnv(harness.EnvOptions{Config: cfg, Alg: lock, Observe: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simtrace:", err)
 		os.Exit(1)
@@ -114,19 +116,11 @@ func main() {
 		fmt.Printf("%12d sched_switch %-34s -> %s\n", m.Now(), name(prev), name(next))
 	})
 
-	newLock := env.NewLock
-	if mu != nil {
-		var npcs *sim.Word
-		if env.Mon != nil {
-			npcs = env.Mon.NPCS()
-		}
-		newLock = func(name string) locks.Lock { return mu.New(m, npcs, name) }
-		fault.Apply(m, env.Mon, mu.Plan, *seed)
-	}
+	fault.Apply(m, env.Mon, plan, *seed)
 	sharedmem.Build(m, sharedmem.Options{
 		Threads:  *threads,
 		Deadline: sim.Time(*duration),
-		NewLock:  newLock,
+		NewLock:  env.NewLock,
 	})
 	quiesced := m.Run(sim.Time(*duration) * 5 / 4)
 	var series *timeseries.Series
@@ -185,7 +179,7 @@ func main() {
 	}
 	if *report != "" {
 		rep := harness.NewReport("simtrace", cfg, *seed, sim.Time(*window))
-		rep.Add(fmt.Sprintf("simtrace/%s/t%d", *alg, *threads), r)
+		rep.Add(fmt.Sprintf("simtrace/%s/t%d", lock, *threads), r)
 		if err := rep.WriteFile(*report); err != nil {
 			fmt.Fprintln(os.Stderr, "simtrace:", err)
 			os.Exit(1)

@@ -54,7 +54,7 @@ type Simulation struct {
 	Mon *monitor.Monitor
 	RT  *core.Runtime
 
-	shared *locks.Shared
+	env *harness.Env
 }
 
 // SimConfig configures NewSimulation.
@@ -66,8 +66,6 @@ type SimConfig struct {
 	// Profile selects a full machine profile by name ("intel", "amd");
 	// when set, CPUs is ignored.
 	Profile string
-	// RecordRunnable enables the runnable-thread timeline.
-	RecordRunnable bool
 }
 
 // NewSimulation builds a simulated machine with the FlexGuard Preemption
@@ -94,12 +92,11 @@ func NewSimulation(c SimConfig) (*Simulation, error) {
 	} else {
 		cfg.Seed = 1
 	}
-	cfg.RecordRunnable = c.RecordRunnable
 	env, err := harness.NewEnv(harness.EnvOptions{Config: cfg, Alg: "flexguard"})
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{M: env.M, Mon: env.Mon, RT: env.RT, shared: env.Shared}, nil
+	return &Simulation{M: env.M, Mon: env.Mon, RT: env.RT, env: env}, nil
 }
 
 // NewLock creates a FlexGuard lock on the simulation.
@@ -107,15 +104,19 @@ func (s *Simulation) NewLock(name string) *core.FlexGuard {
 	return s.RT.NewLock(name)
 }
 
-// NewBaselineLock creates one of the paper's baseline locks by registry
+// NewBaselineLock creates one of the paper's baseline locks by catalog
 // name ("blocking", "posix", "mcs", "mcstp", "shuffle", "malthusian",
-// "uscl", "tas", "tatas", "ticket", "clh", "backoff", "spin-ext").
+// "uscl", "tas", "tatas", "ticket", "clh", "backoff", "spin-ext",
+// "robust/blocking", "robust/mcs"); FlexGuard locks come from NewLock.
 func (s *Simulation) NewBaselineLock(alg, name string) (locks.Lock, error) {
-	info, err := locks.Lookup(alg)
+	row, err := harness.Lookup(alg)
+	if err == nil && row.Needs&harness.NeedMonitor != 0 {
+		err = fmt.Errorf("flexguard: %q is not a baseline lock; use NewLock", alg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return info.New(s.shared, name), nil
+	return row.New(s.env, name), nil
 }
 
 // Spawn adds a simulated thread.

@@ -206,6 +206,19 @@ func TestMonitorStopIdempotent(t *testing.T) {
 	mon.Stop()
 }
 
+// TestMonitorStopWaitsForLoop: once Stop returns the sampling loop has
+// exited, so no probe lands after it.
+func TestMonitorStopWaitsForLoop(t *testing.T) {
+	mon := StartMonitor(MonitorConfig{Interval: time.Millisecond})
+	time.Sleep(5 * time.Millisecond)
+	mon.Stop()
+	before := mon.Snapshot().Probes
+	time.Sleep(5 * time.Millisecond)
+	if after := mon.Snapshot().Probes; after != before {
+		t.Fatalf("probes after Stop: %d, then %d 5ms later", before, after)
+	}
+}
+
 // TestDefaultMonitorSingleton: the shared monitor is one instance.
 func TestDefaultMonitorSingleton(t *testing.T) {
 	if DefaultMonitor() != DefaultMonitor() {
@@ -247,8 +260,13 @@ func TestSimulationFacade(t *testing.T) {
 	if s.String() == "" {
 		t.Fatal("empty String()")
 	}
-	if _, err := s.NewBaselineLock("bogus", "x"); err == nil {
-		t.Fatal("bogus baseline name should error")
+	for _, alg := range []string{"bogus", "flexguard", "flexguard-ext", "flexguard/per-lock", "tas-noatomic"} {
+		if _, err := s.NewBaselineLock(alg, "x"); err == nil {
+			t.Fatalf("NewBaselineLock(%q) should error", alg)
+		}
+	}
+	if _, err := s.NewBaselineLock("robust/mcs", "R"); err != nil {
+		t.Fatal(err)
 	}
 	if len(Algorithms()) < 10 {
 		t.Fatalf("algorithm list too short: %v", Algorithms())

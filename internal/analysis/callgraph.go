@@ -50,7 +50,6 @@ const (
 type Edge struct {
 	Kind   EdgeKind
 	Callee *FuncNode
-	Site   ast.Node
 }
 
 // FuncNode is one function declaration or function literal.
@@ -340,21 +339,21 @@ func (p *Program) collectEdges(n *FuncNode) {
 		}
 	})
 
-	addEdge := func(kind EdgeKind, callee *FuncNode, site ast.Node) {
+	addEdge := func(kind EdgeKind, callee *FuncNode) {
 		if callee != nil {
-			n.Edges = append(n.Edges, Edge{Kind: kind, Callee: callee, Site: site})
+			n.Edges = append(n.Edges, Edge{Kind: kind, Callee: callee})
 		}
 	}
 
 	walkOwn(n, func(node ast.Node) {
 		switch node := node.(type) {
 		case *ast.DeferStmt:
-			addEdge(EdgeDefer, p.ResolveCall(pkg, node.Call), node)
+			addEdge(EdgeDefer, p.ResolveCall(pkg, node.Call))
 		case *ast.GoStmt:
-			addEdge(EdgeGo, p.ResolveCall(pkg, node.Call), node)
+			addEdge(EdgeGo, p.ResolveCall(pkg, node.Call))
 		case *ast.CallExpr:
 			if !asyncCall[node] {
-				addEdge(EdgeCall, p.ResolveCall(pkg, node), node)
+				addEdge(EdgeCall, p.ResolveCall(pkg, node))
 			}
 			// Classify function values passed as special arguments.
 			switch name := simMethodCall(pkg.Info, node, "Proc"); name {
@@ -374,7 +373,7 @@ func (p *Program) collectEdges(n *FuncNode) {
 			// A literal in non-call position is a bind; an
 			// immediately-invoked literal is already an EdgeCall.
 			if !funPos[ast.Expr(node)] {
-				addEdge(EdgeBind, p.byLit[node], node)
+				addEdge(EdgeBind, p.byLit[node])
 			}
 		case *ast.SelectorExpr:
 			// Method value in non-call position (m.RegisterKillHook(e.onKill)).
@@ -383,7 +382,7 @@ func (p *Program) collectEdges(n *FuncNode) {
 			}
 			if sel, ok := pkg.Info.Selections[node]; ok && sel.Kind() == types.MethodVal {
 				if fn, ok := sel.Obj().(*types.Func); ok {
-					addEdge(EdgeBind, p.byObj[fn.Origin()], node)
+					addEdge(EdgeBind, p.byObj[fn.Origin()])
 				}
 			}
 		case *ast.Ident:
@@ -395,7 +394,7 @@ func (p *Program) collectEdges(n *FuncNode) {
 				return
 			}
 			if fn, ok := pkg.Info.Uses[node].(*types.Func); ok {
-				addEdge(EdgeBind, p.byObj[fn.Origin()], node)
+				addEdge(EdgeBind, p.byObj[fn.Origin()])
 			}
 		}
 	})

@@ -47,6 +47,7 @@ var modes = map[string]map[string][]string{
 // are set.
 var moot = map[string]map[string]string{
 	"faultbench": {"seeds": "quick"}, // -quick runs one seed
+	"simtrace":   {"alg": "mutant"},  // the mutant's catalog row picks the machine
 }
 
 // span is a numeric flag's valid range: above lo and up to hi when

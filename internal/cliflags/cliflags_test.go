@@ -47,7 +47,9 @@ func TestCheckFlags(t *testing.T) {
 		{"loadbench", "quick", []string{"quick", "rates", "algs"}, "-rates"},
 		{"loadbench", "quick", []string{"quick", "duration"}, "-duration"},
 
-		{"simtrace", "run", []string{"alg", "cpus", "threads", "duration", "events", "seed", "window", "report", "races", "mutant"}, ""},
+		{"simtrace", "run", []string{"alg", "cpus", "threads", "duration", "events", "seed", "window", "report", "races"}, ""},
+		{"simtrace", "run", []string{"cpus", "threads", "duration", "events", "seed", "window", "report", "races", "mutant"}, ""},
+		{"simtrace", "run", []string{"mutant", "alg"}, "-alg"},
 	}
 	for _, c := range cases {
 		err := check(c.cmd, c.mode, c.set)

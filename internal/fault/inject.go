@@ -19,7 +19,7 @@ type Injector struct {
 	// Crash-role tracking, fed by the lock-event stream when the plan
 	// kills threads: how many locks each thread holds and whether it is
 	// waiting for one, indexed by thread id (grown on first sight). This
-	// works for every lock in the registry with zero lock-code changes —
+	// works for every lock in the catalog with zero lock-code changes —
 	// the same events the checker consumes.
 	holding []int32
 	waiting []bool
@@ -34,7 +34,6 @@ type Injector struct {
 	// merely scheduled — ValidateCrashed's tolerance and the crash-aware
 	// verdicts are keyed off it.
 	ForcedPreempts int64
-	SpuriousWakes  int64
 	Crashes        int64
 }
 
@@ -107,7 +106,6 @@ func (i *Injector) SpuriousWakeDelay(t *sim.Thread) sim.Time {
 	if pr <= 0 || i.rng.Float64() >= pr {
 		return 0
 	}
-	i.SpuriousWakes++
 	after := i.plan.SpuriousWakeAfter
 	if after <= 0 {
 		after = 10_000

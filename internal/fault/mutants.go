@@ -2,6 +2,7 @@ package fault
 
 import (
 	"repro/internal/locks"
+	"repro/internal/monitor"
 	"repro/internal/sim"
 )
 
@@ -23,9 +24,9 @@ type Mutant struct {
 	LivenessOnly bool
 	// Plan provokes the bug (zero = any contended schedule does).
 	Plan Plan
-	// New constructs an instance; npcs is the monitor's counter word
-	// (nil when NeedsMonitor is false).
-	New func(m *sim.Machine, npcs *sim.Word, name string) locks.Lock
+	// New constructs an instance on a machine whose monitor is mon (nil
+	// unless NeedsMonitor).
+	New func(m *sim.Machine, mon *monitor.Monitor, name string) locks.Lock
 }
 
 // Mutants returns the self-test registry.
@@ -35,7 +36,7 @@ func Mutants() []Mutant {
 			Name:   "tas-noatomic",
 			Doc:    "test-and-set without the winning CAS: check-then-act race admits two holders",
 			Breaks: "mutual-exclusion",
-			New: func(m *sim.Machine, _ *sim.Word, name string) locks.Lock {
+			New: func(m *sim.Machine, _ *monitor.Monitor, name string) locks.Lock {
 				lid := m.RegisterLockName(name)
 				return &tasNoAtomic{v: m.NewLockWord(lid, ".v", 0), lid: lid}
 			},
@@ -44,7 +45,7 @@ func Mutants() []Mutant {
 			Name:   "mcs-nohandover",
 			Doc:    "MCS that skips successor handover: the next waiter spins on its node forever",
 			Breaks: "stalled-waiter",
-			New: func(m *sim.Machine, _ *sim.Word, name string) locks.Lock {
+			New: func(m *sim.Machine, _ *monitor.Monitor, name string) locks.Lock {
 				return newMCSNoHandover(m, name)
 			},
 		},
@@ -56,9 +57,9 @@ func Mutants() []Mutant {
 			// Pin NPCS nonzero so every contended waiter takes the
 			// blocking path — the release-side bug then strands them all.
 			Plan: Plan{StuckEnabled: true, StuckNPCS: 1},
-			New: func(m *sim.Machine, npcs *sim.Word, name string) locks.Lock {
+			New: func(m *sim.Machine, mon *monitor.Monitor, name string) locks.Lock {
 				lid := m.RegisterLockName(name)
-				return &fgNoWake{val: m.NewLockWord(lid, ".val", 0), npcs: npcs, lid: lid}
+				return &fgNoWake{val: m.NewLockWord(lid, ".val", 0), npcs: mon.NPCS(), lid: lid}
 			},
 		},
 		{
@@ -69,7 +70,7 @@ func Mutants() []Mutant {
 			// Kill the holder at its first in-CS boundary; with recovery
 			// unwired the crash must surface as an orphaned-lock verdict.
 			Plan: Plan{CrashHoldProb: 1},
-			New: func(m *sim.Machine, _ *sim.Word, name string) locks.Lock {
+			New: func(m *sim.Machine, _ *monitor.Monitor, name string) locks.Lock {
 				return locks.NewRobustBlocking(m, nil, name)
 			},
 		},
@@ -84,15 +85,6 @@ func MutantByName(name string) (Mutant, bool) {
 		}
 	}
 	return Mutant{}, false
-}
-
-// MutantNames lists the registry in order.
-func MutantNames() []string {
-	var out []string
-	for _, mu := range Mutants() {
-		out = append(out, mu.Name)
-	}
-	return out
 }
 
 // ---- tas-noatomic ----

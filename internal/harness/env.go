@@ -1,6 +1,6 @@
 // Package harness wires machines, lock algorithms, the Preemption Monitor
-// and the workloads into the paper's experiments (§5): it owns the
-// algorithm registry used by every figure (the role LiTL plays in the
+// and the workloads into the paper's experiments (§5): it owns the lock
+// catalog every figure swaps locks through (the role LiTL plays in the
 // paper), the thread-count sweeps, the concurrent busy-waiting
 // oversubscription mode, and the table printers that regenerate each
 // figure's rows.
@@ -23,51 +23,20 @@ import (
 	"repro/internal/stats"
 )
 
-// Algorithms evaluated in §5.1, in the paper's order.
-var Algorithms = []string{
-	"blocking", "posix", "mcs", "mcstp", "shuffle", "malthusian", "uscl",
-	"flexguard", "spin-ext", "flexguard-ext",
-}
-
-// AllAlgorithms additionally includes the substrate baselines not shown in
-// the main figures.
-var AllAlgorithms = append([]string{"tas", "tatas", "ticket", "clh", "backoff"}, Algorithms...)
-
-// RobustAlgorithms are the robust-futex wrappers (locks.RobustVariants),
-// swept only by the crash campaign (faultbench -crash).
-var RobustAlgorithms = []string{"robust/blocking", "robust/mcs"}
-
-// CrashAlgorithms is the crash-campaign set: every registry lock, the
-// flexguard variants, and the robust wrappers.
-func CrashAlgorithms() []string {
-	out := append([]string{}, AllAlgorithms...)
-	return append(out, RobustAlgorithms...)
-}
-
-// sliceExtGrant is the one-shot timeslice extension granted by the
-// patched scheduler (§2.4) for the *-ext variants, ≈9 µs.
-const sliceExtGrant = sim.Time(20_000)
-
-// monitorHookCost models the eBPF handler's per-context-switch cost; the
-// §5.4 experiment measures its end-to-end impact.
-const monitorHookCost = sim.Time(60)
-
 // Env bundles one machine with everything needed to hand locks to a
 // workload.
 type Env struct {
 	M      *sim.Machine
 	Shared *locks.Shared
-	Mon    *monitor.Monitor // nil unless a flexguard variant is in use
+	Mon    *monitor.Monitor // nil unless the lock needs the monitor
 	RT     *core.Runtime
 	Obs    *obs.LockObserver   // nil unless EnvOptions.Observe was set
 	Tr     *sim.Tracer         // nil unless RunCfg.Trace was set
 	Race   *check.RaceAuditor  // nil unless RunCfg.Races was set
 	TS     *timeseries.Sampler // nil unless RunCfg.Window was set
-	Alg    string
-	info   locks.Info
+	row    LockRow
 	nLocks int
 	maxed  bool
-	fgOpts []core.LockOption
 	// queueDepth is the open-loop engine's request-queue gauge, set by
 	// its workload so the flight recorder can sample it.
 	queueDepth func() int64
@@ -75,69 +44,54 @@ type Env struct {
 
 // EnvOptions configures NewEnv.
 type EnvOptions struct {
-	Config  sim.Config
-	Alg     string
-	PerLock bool // monitor per-lock counter ablation (flexguard only)
-	// BlockingMCSExit enables the reverted mcs_exit optimization ablation.
-	BlockingMCSExit bool
+	Config sim.Config
+	Alg    string // any catalog lock
 	// Observe attaches an obs.LockObserver collecting per-lock metrics
 	// (hold times, handover latency, spin/block transitions). Off by
 	// default: the lock-event stream then costs two nil checks per event.
 	Observe bool
 }
 
-// NewEnv builds a machine configured for the chosen algorithm: the
-// algorithm's cost-table adjustments, then the lock registry, monitor,
-// runtime and observers.
+// NewEnv builds a machine for the chosen lock: it resolves the lock's
+// catalog row, applies the cost-table adjustments the row needs, then
+// attaches the observer and, if needed, the monitor and runtime.
 func NewEnv(o EnvOptions) (*Env, error) {
+	row, ok := find(o.Alg)
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown algorithm %q", o.Alg)
+	}
 	cfg := o.Config
-	if o.Alg == "spin-ext" || o.Alg == "flexguard-ext" {
+	if row.Needs&NeedSliceExt != 0 {
 		cfg.Costs.SliceExt = sliceExtGrant
 	}
-	isFG := o.Alg == "flexguard" || o.Alg == "flexguard-ext"
-	if isFG {
+	if row.Needs&NeedMonitor != 0 {
 		cfg.Costs.HookCost = monitorHookCost
 	}
 	m := sim.New(cfg)
-	e := &Env{M: m, Shared: locks.NewShared(m), Alg: o.Alg}
+	e := &Env{M: m, Shared: locks.NewShared(m), row: row}
 	if o.Observe {
 		e.Obs = obs.Observe(m)
 	}
-	if isFG {
+	if row.Needs&NeedMonitor != 0 {
 		var opts []monitor.Option
-		if o.PerLock {
+		if row.Needs&NeedPerLock != 0 {
 			opts = append(opts, monitor.PerLockCounters())
 		}
 		e.Mon = monitor.Attach(m, opts...)
 		e.RT = core.NewRuntime(m, e.Mon)
-		if o.Alg == "flexguard-ext" {
-			e.fgOpts = append(e.fgOpts, core.WithTimesliceExtension())
-		}
-		if o.BlockingMCSExit {
-			e.fgOpts = append(e.fgOpts, core.WithBlockingMCSExit())
-		}
-		return e, nil
 	}
-	info, err := locks.Lookup(o.Alg)
-	if err != nil {
-		return nil, err
-	}
-	e.info = info
 	return e, nil
 }
 
-// NewLock creates the next lock instance. For algorithms with a MaxLocks
-// cap (u-SCL), exceeding the cap marks the env "crashed", mirroring the
+// NewLock creates the next lock instance. For locks with a MaxLocks cap
+// (u-SCL), exceeding the cap marks the env "crashed", mirroring the
 // crashes the paper reports; the caller checks Crashed after building.
 func (e *Env) NewLock(name string) locks.Lock {
 	e.nLocks++
-	if e.RT != nil {
-		return e.RT.NewLock(name, e.fgOpts...)
-	}
-	if e.info.MaxLocks > 0 && e.nLocks > e.info.MaxLocks {
+	if e.row.MaxLocks > 0 && e.nLocks > e.row.MaxLocks {
 		e.maxed = true
 	}
-	return e.info.New(e.Shared, name)
+	return e.row.New(e, name)
 }
 
 // Crashed reports whether the algorithm exceeded its lock-count capacity
@@ -245,7 +199,7 @@ func (r *Result) WriteLockMetrics(w io.Writer) {
 // Collect gathers metrics for the worker threads spawned before the call
 // to SpawnSpinners (workers are identified by index < workers).
 func (e *Env) Collect(workers int, duration sim.Time) Result {
-	r := Result{Alg: e.Alg, Threads: workers, Duration: duration, Crashed: e.Crashed()}
+	r := Result{Alg: e.row.Name, Threads: workers, Duration: duration, Crashed: e.Crashed()}
 	var latSum, latCount int64
 	ops := make([]int64, 0, workers)
 	var samples []float64

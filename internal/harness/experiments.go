@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/locks"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads/hackbench"
@@ -323,7 +322,7 @@ func fig2(machine string, normalize bool, o ExpOptions, w io.Writer) error {
 		return RunCfg{
 			Config: cfg, Alg: alg, Threads: threads[col],
 			Duration: o.Duration, Observe: o.Metrics, Window: o.Window,
-		}, sharedmemWork(100, nil)
+		}, sharedmemWork(100)
 	})
 	if err != nil {
 		return err
@@ -446,7 +445,7 @@ func runFig5b(o ExpOptions, w io.Writer) error {
 		return RunCfg{
 			Config: cfg, Alg: alg, Threads: int(float64(cfg.NumCPUs) * s.ratio),
 			Duration: o.Duration, Window: o.Window,
-		}, sharedmemWork(g, nil)
+		}, sharedmemWork(g)
 	})
 	if err != nil {
 		return err
@@ -469,7 +468,7 @@ func runFig5c(o ExpOptions, w io.Writer) error {
 		return RunCfg{
 			Config: cfg, Alg: alg, Threads: threads[col],
 			Duration: o.Duration, Observe: o.Metrics, Window: o.Window,
-		}, sharedmemWork(100, nil)
+		}, sharedmemWork(100)
 	})
 	if err != nil {
 		return err
@@ -534,8 +533,8 @@ func runAblationPerLock(o ExpOptions, w io.Writer) error {
 		func(i int) (Result, error) {
 			return averageRuns(o, func(seed uint64) (Result, error) {
 				return RunHashTable(RunCfg{
-					Config: cfg, Alg: "flexguard", Threads: threads,
-					Duration: o.Duration, Seed: seed, PerLock: i == 1,
+					Config: cfg, Alg: [2]string{"flexguard", "flexguard/per-lock"}[i], Threads: threads,
+					Duration: o.Duration, Seed: seed,
 				})
 			})
 		})
@@ -563,8 +562,8 @@ func runAblationMCSExit(o ExpOptions, w io.Writer) error {
 		func(i int) (Result, error) {
 			return averageRuns(o, func(seed uint64) (Result, error) {
 				return RunSharedMem(RunCfg{
-					Config: cfg, Alg: "flexguard", Threads: threads,
-					Duration: o.Duration, Seed: seed, BlockingMCSExit: i == 1,
+					Config: cfg, Alg: [2]string{"flexguard", "flexguard/blocking-mcs-exit"}[i], Threads: threads,
+					Duration: o.Duration, Seed: seed,
 				}, 100)
 			})
 		})
@@ -598,10 +597,7 @@ func ParseAlgs(s string) ([]string, error) {
 		if slices.Contains(parts[:i], p) {
 			return nil, fmt.Errorf("harness: algorithm %q listed twice", p)
 		}
-		if p == "flexguard" || p == "flexguard-ext" {
-			continue
-		}
-		if _, err := locks.Lookup(p); err != nil {
+		if _, err := Lookup(p); err != nil {
 			return nil, err
 		}
 	}

@@ -23,7 +23,7 @@ import (
 // deterministically from the seed (the classic fuzz shape); explicit
 // values pin them — replay specs always pin all three.
 type FuzzCfg struct {
-	Alg     string // lock algorithm ("" = flexguard)
+	Alg     string // a Lookup name ("" = flexguard)
 	Seed    uint64
 	Plan    fault.Plan
 	Mutant  string // a fault.Mutants() name; "" runs the stock Alg
@@ -81,25 +81,19 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 	if alg == "" {
 		alg = "flexguard"
 	}
-	var mu *fault.Mutant
 	if c.Mutant != "" {
-		mm, ok := fault.MutantByName(c.Mutant)
+		mu, ok := fault.MutantByName(c.Mutant)
 		if !ok {
-			return FuzzResult{}, fmt.Errorf("harness: unknown mutant %q (have %v)", c.Mutant, fault.MutantNames())
+			return FuzzResult{}, fmt.Errorf("harness: unknown mutant %q (have %v)", c.Mutant, Names(Mutant))
 		}
-		mu = &mm
-		// The env only provides the machine (and, for monitor-reading
-		// mutants, the Preemption Monitor); its own locks go unused.
-		if mu.NeedsMonitor {
-			alg = "flexguard"
-		} else {
-			alg = "blocking"
-		}
+		alg = mu.Name // the mutant's catalog row picks its machine
 		if c.Plan.IsZero() {
 			// The registry's provoking plan makes the bug deterministic;
 			// replaying "plan=none mutant=X" re-applies it the same way.
 			c.Plan = mu.Plan
 		}
+	} else if _, err := Lookup(alg); err != nil {
+		return FuzzResult{}, err
 	}
 
 	// Shape derivation: same draws in the same order as the original
@@ -120,7 +114,7 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 	if c.Threads > 0 {
 		threads = c.Threads
 	}
-	if mu != nil && threads < 2 {
+	if c.Mutant != "" && threads < 2 {
 		threads = 2 // a mutant needs contention to misbehave
 	}
 	if c.Horizon > 0 {
@@ -147,7 +141,7 @@ func Fuzz(c FuzzCfg) (FuzzResult, error) {
 	out, err := stages{
 		env:   EnvOptions{Config: cfg, Alg: alg},
 		check: fuzzCheck(horizon), races: c.Races, plan: c.Plan, trace: true, window: c.Window,
-		work: sharedmemWork(0, mu), threads: threads,
+		work: sharedmemWork(0), threads: threads,
 		// Any thread parked at the drain is a deadlock.
 		deadline: horizon, horizon: grace, hangBefore: grace + 1,
 	}.run()

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/locks"
 	"repro/internal/sim"
 	"repro/internal/workloads/sharedmem"
 )
@@ -264,7 +263,7 @@ func TestFuzzFlexGuardPerLock(t *testing.T) {
 		cfg := sim.Small(2 + rng.Intn(4))
 		cfg.Seed = seed
 		threads := 2 + rng.Intn(3*cfg.NumCPUs)
-		e, err := NewEnv(EnvOptions{Config: cfg, Alg: "flexguard", PerLock: true})
+		e, err := NewEnv(EnvOptions{Config: cfg, Alg: "flexguard/per-lock"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,17 +350,5 @@ func TestFuzzLockHandoffUnderKill(t *testing.T) {
 		e.M.Run(sim.Time(100_000 * (s + 1)))
 		// The machine must have quiesced its goroutines (no panic/leak);
 		// nothing to assert beyond clean completion.
-	}
-}
-
-// lookupGuard ensures AllAlgorithms stays consistent with the registry.
-func TestAllAlgorithmsResolvable(t *testing.T) {
-	for _, a := range AllAlgorithms {
-		if a == "flexguard" || a == "flexguard-ext" {
-			continue
-		}
-		if _, err := locks.Lookup(a); err != nil {
-			t.Fatalf("%s in AllAlgorithms but not in registry: %v", a, err)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/workloads/dbindex"
 	"repro/internal/workloads/dedup"
@@ -26,7 +25,7 @@ type nameCell struct {
 // thread to allocate its queue nodes.
 func nameCells() []nameCell {
 	const horizon = sim.Time(200_000)
-	cell := func(alg string, mu *fault.Mutant) func(testing.TB) *sim.Machine {
+	cell := func(alg string) func(testing.TB) *sim.Machine {
 		return func(tb testing.TB) *sim.Machine {
 			cfg := sim.Small(2)
 			cfg.Seed = 1
@@ -35,21 +34,17 @@ func nameCells() []nameCell {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			sharedmemWork(100, mu)(e, 2, horizon)
+			sharedmemWork(100)(e, 2, horizon)
 			e.M.Run(horizon)
 			return e.M
 		}
 	}
 	var out []nameCell
-	for _, alg := range append(append([]string{}, AllAlgorithms...), RobustAlgorithms...) {
-		out = append(out, nameCell{alg, cell(alg, nil)})
+	for _, alg := range CrashAlgorithms() {
+		out = append(out, nameCell{alg, cell(alg)})
 	}
-	for _, mu := range fault.Mutants() {
-		alg := "blocking"
-		if mu.NeedsMonitor {
-			alg = "flexguard"
-		}
-		out = append(out, nameCell{"mutant/" + mu.Name, cell(alg, &mu)})
+	for _, mu := range Names(Mutant) {
+		out = append(out, nameCell{"mutant/" + mu, cell(mu)})
 	}
 	return out
 }

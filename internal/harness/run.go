@@ -21,14 +21,12 @@ import (
 // RunCfg describes one benchmark run: a workload instance on one machine
 // with one lock algorithm.
 type RunCfg struct {
-	Config          sim.Config
-	Alg             string
-	Threads         int
-	Spinners        int // concurrent busy-waiting workload threads
-	Duration        sim.Time
-	Seed            uint64
-	PerLock         bool // monitor per-lock counter ablation
-	BlockingMCSExit bool
+	Config   sim.Config
+	Alg      string
+	Threads  int
+	Spinners int // concurrent busy-waiting workload threads
+	Duration sim.Time
+	Seed     uint64
 	// RecordRunnable enables the Figure 5a timeline.
 	RecordRunnable bool
 	// Observe attaches the lock-event observer (per-lock telemetry in
@@ -217,13 +215,7 @@ func runClosed(c RunCfg, w workload) (*Env, Result, error) {
 		dur = 20_000_000
 	}
 	out, err := stages{
-		env: EnvOptions{
-			Config:          cfg,
-			Alg:             c.Alg,
-			PerLock:         c.PerLock,
-			BlockingMCSExit: c.BlockingMCSExit,
-			Observe:         c.Observe,
-		},
+		env:   EnvOptions{Config: cfg, Alg: c.Alg, Observe: c.Observe},
 		races: c.Races, trace: c.Trace, window: c.Window,
 		work: w, threads: c.Threads, spinners: c.Spinners, capped: true,
 		deadline: dur, horizon: dur + dur/4, hangBefore: dur,
@@ -246,23 +238,14 @@ func runClosed(c RunCfg, w workload) (*Env, Result, error) {
 // noEnv drops the env from runClosed's outcome.
 func noEnv(_ *Env, r Result, err error) (Result, error) { return r, err }
 
-// sharedmemWork is the shared-memory-access microbenchmark; mu, when
-// set, replaces the env's locks with a fault mutant.
-func sharedmemWork(think sim.Time, mu *fault.Mutant) workload {
+// sharedmemWork is the shared-memory-access microbenchmark.
+func sharedmemWork(think sim.Time) workload {
 	return func(e *Env, threads int, deadline sim.Time) func(int64) error {
-		newLock := e.NewLock
-		if mu != nil {
-			var npcs *sim.Word
-			if e.Mon != nil {
-				npcs = e.Mon.NPCS()
-			}
-			newLock = func(name string) locks.Lock { return mu.New(e.M, npcs, name) }
-		}
 		w := sharedmem.Build(e.M, sharedmem.Options{
 			Threads:    threads,
 			Deadline:   deadline,
 			ThinkTicks: think,
-			NewLock:    newLock,
+			NewLock:    e.NewLock,
 		})
 		return func(crashes int64) error {
 			ok, a, b := w.Validate(e.M)
@@ -326,7 +309,7 @@ func RunSharedMem(c RunCfg, think sim.Time) (Result, error) {
 // RunSharedMemEnv is RunSharedMem but returns the env for inspection
 // (Figure 5a timeline, mode-transition counts).
 func RunSharedMemEnv(c RunCfg, think sim.Time) (*Env, Result, error) {
-	return runClosed(c, sharedmemWork(think, nil))
+	return runClosed(c, sharedmemWork(think))
 }
 
 // RunHashTable runs the hash-table microbenchmark (Figs 3a–d).

@@ -199,18 +199,18 @@ func TestShapeMonitorOverhead(t *testing.T) {
 // least as well as per-lock counters on a multi-lock workload.
 func TestShapePerLockAblation(t *testing.T) {
 	cfg := intelQuarter(t)
-	run := func(perLock bool) Result {
+	run := func(alg string) Result {
 		r, err := RunHashTable(RunCfg{
-			Config: cfg, Alg: "flexguard", Threads: cfg.NumCPUs * 2,
-			Duration: 20_000_000, Seed: 5, PerLock: perLock,
+			Config: cfg, Alg: alg, Threads: cfg.NumCPUs * 2,
+			Duration: 20_000_000, Seed: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	global := run(false)
-	perLock := run(true)
+	global := run("flexguard")
+	perLock := run("flexguard/per-lock")
 	if perLock.OpsPerSec > global.OpsPerSec*1.15 {
 		t.Fatalf("per-lock counters unexpectedly better: %.0f vs %.0f ops/s",
 			perLock.OpsPerSec, global.OpsPerSec)

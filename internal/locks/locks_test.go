@@ -6,12 +6,13 @@ import (
 	"repro/internal/sim"
 )
 
-// runMutex exercises lock l on machine m with nThreads doing non-atomic
+// RunMutex exercises lock l on machine m with nThreads doing non-atomic
 // read-modify-write increments under the lock, and returns (counter,
 // completed CSs, per-thread ops). Threads stop acquiring at 2/3 of the
 // horizon and exit cleanly, so at the end every started critical section
-// has completed and the counter must match the tally exactly.
-func runMutex(m *sim.Machine, l Lock, nThreads int, horizon sim.Time) (uint64, uint64, []int64) {
+// has completed and the counter must match the tally exactly. Exported
+// for the catalog tests in package locks_test.
+func RunMutex(m *sim.Machine, l Lock, nThreads int, horizon sim.Time) (uint64, uint64, []int64) {
 	ctr := m.NewWord("ctr", 0)
 	deadline := horizon * 2 / 3
 	done := make([]uint64, nThreads)
@@ -47,103 +48,10 @@ func newMachine(ncpu int, seed uint64) (*sim.Machine, *Shared) {
 	return m, NewShared(m)
 }
 
-// TestMutualExclusionAllLocks: every algorithm must be a correct mutex in
-// both subscription regimes.
-func TestMutualExclusionAllLocks(t *testing.T) {
-	for _, info := range Registry() {
-		info := info
-		t.Run(info.Name+"/under", func(t *testing.T) {
-			m, s := newMachine(8, 1)
-			l := info.New(s, "L")
-			got, want, _ := runMutex(m, l, 4, 15_000_000)
-			if got != want {
-				t.Fatalf("%s lost updates: %d vs %d", info.Name, got, want)
-			}
-			if want == 0 {
-				t.Fatalf("%s made no progress", info.Name)
-			}
-		})
-		t.Run(info.Name+"/over", func(t *testing.T) {
-			m, s := newMachine(2, 7)
-			l := info.New(s, "L")
-			got, want, _ := runMutex(m, l, 8, 25_000_000)
-			if got != want {
-				t.Fatalf("%s lost updates oversubscribed: %d vs %d", info.Name, got, want)
-			}
-			if want == 0 {
-				t.Fatalf("%s made no progress oversubscribed", info.Name)
-			}
-		})
-	}
-}
-
-// TestNoStarvationAllLocks: for the algorithms with fair admission, every
-// thread completes at least one CS even oversubscribed. Unfair-by-design
-// locks are excluded: TAS/TATAS/spin-ext hand the lock to whoever owns the
-// cache line, Malthusian deliberately parks a passive set (§2.2), and the
-// Shuffle lock's fast path favors the current holder — the paper's
-// fairness figure (5b) quantifies exactly this.
-func TestNoStarvationAllLocks(t *testing.T) {
-	unfair := map[string]bool{
-		"tas": true, "tatas": true, "spin-ext": true,
-		"malthusian": true, "shuffle": true,
-	}
-	for _, info := range Registry() {
-		info := info
-		if unfair[info.Name] {
-			continue
-		}
-		t.Run(info.Name, func(t *testing.T) {
-			m, s := newMachine(2, 3)
-			l := info.New(s, "L")
-			_, _, ops := runMutex(m, l, 6, 60_000_000)
-			for i, o := range ops {
-				if o == 0 {
-					t.Fatalf("%s starved thread %d: %v", info.Name, i, ops)
-				}
-			}
-		})
-	}
-}
-
-// TestUncontendedAllLocks: a single thread acquiring any lock repeatedly
-// must succeed and terminate promptly.
-func TestUncontendedAllLocks(t *testing.T) {
-	for _, info := range Registry() {
-		info := info
-		t.Run(info.Name, func(t *testing.T) {
-			m, s := newMachine(2, 5)
-			l := info.New(s, "L")
-			n := 0
-			m.Spawn("solo", func(p *sim.Proc) {
-				for i := 0; i < 200; i++ {
-					l.Lock(p)
-					p.Compute(20)
-					l.Unlock(p)
-					n++
-				}
-			})
-			m.Run(400_000_000)
-			if n != 200 {
-				t.Fatalf("%s: completed %d/200 uncontended acquisitions", info.Name, n)
-			}
-		})
-	}
-}
-
-func TestLookup(t *testing.T) {
-	if _, err := Lookup("mcs"); err != nil {
-		t.Fatalf("mcs should be registered: %v", err)
-	}
-	if _, err := Lookup("definitely-not-a-lock"); err == nil {
-		t.Fatal("bogus name should error")
-	}
-}
-
 func TestTicketIsFIFO(t *testing.T) {
 	// With one CPU and staggered arrival, grants must follow ticket order.
-	m, s := newMachine(4, 2)
-	l := info(t, "ticket").New(s, "L")
+	m, _ := newMachine(4, 2)
+	l := NewTicket(m, "L")
 	var order []int
 	hold := m.NewWord("hold", 0)
 	for i := 0; i < 3; i++ {
@@ -163,23 +71,14 @@ func TestTicketIsFIFO(t *testing.T) {
 	}
 }
 
-func info(t *testing.T, name string) Info {
-	t.Helper()
-	in, err := Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
-}
-
 func TestMCSHandoverLocality(t *testing.T) {
 	// MCS waiters spin on their own nodes: with two waiters, the lock word
 	// (tail) should see far fewer atomics than a TAS lock would generate.
 	// We check behaviourally: heavy contention still completes and spin
 	// iterations are attributed.
-	m, s := newMachine(4, 9)
-	l := info(t, "mcs").New(s, "L")
-	got, want, _ := runMutex(m, l, 4, 10_000_000)
+	m, _ := newMachine(4, 9)
+	l := NewMCS(m, "L")
+	got, want, _ := RunMutex(m, l, 4, 10_000_000)
 	if got != want || want == 0 {
 		t.Fatalf("mcs contended run broken: %d vs %d", got, want)
 	}
@@ -195,9 +94,9 @@ func TestMCSHandoverLocality(t *testing.T) {
 func TestBlockingParksWaiters(t *testing.T) {
 	// The pure blocking lock must actually block: under contention, no
 	// meaningful spinning should be recorded.
-	m, s := newMachine(4, 11)
-	l := info(t, "blocking").New(s, "L")
-	_, want, _ := runMutex(m, l, 4, 10_000_000)
+	m, _ := newMachine(4, 11)
+	l := NewBlocking(m, "L")
+	_, want, _ := RunMutex(m, l, 4, 10_000_000)
 	if want == 0 {
 		t.Fatal("no progress")
 	}
@@ -213,9 +112,9 @@ func TestBlockingParksWaiters(t *testing.T) {
 func TestPosixSpinsThenParks(t *testing.T) {
 	// POSIX must spin a bounded amount and park beyond it: spin iterations
 	// exist but stay bounded per acquisition.
-	m, s := newMachine(4, 13)
-	l := info(t, "posix").New(s, "L")
-	_, want, _ := runMutex(m, l, 4, 10_000_000)
+	m, _ := newMachine(4, 13)
+	l := NewPosix(m, "L")
+	_, want, _ := RunMutex(m, l, 4, 10_000_000)
 	if want == 0 {
 		t.Fatal("no progress")
 	}
@@ -237,7 +136,7 @@ func TestMalthusianCullsToPassive(t *testing.T) {
 	// the lock must still be live.
 	m, _ := newMachine(4, 15)
 	ml := NewMalthusian(m, "L")
-	got, want, _ := runMutex(m, ml, 8, 20_000_000)
+	got, want, _ := RunMutex(m, ml, 8, 20_000_000)
 	if got != want || want == 0 {
 		t.Fatalf("malthusian broken: %d vs %d", got, want)
 	}
@@ -282,9 +181,9 @@ func TestShuffleGlobalNodeAcrossLocks(t *testing.T) {
 func TestUSCLFairness(t *testing.T) {
 	// u-SCL's whole point: ops spread evenly across threads even when CS
 	// lengths differ (here: uniform CS, check spread is tight).
-	m, s := newMachine(2, 19)
-	l := info(t, "uscl").New(s, "L")
-	_, want, ops := runMutex(m, l, 4, 60_000_000)
+	m, _ := newMachine(2, 19)
+	l := NewUSCL(m, "L")
+	_, want, ops := RunMutex(m, l, 4, 60_000_000)
 	if want == 0 {
 		t.Fatal("no progress")
 	}
@@ -306,8 +205,8 @@ func TestMCSTPRemovesStaleWaiters(t *testing.T) {
 	// Oversubscribed MCS-TP must keep making progress by skipping
 	// preempted waiters.
 	m, s := newMachine(1, 21)
-	l := info(t, "mcstp").New(s, "L")
-	got, want, _ := runMutex(m, l, 5, 40_000_000)
+	l := NewMCSTP(s, "L")
+	got, want, _ := RunMutex(m, l, 5, 40_000_000)
 	if got != want || want == 0 {
 		t.Fatalf("mcstp broken: %d vs %d", got, want)
 	}
@@ -318,9 +217,8 @@ func TestSpinExtSetsFlagOnlyInCS(t *testing.T) {
 	cfg.Seed = 23
 	cfg.Costs.SliceExt = 5_000
 	m := sim.New(cfg)
-	s := NewShared(m)
-	l := info(t, "spin-ext").New(s, "L")
-	got, want, _ := runMutex(m, l, 6, 15_000_000)
+	l := NewSpinExt(m, "L")
+	got, want, _ := RunMutex(m, l, 6, 15_000_000)
 	if got != want || want == 0 {
 		t.Fatalf("spin-ext broken: %d vs %d", got, want)
 	}
@@ -328,8 +226,8 @@ func TestSpinExtSetsFlagOnlyInCS(t *testing.T) {
 
 func TestCLHIsFIFO(t *testing.T) {
 	// Staggered arrival on spare CPUs: CLH must grant in arrival order.
-	m, s := newMachine(8, 25)
-	l := info(t, "clh").New(s, "L")
+	m, _ := newMachine(8, 25)
+	l := NewCLH(m, "L")
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -355,9 +253,9 @@ func TestCLHIsFIFO(t *testing.T) {
 func TestCLHNodeRotation(t *testing.T) {
 	// The same two threads alternating many times exercises the CLH
 	// node-adoption rotation; any mix-up deadlocks or loses updates.
-	m, s := newMachine(2, 27)
-	l := info(t, "clh").New(s, "L")
-	got, want, _ := runMutex(m, l, 2, 10_000_000)
+	m, _ := newMachine(2, 27)
+	l := NewCLH(m, "L")
+	got, want, _ := RunMutex(m, l, 2, 10_000_000)
 	if got != want || want == 0 {
 		t.Fatalf("CLH rotation broken: %d vs %d", got, want)
 	}

@@ -37,28 +37,25 @@ type MCSTP struct {
 	nodes      map[int]*tpNode // allocated with the first node
 	lid        int32
 
-	// abandons, when set, counts holder-side waiter removals (tpRemoved)
-	// into Shared.Abandons. holderYields counts waiter yields taken on a
+	// abandons counts holder-side waiter removals (tpRemoved) into
+	// Shared.Abandons. holderYields counts waiter yields taken on a
 	// stale holder timestamp. Both are plain Go bookkeeping outside the
 	// simulated ops, so the counters never perturb traces.
 	abandons     *int64
 	holderYields int64
 }
 
-func (l *MCSTP) countAbandon() {
-	if l.abandons != nil {
-		*l.abandons++
-	}
-}
-
-// NewMCSTP returns an MCS-TP lock.
-func NewMCSTP(m *sim.Machine, name string) *MCSTP {
+// NewMCSTP returns an MCS-TP lock on s's machine, counting its waiter
+// removals into s.Abandons.
+func NewMCSTP(s *Shared, name string) *MCSTP {
+	m := s.m
 	lid := m.RegisterLockName(name)
 	return &MCSTP{
 		m:          m,
 		tail:       m.NewLockWord(lid, ".tail", 0),
 		holderTime: m.NewLockWord(lid, ".htime", 0),
 		lid:        lid,
+		abandons:   &s.Abandons,
 	}
 }
 
@@ -155,14 +152,14 @@ func (l *MCSTP) Unlock(p *sim.Proc) {
 			// It is the queue tail: try to close the queue entirely.
 			if p.CAS(l.tail, cur, 0) == cur {
 				p.Store(n.status, tpRemoved)
-				l.countAbandon()
+				*l.abandons++
 				return
 			}
 			p.SpinOn(func() bool { return n.next.V() == 0 }, n.next)
 			nxt = p.Load(n.next)
 		}
 		p.Store(n.status, tpRemoved)
-		l.countAbandon()
+		*l.abandons++
 		cur = nxt
 	}
 }

@@ -33,7 +33,7 @@ func (i *targetPreempt) PreemptAtBoundary(t *sim.Thread) bool {
 // queue from scratch once it runs again.
 func TestMCSTPRemovesPreemptedWaiter(t *testing.T) {
 	m, s := newMachine(1, 11)
-	l := info(t, "mcstp").New(s, "L")
+	l := NewMCSTP(s, "L")
 	victimAcquired := 0
 	victim := m.Spawn("victim", func(p *sim.Proc) {
 		p.Compute(5_000) // enqueue behind the holder
@@ -68,7 +68,7 @@ func TestMCSTPRemovesPreemptedWaiter(t *testing.T) {
 // without any robust machinery.
 func TestMCSTPRemovesDeadWaiter(t *testing.T) {
 	m, s := newMachine(4, 11)
-	l := info(t, "mcstp").New(s, "L")
+	l := NewMCSTP(s, "L")
 	behind := false
 	m.Spawn("holder", func(p *sim.Proc) {
 		l.Lock(p)
@@ -102,8 +102,7 @@ func TestMCSTPRemovesDeadWaiter(t *testing.T) {
 // burning their slices hot-spinning.
 func TestMCSTPYieldsOnStaleHolder(t *testing.T) {
 	m, s := newMachine(2, 11)
-	l := info(t, "mcstp").New(s, "L").(*MCSTP)
-	_ = s
+	l := NewMCSTP(s, "L")
 	holder := m.Spawn("holder", func(p *sim.Proc) {
 		l.Lock(p)
 		p.Compute(10_000_000)

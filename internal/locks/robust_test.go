@@ -6,30 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRobustVariantsMutex: crash-free, the robust variants are correct
-// mutexes in both subscription regimes (same bar as the registry locks).
-func TestRobustVariantsMutex(t *testing.T) {
-	for _, info := range RobustVariants() {
-		info := info
-		t.Run(info.Name+"/under", func(t *testing.T) {
-			m, s := newMachine(8, 1)
-			l := info.New(s, "L")
-			got, want, _ := runMutex(m, l, 4, 15_000_000)
-			if got != want || want == 0 {
-				t.Fatalf("%s lost updates: %d vs %d", info.Name, got, want)
-			}
-		})
-		t.Run(info.Name+"/over", func(t *testing.T) {
-			m, s := newMachine(2, 7)
-			l := info.New(s, "L")
-			got, want, _ := runMutex(m, l, 8, 25_000_000)
-			if got != want || want == 0 {
-				t.Fatalf("%s lost updates oversubscribed: %d vs %d", info.Name, got, want)
-			}
-		})
-	}
-}
-
 // TestRobustBlockingWakeChain is the regression test for the lost
 // waiters bit: unlock's XCHG clears the word, so a woken waiter that
 // re-acquired with a bare owner word would never wake the *other*
@@ -38,7 +14,7 @@ func TestRobustVariantsMutex(t *testing.T) {
 // the bug needs no crash, just two parked waiters.
 func TestRobustBlockingWakeChain(t *testing.T) {
 	m, s := newMachine(4, 13)
-	l := info(t, "robust/blocking").New(s, "L")
+	l := NewRobustBlocking(m, s.Robust(), "L")
 	acquired := make([]bool, 2)
 	m.Spawn("holder", func(p *sim.Proc) {
 		l.Lock(p)
@@ -69,7 +45,7 @@ func TestRobustBlockingWakeChain(t *testing.T) {
 func TestRobustBlockingOwnerDied(t *testing.T) {
 	m, s := newMachine(2, 3)
 	tr := m.AttachTracer(1 << 14)
-	l := info(t, "robust/blocking").New(s, "L")
+	l := NewRobustBlocking(m, s.Robust(), "L")
 	recovered := false
 	holder := m.Spawn("holder", func(p *sim.Proc) {
 		l.Lock(p)
@@ -131,7 +107,7 @@ func TestRobustBlockingNoRecovery(t *testing.T) {
 func TestRobustMCSDeadWaiterSkipped(t *testing.T) {
 	m, s := newMachine(4, 5)
 	tr := m.AttachTracer(1 << 14)
-	l := info(t, "robust/mcs").New(s, "L")
+	l := NewRobustMCS(m, s.Robust(), "L")
 	acquired := make(map[string]bool)
 	spawn := func(name string, arrive, cs sim.Time) *sim.Thread {
 		return m.Spawn(name, func(p *sim.Proc) {
@@ -192,7 +168,7 @@ func (c *crashStub) CrashAtBoundary(t *sim.Thread) bool {
 // forever waiting for a store the dead thread will never make.
 func TestRobustMCSDeadBeforeLinkPublished(t *testing.T) {
 	m, s := newMachine(4, 5)
-	l := info(t, "robust/mcs").New(s, "L")
+	l := NewRobustMCS(m, s.Robust(), "L")
 	acquired := make(map[string]bool)
 	spawn := func(name string, arrive, cs sim.Time) *sim.Thread {
 		return m.Spawn(name, func(p *sim.Proc) {
@@ -231,10 +207,7 @@ func TestRobustMCSDeadBeforeLinkPublished(t *testing.T) {
 func TestRobustMCSDeadBeforeEnqueue(t *testing.T) {
 	m, s := newMachine(4, 5)
 	tr := m.AttachTracer(1 << 14)
-	rl, ok := info(t, "robust/mcs").New(s, "L").(*RobustMCS)
-	if !ok {
-		t.Fatal("robust/mcs is not a *RobustMCS")
-	}
+	rl := NewRobustMCS(m, s.Robust(), "L")
 	acquired := make(map[string]bool)
 	spawn := func(name string, arrive, cs sim.Time) *sim.Thread {
 		return m.Spawn(name, func(p *sim.Proc) {
@@ -280,7 +253,7 @@ func TestRobustMCSDeadBeforeEnqueue(t *testing.T) {
 func TestRobustMCSDeadAtEmptyQueueXchg(t *testing.T) {
 	m, s := newMachine(4, 5)
 	tr := m.AttachTracer(1 << 14)
-	l := info(t, "robust/mcs").New(s, "L")
+	l := NewRobustMCS(m, s.Robust(), "L")
 	acquired := make(map[string]bool)
 	victim := m.Spawn("victim", func(p *sim.Proc) {
 		l.Lock(p)
@@ -321,7 +294,7 @@ func TestRobustMCSDeadAtEmptyQueueXchg(t *testing.T) {
 // a later arrival acquires a clean lock.
 func TestRobustMCSDeadTail(t *testing.T) {
 	m, s := newMachine(4, 5)
-	l := info(t, "robust/mcs").New(s, "L")
+	l := NewRobustMCS(m, s.Robust(), "L")
 	late := false
 	holder := m.Spawn("holder", func(p *sim.Proc) {
 		l.Lock(p)

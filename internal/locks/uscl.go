@@ -26,8 +26,8 @@ const usclAccounting = sim.Time(150)
 // This is a condensed reimplementation of the published algorithm keeping
 // its observable behaviour: strong long-term fairness, blocking-lock-like
 // handovers, and sensitivity to the slice length. Its heavyweight per-lock
-// state is modeled by the registry's MaxLocks cap, reproducing the crashes
-// the paper reports on the high-lock-count benchmarks (§5.3).
+// state is modeled by the harness catalog's MaxLocks cap, reproducing
+// the crashes the paper reports on the high-lock-count benchmarks (§5.3).
 type USCL struct {
 	m          *sim.Machine
 	lid        int32

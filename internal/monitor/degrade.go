@@ -78,7 +78,6 @@ func (mo *Monitor) markStale(reason int32) {
 	}
 	mo.m.KernelStore(mo.stale, 1)
 	mo.m.KernelLockEvent(sim.TraceMonitorStale, -1, -1, reason)
-	mo.StaleEvents++
 }
 
 // schedSwitch is the registered tracepoint hook: it counts the raw

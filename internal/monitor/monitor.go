@@ -62,8 +62,6 @@ type Monitor struct {
 	// under degradation — the gap is what the health check watches.
 	HookSeen  int64
 	Processed int64
-	// StaleEvents counts health-check trips (0 or 1; the flag latches).
-	StaleEvents int64
 }
 
 // Option configures Attach.

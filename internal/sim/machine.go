@@ -958,9 +958,6 @@ func (m *Machine) forcePreempt(c *cpuCtx, t *Thread) {
 // cost. prev must already be detached by the caller (or nil for idle).
 func (m *Machine) contextSwitch(c *cpuCtx, prev, next *Thread) {
 	m.TotalSwitches++
-	if prev != nil {
-		prev.Switches++
-	}
 	m.tracer.record(m.clock, TraceSwitch, tid(prev), tid(next), -1)
 	for _, h := range m.hooks {
 		h(prev, next)

@@ -88,7 +88,6 @@ type Thread struct {
 	latSamples  []int64
 	latStride   int64
 	Preemptions int64 // involuntary context switches
-	Switches    int64 // all context switches off-CPU
 	Migrations  int64 // dispatches onto a different context than last time
 
 	// Rand is this thread's private deterministic stream.

@@ -108,13 +108,12 @@ type Engine struct {
 	live, idle, spawned, peakWorkers int
 
 	// start is the machine clock at Build. Deadline and the reported
-	// StalledAt/ClosedAt are windows relative to it.
+	// ClosedAt are windows relative to it.
 	start        sim.Time
 	lastProgress sim.Time
 	closed       bool
 	closedAt     sim.Time
 	stalled      bool
-	stalledAt    sim.Time
 
 	// Resp is the response-latency log2 histogram (arrival →
 	// completion: queue wait + dispatch + service); Wait is queue wait
@@ -251,10 +250,7 @@ func (e *Engine) finishGen(stalled bool) {
 	}
 	e.closed = true
 	e.closedAt = e.m.Now()
-	if stalled {
-		e.stalled = true
-		e.stalledAt = e.closedAt
-	}
+	e.stalled = stalled
 	e.m.KernelAdd(e.db, 1)
 	e.m.KernelFutexWake(e.db, e.maxWorkers+1, -1)
 }
@@ -378,7 +374,6 @@ type Stats struct {
 	SpawnedWorkers int64
 	PeakWorkers    int64
 	Stalled        bool
-	StalledAt      sim.Time // offset from engine start (Build time)
 	ClosedAt       sim.Time // when generation stopped, offset from engine start
 	Resp           obs.Histogram
 	Wait           obs.Histogram
@@ -397,7 +392,6 @@ func (e *Engine) Stats() Stats {
 		SpawnedWorkers: int64(e.spawned),
 		PeakWorkers:    int64(e.peakWorkers),
 		Stalled:        e.stalled,
-		StalledAt:      rel(e.stalledAt, e.start),
 		ClosedAt:       rel(e.closedAt, e.start),
 		Resp:           e.Resp,
 		Wait:           e.Wait,

@@ -28,6 +28,7 @@ type NativeMonitor struct {
 	over      atomic.Bool
 	stop      chan struct{}
 	stopOnce  sync.Once
+	done      chan struct{} // closed when the sampling loop has exited
 	// trips counts healthy→oversubscribed transitions; untrips the
 	// transitions back (introspection; see Snapshot).
 	trips   atomic.Int64
@@ -59,21 +60,22 @@ func StartMonitor(c MonitorConfig) *NativeMonitor {
 		interval:  c.Interval,
 		threshold: c.Threshold,
 		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	go m.loop()
 	return m
 }
 
 func (m *NativeMonitor) loop() {
+	defer close(m.done)
 	consecutive := 0
 	for {
+		start := time.Now()
 		select {
 		case <-m.stop:
 			return
-		default:
+		case <-time.After(m.interval):
 		}
-		start := time.Now()
-		time.Sleep(m.interval)
 		overshoot := time.Since(start) - m.interval
 		m.mu.Lock()
 		m.overshoot.Record(max(overshoot.Nanoseconds(), 0))
@@ -101,9 +103,12 @@ func (m *NativeMonitor) Oversubscribed() bool { return m.over.Load() }
 // oversubscribed state.
 func (m *NativeMonitor) Trips() int64 { return m.trips.Load() }
 
-// Stop terminates the sampling goroutine. Idempotent.
+// Stop terminates the sampling goroutine and waits for it to exit, so
+// no probe lands after Stop returns. A probe in progress is abandoned,
+// so Stop returns at once even for a long interval. Idempotent.
 func (m *NativeMonitor) Stop() {
 	m.stopOnce.Do(func() { close(m.stop) })
+	<-m.done
 }
 
 // force overrides the verdict (tests only).
