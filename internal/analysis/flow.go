@@ -13,9 +13,8 @@ package analysis
 // statement, and every continue) are checked against that entry rather
 // than iterated to a fixed point; labeled branches bind to the nearest
 // enclosing loop (continue) or breakable statement (break); goto ends
-// the path; panic, os.Exit and log.Fatal/Panic end it without an exit;
-// and a select comm statement's calls reach only its own clause, though
-// Go evaluates its channel and send operands on entry to the select.
+// the path; and panic, os.Exit and log.Fatal/Panic end it without an
+// exit.
 
 import (
 	"go/ast"
@@ -213,11 +212,18 @@ func (w *flowWalker[S]) loop(body *ast.BlockStmt, post ast.Stmt, st S, canSkip b
 // Case expressions are evaluated in order until one matches, so each
 // one's calls apply to the entry state itself: they reach its clause,
 // every later clause and the no-match path, which is why the default
-// clause runs last. A comm clause's body starts from the state after
-// its comm statement.
+// clause runs last. A select evaluates every comm clause's channel and
+// send operands, in order, before it chooses a clause, so their calls
+// apply to the entry state before any clause runs; a comm clause's body
+// starts after its receive assignment.
 func (w *flowWalker[S]) clauses(body *ast.BlockStmt, st S) (S, bool) {
 	ctx := &flowCtx[S]{entry: w.p.clone(st)}
 	w.ctxs = append(w.ctxs, ctx)
+	for _, clause := range body.List {
+		if c, ok := clause.(*ast.CommClause); ok {
+			w.commOperands(c.Comm, ctx.entry)
+		}
+	}
 	var outs []S
 	var dflt *ast.CaseClause
 	for _, clause := range body.List {
@@ -235,8 +241,10 @@ func (w *flowWalker[S]) clauses(body *ast.BlockStmt, st S) (S, bool) {
 			start, stmts = w.p.clone(ctx.entry), c.Body
 		case *ast.CommClause:
 			start, stmts = w.p.clone(ctx.entry), c.Body
-			if c.Comm != nil {
-				start, _ = w.stmt(c.Comm, start)
+			if a, ok := c.Comm.(*ast.AssignStmt); ok {
+				for _, lhs := range a.Lhs {
+					w.scan(lhs, start)
+				}
 			}
 		}
 		if out, done := w.block(stmts, start); !done {
@@ -254,6 +262,25 @@ func (w *flowWalker[S]) clauses(body *ast.BlockStmt, st S) (S, bool) {
 		outs = append(outs, ctx.entry)
 	}
 	return w.join(st, outs)
+}
+
+// commOperands applies the calls a select evaluates on entry for one
+// comm statement to st: a send's channel and value, or a receive's
+// channel operand. A receive's assignment targets wait for its clause.
+func (w *flowWalker[S]) commOperands(comm ast.Stmt, st S) {
+	var recv ast.Expr
+	switch c := comm.(type) {
+	case *ast.SendStmt:
+		w.scan(c.Chan, st)
+		w.scan(c.Value, st)
+	case *ast.ExprStmt:
+		recv = c.X
+	case *ast.AssignStmt:
+		recv = c.Rhs[0]
+	}
+	if u, ok := ast.Unparen(recv).(*ast.UnaryExpr); ok {
+		w.scan(u.X, st)
+	}
 }
 
 // join merges the surviving states in order; with none left, every path

@@ -90,3 +90,16 @@ func leakyCommClause(m *sim.Machine, mu *mutex, ch chan int) {
 		}
 	})
 }
+
+// leakyOtherCommClause takes the lock in one clause's send value, which
+// the select evaluates on entry, but the clause that releases it may not
+// be the one chosen.
+func leakyOtherCommClause(m *sim.Machine, mu *mutex, out, in chan int) {
+	m.Spawn("w", func(p *sim.Proc) {
+		select {
+		case out <- lockedKey(p, mu): // want "mu.Lock is still held when the thread body exits"
+			mu.Unlock(p)
+		case <-in:
+		}
+	})
+}

@@ -67,3 +67,22 @@ func loopNeutral(p *sim.Proc, mu *mutex, w *sim.Word, n int) {
 		mu.Unlock(p)
 	}
 }
+
+// lockedIndex takes mu and returns an index.
+func lockedIndex(p *sim.Proc, mu *mutex) int {
+	mu.Lock(p)
+	return 0
+}
+
+// recvTarget takes the lock in a receive's assignment target, which is
+// evaluated only once its clause is chosen, and releases it there.
+func recvTarget(m *sim.Machine, mu *mutex, in, other chan int) {
+	m.Spawn("w", func(p *sim.Proc) {
+		var got [1]int
+		select {
+		case got[lockedIndex(p, mu)] = <-in:
+			mu.Unlock(p)
+		case <-other:
+		}
+	})
+}

@@ -81,6 +81,56 @@ func TestBuildAllocs(t *testing.T) {
 	}
 }
 
+// cellShape is a whole sweep cell, run through the harness entry point
+// perfbench's sweep calls: quarter-scale Intel, seed 1, tracing on.
+type cellShape struct {
+	name string
+	run  func() (Result, error)
+	// allocs is the recorded allocation count of one warm run (NewEnv,
+	// Build, Run and Collect), on go1.24.0 linux/amd64 like
+	// buildShape.allocs.
+	allocs int64
+}
+
+var cellShapes = []cellShape{
+	// 35 threads on 26 contexts: Collect reads 35 latency reservoirs.
+	{"sharedmem/flexguard/t35", func() (Result, error) {
+		return RunSharedMem(RunCfg{Config: ScaleConfig(sim.Intel(), 0.25), Alg: "flexguard",
+			Threads: 35, Duration: 3_000_000, Seed: 1, Trace: true}, 100)
+	}, 11269},
+	{"raytrace/flexguard/t39", func() (Result, error) {
+		return RunRaytrace(RunCfg{Config: ScaleConfig(sim.Intel(), 0.25), Alg: "flexguard",
+			Threads: 39, Duration: 4_000_000, Seed: 1, Trace: true})
+	}, 5428},
+}
+
+// TestCellAllocs pins the allocations of whole sweep cells, set-up, run
+// and Collect together, within the bound TestBuildAllocs uses. Each
+// shape runs once first, so the measured run finds the process warm as a
+// sweep's later cells do: raytrace's tile table already filled, and
+// exited goroutines ready for reuse.
+func TestCellAllocs(t *testing.T) {
+	for _, s := range cellShapes {
+		if _, err := s.run(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := s.run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		got := int64(after.Mallocs - before.Mallocs)
+		slack := max(s.allocs/100, 64)
+		t.Logf("%s: %d allocs, %.1f MB", s.name, got, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+		if got < s.allocs-slack || got > s.allocs+slack {
+			t.Errorf("%s: the cell allocated %d times, want %d ± %d", s.name, got, s.allocs, slack)
+		}
+	}
+}
+
 // BenchmarkBuild times the set-up stages of the sweep's lock-heavy cells
 // (see buildShape); run with -benchmem for bytes and allocations.
 func BenchmarkBuild(b *testing.B) {

@@ -200,13 +200,18 @@ func (r *Result) WriteLockMetrics(w io.Writer) {
 // to SpawnSpinners (workers are identified by index < workers).
 func (e *Env) Collect(workers int, duration sim.Time) Result {
 	r := Result{Alg: e.row.Name, Threads: workers, Duration: duration, Crashed: e.Crashed()}
+	threads := e.M.Threads()
+	threads = threads[:min(workers, len(threads))]
 	var latSum, latCount int64
 	ops := make([]int64, 0, workers)
-	var samples []float64
-	for i, th := range e.M.Threads() {
-		if i >= workers {
-			break
-		}
+	n := 0
+	for _, th := range threads {
+		n += len(th.LatencySamples())
+	}
+	// Every worker's reservoir, widened into one buffer that the p99's
+	// selection then reorders in place (tick counts convert exactly).
+	samples := make([]float64, 0, n)
+	for _, th := range threads {
 		r.Ops += th.Ops
 		ops = append(ops, th.Ops)
 		latSum += th.LatSum
@@ -217,7 +222,7 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 		}
 	}
 	if len(samples) > 0 {
-		r.P99LatUS = stats.Percentile(samples, 0.99) / sim.TicksPerMicrosecond
+		r.P99LatUS = stats.PercentileInPlace(samples, 0.99) / sim.TicksPerMicrosecond
 	}
 	r.Preempt = e.M.TotalPreemptions
 	if e.Mon != nil {

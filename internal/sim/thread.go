@@ -181,7 +181,9 @@ func (t *Thread) Name() string { return t.name }
 func (t *Thread) State() State { return t.state }
 
 // LatencySamples returns the thread's strided latency reservoir (ticks),
-// suitable for percentile estimation via stats.Percentile.
+// suitable for percentile estimation via stats.Percentile. The slice is
+// the reservoir itself, not a copy: callers must not modify it, and it is
+// valid until the thread records its next latency.
 func (t *Thread) LatencySamples() []int64 {
-	return append([]int64(nil), t.latSamples...)
+	return t.latSamples[:len(t.latSamples):len(t.latSamples)]
 }

@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -207,5 +210,58 @@ func TestTimelineMinMax(t *testing.T) {
 	min, max, ok = tl.MinMax(5, 9)
 	if !ok || min != 5 || max != 5 {
 		t.Fatalf("window minmax = %d,%d,%v want 5,5,true", min, max, ok)
+	}
+}
+
+// sortedPercentile is the sort definition PercentileInPlace must match:
+// interpolate between ranks floor(pos) and floor(pos)+1 of a sorted copy.
+func sortedPercentile(samples []float64, p float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	pos := p * float64(len(s)-1)
+	lo := int(pos)
+	hi := lo + 1
+	if hi >= len(s) {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestPercentileSelectsLikeSort: the selection returns the sort
+// definition's bits on random, tie-heavy and tiny inputs, at the p99
+// Collect reads and across the range.
+func TestPercentileSelectsLikeSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var inputs [][]float64
+	for _, n := range []int{1, 2, 3, 5, 100, 513, 4096} {
+		random, ties, sorted := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range n {
+			random[i] = float64(rng.Int64N(1 << 40))
+			ties[i] = float64(rng.IntN(3))
+			sorted[i] = float64(i / 4)
+		}
+		inputs = append(inputs, random, ties, sorted, slices.Repeat([]float64{7}, n))
+		rev := slices.Clone(sorted)
+		slices.Reverse(rev)
+		inputs = append(inputs, rev)
+	}
+	inputs = append(inputs, []float64{2, 1}, []float64{-0.5, 3.25})
+	for _, in := range inputs {
+		ref := slices.Sorted(slices.Values(in))
+		for _, p := range []float64{0, 0.01, 0.5, 0.9, 0.99, 0.999, 1} {
+			want := sortedPercentile(in, p)
+			buf := slices.Clone(in)
+			got := PercentileInPlace(buf, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d p=%g: got %v, sort definition %v", len(in), p, got, want)
+			}
+			if slices.Sort(buf); !slices.Equal(buf, ref) {
+				t.Fatalf("n=%d p=%g: the selection lost or changed a sample", len(in), p)
+			}
+		}
 	}
 }

@@ -34,7 +34,6 @@ type Workload struct {
 	doneTiles *sim.Word
 	coldLocks []locks.Lock
 	coldData  []*sim.Word
-	scene     *scene
 	// Checksums accumulates the rendered pixel sums per thread (the
 	// actual image output; summed for validation).
 	Checksums []float64
@@ -54,7 +53,6 @@ func Build(m *sim.Machine, o Options) *Workload {
 		doneTiles: m.NewWord("rt.done", 0),
 		coldLocks: make([]locks.Lock, o.ColdLocks),
 		coldData:  make([]*sim.Word, o.ColdLocks),
-		scene:     newScene(24),
 		Checksums: make([]float64, o.Threads),
 	}
 	for i := range w.coldLocks {
@@ -70,12 +68,13 @@ func Build(m *sim.Machine, o Options) *Workload {
 				tile := p.Load(w.nextTile)
 				p.Store(w.nextTile, tile+1)
 				w.taskLock.Unlock(p)
-				// Trace the tile for real (ray-sphere intersections and
-				// shadow rays); charge virtual time proportional to the
-				// intersection tests actually performed.
-				sum, tests := w.scene.renderTile(int(tile))
-				w.Checksums[i] += sum
-				p.Compute(sim.Time(tests) * tileTicks / 2048)
+				// Take the traced tile (ray-sphere intersections and
+				// shadow rays, rendered once per process; see tiles);
+				// charge virtual time proportional to the intersection
+				// tests its rendering performed.
+				t := tiles()[tile%tileCount]
+				w.Checksums[i] += t.checksum
+				p.Compute(sim.Time(t.tests) * tileTicks / 2048)
 				// Rarely touch an auxiliary lock (shading caches etc.).
 				if p.Rand().Intn(64) == 0 {
 					k := p.Rand().Intn(len(w.coldLocks))

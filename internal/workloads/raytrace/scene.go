@@ -1,6 +1,9 @@
 package raytrace
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // The renderer is real: tiles of rays are cast against a procedurally
 // generated sphere scene and shaded, and the pixel checksum is carried
@@ -32,9 +35,9 @@ type sphere struct {
 	albedo float64
 }
 
-// scene is the procedurally generated world shared by all workers
-// (read-only after construction apart from the lazily derived camera
-// constants; the workers share one machine and run one at a time).
+// scene is the procedurally generated world. Its camera constants are
+// derived on first use, so a scene is not safe for concurrent use; the
+// workload's one scene lives inside the tile table's fill (see tiles).
 type scene struct {
 	spheres []sphere
 	light   vec3
@@ -130,19 +133,25 @@ func intersectEye(cam []camSphere, dir vec3) (dist float64, idx int) {
 	return dist, idx
 }
 
-// tileSize is the square tile edge in pixels.
-const tileSize = 8
+const (
+	// tileSize is the square tile edge in pixels.
+	tileSize = 8
+	// tilesPerRow is the tile grid's edge. Tile ids wrap at
+	// tilesPerRow², so a tile's image depends only on its id mod
+	// tileCount.
+	tilesPerRow = 64
+	tileCount   = tilesPerRow * tilesPerRow
+)
 
 // renderTile casts tileSize² rays for tile id, returning a pixel-sum
 // checksum and the number of intersection tests (the cost driver).
 func (s *scene) renderTile(tile int) (checksum float64, tests int) {
-	const width = 64 // tiles per row
-	tx, ty := tile%width, (tile/width)%width
+	tx, ty := tile%tilesPerRow, (tile/tilesPerRow)%tilesPerRow
 	cam := s.camera()
 	for py := 0; py < tileSize; py++ {
 		for px := 0; px < tileSize; px++ {
-			u := (float64(tx*tileSize+px)/float64(width*tileSize) - 0.5) * 2
-			v := (float64(ty*tileSize+py)/float64(width*tileSize) - 0.5) * 2
+			u := (float64(tx*tileSize+px)/float64(tilesPerRow*tileSize) - 0.5) * 2
+			v := (float64(ty*tileSize+py)/float64(tilesPerRow*tileSize) - 0.5) * 2
 			dir := vec3{u, v, 1}.norm()
 			d, idx := intersectEye(cam, dir)
 			tests += len(cam)
@@ -163,4 +172,28 @@ func (s *scene) renderTile(tile int) (checksum float64, tests int) {
 		}
 	}
 	return checksum, tests
+}
+
+// renderedTile is renderTile's result for one tile.
+type renderedTile struct {
+	checksum float64
+	tests    int
+}
+
+// tiles is every distinct tile of the workload's scene, rendered once
+// per process on the first call. renderTile is a pure function of the
+// scene and the tile id mod tileCount, and every workload renders
+// newScene(24), so each entry is bit for bit what a dispatch of that
+// tile would render: no cell's output depends on which cell, worker or
+// goroutine filled the table.
+var tiles = sync.OnceValue(renderTiles)
+
+// renderTiles renders the workload's scene, newScene(24), tile by tile.
+func renderTiles() *[tileCount]renderedTile {
+	s := newScene(24)
+	t := new([tileCount]renderedTile)
+	for i := range t {
+		t[i].checksum, t[i].tests = s.renderTile(i)
+	}
+	return t
 }

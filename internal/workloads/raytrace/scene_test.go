@@ -2,6 +2,7 @@ package raytrace
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -149,6 +150,53 @@ func TestRenderTileMatchesReference(t *testing.T) {
 				t.Fatalf("%d spheres, tile %d: (%x, %d), reference (%x, %d)",
 					len(s.spheres), tile, math.Float64bits(c), n, math.Float64bits(rc), rn)
 			}
+		}
+	}
+}
+
+// TestTileTable: every entry of the tile table is bit for bit what a
+// fresh render of the tile returns, over two wraps of the grid, read
+// the way the worker loop reads it.
+func TestTileTable(t *testing.T) {
+	s := newScene(24)
+	tab := tiles()
+	for tile := uint64(0); tile < 2*tileCount; tile++ {
+		got := tab[tile%tileCount]
+		c, n := s.renderTile(int(tile))
+		if math.Float64bits(got.checksum) != math.Float64bits(c) || got.tests != n {
+			t.Fatalf("tile %d: table (%x, %d), render (%x, %d)",
+				tile, math.Float64bits(got.checksum), got.tests, math.Float64bits(c), n)
+		}
+	}
+}
+
+// TestTileTableConcurrentFirstCall: goroutines that make a fresh table's
+// first call at once all get the one filled table. Under -race this
+// checks that the fill is published to every reader.
+func TestTileTableConcurrentFirstCall(t *testing.T) {
+	fresh := sync.OnceValue(renderTiles)
+	const readers = 4
+	var wg sync.WaitGroup
+	got := make([]*[tileCount]renderedTile, readers)
+	sums := make([]float64, readers)
+	for g := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = fresh()
+			for _, e := range got[g] {
+				sums[g] += e.checksum
+			}
+		}()
+	}
+	wg.Wait()
+	want := tiles()
+	for g := range readers {
+		if got[g] != got[0] {
+			t.Fatalf("reader %d got another table", g)
+		}
+		if *got[g] != *want || sums[g] != sums[0] {
+			t.Fatalf("reader %d read a table that differs from the workload's", g)
 		}
 	}
 }
